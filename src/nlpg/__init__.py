@@ -10,9 +10,8 @@ from .adapt import IndicatorSet, adaptive_loop, dorfler_mark, localize_indicator
 from .analysis import (ExperimentRecord, compute_discrete_optimal_norm,
                        energy_seminorm, error_energy, error_l2, loglog_slope,
                        rate, rate_dof)
-from .assembly import (MixedSystem, assemble_convection, assemble_diffusion,
-                       assemble_gram, assemble_load, assemble_mass_mean,
-                       assemble_nonlocal_forms, build_mixed_system)
+from .assembly import (MixedSystem, assemble_gram, assemble_mass_mean,
+                       assemble_nonlocal_forms, assemble_parts, mixed_system_from_parts)
 from .driver import solve_problem
 from .kernels import (KernelPair, constant_kernel_pair, exact_sharp,
                       exact_smooth, forcing_sharp, forcing_smooth_local,
@@ -23,7 +22,7 @@ from .problems import Problem, make_problem
 from .quadrature import QuadRule, gauss_legendre, intersect, nested_integrate
 from .solver import (IndefiniteGramError, InfSupError, MixedSolution,
                      expand_solution, solve_mixed)
-from .space import Space, boundary_lift, build_space, evaluate, interpolate
+from .space import Space, boundary_lift
 from .experiments import (RunConfig, overshoot_metric, records_to_csv, run,
                           run_sharp_demo, run_table1, run_table3, run_table7,
                           uniform_h_study, uniform_p_study)

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ExperimentRecord, pairwise_energy_contributions, rate
-from .assembly import assemble_mass_mean
 from .driver import solve_problem
 from .kernels import constant_kernel_pair
 from .mesh import initial_mesh, refine_marked
+from .quadrature import gauss_legendre
 
 
 @dataclass
@@ -50,15 +50,16 @@ def localize_indicator(psi, test, kernel, eps, norm, n_over=13):
             eta2[pos[int(target)]] += scale * val
 
     if norm == "app":
-        from .quadrature import gauss_legendre
-        _, m = assemble_mass_mean(test)
-        omega = mesh.nodes[-2] - mesh.nodes[1]
-        mean = (m @ np.asarray(psi, dtype=float)) / omega
         rule = gauss_legendre(test.order + n_over)
-        for k, e in enumerate(interior):
+        weights, values = [], []
+        for e in interior:
             xs, ws = rule.map_to(*mesh.bounds(e))
-            vals = test.local_basis(e, xs) @ coeffs[test.element_dofs(e)] - mean
-            eta2[k] += ws @ vals**2
+            weights.append(ws)
+            values.append(test.local_basis(e, xs) @ coeffs[test.element_dofs(e)])
+        omega = mesh.nodes[-2] - mesh.nodes[1]
+        mean = sum(ws @ vals for ws, vals in zip(weights, values)) / omega
+        for k, (ws, vals) in enumerate(zip(weights, values)):
+            eta2[k] += ws @ (vals - mean)**2
     return IndicatorSet(elements=np.asarray(interior, dtype=int), eta2=eta2)
 
 

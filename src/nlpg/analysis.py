@@ -8,7 +8,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .assembly import assemble_nonlocal_forms
 from .mesh import horizon_neighbors
-from .quadrature import gauss_legendre, smooth_pieces
+from .quadrature import CONTAINED, gauss_legendre, inner_points, pair_pieces, unit_rule
 from .solver import IndefiniteGramError
 
 
@@ -48,48 +48,36 @@ def pairwise_energy_contributions(space, fields, kernel, outer_elements, n_over=
 
         values[k] = int_{K_i} int_{K_j ∩ B_delta(x)} gamma_diff (g(y)-g(x))^2 dy dx
 
-    using the same smooth-piece nested quadrature as the assembly, so the sums
-    agree with the assembled quadratic forms to roundoff.  ``inner_interior``
+    using the same pair layer and nested quadrature as the assembly, so the
+    sums agree with the assembled quadratic forms to roundoff.  ``inner_interior``
     skips exterior inner elements (the Omega x Omega error convention).
     """
     mesh = space.mesh
     delta = mesh.delta
     n = space.order + n_over
-    rule_out = gauss_legendre(n)
-    rule_in = gauss_legendre(n)
-    q_in = 0.5 * (rule_in.points + 1.0)
-    w_in = 0.5 * rule_in.weights
+    rule = gauss_legendre(n)
+    q_in, w_in = unit_rule(n)
 
-    elem_y = [rule_in.map_to(*mesh.bounds(j)) for j in range(mesh.n_elements)]
+    elem_y = [rule.map_to(*mesh.bounds(j)) for j in range(mesh.n_elements)]
     elem_vals = [[_element_values(space, f, j, elem_y[j][0]) for f in fields]
                  for j in range(mesh.n_elements)]
 
-    ctol = 1e-12 * max(1.0, delta)
     for i in outer_elements:
-        bi = mesh.bounds(i)
         for j in horizon_neighbors(mesh, i):
             if inner_interior and not mesh.is_interior(j):
                 continue
             bj = mesh.bounds(j)
-            for lo, hi in smooth_pieces(bi, bj, delta):
-                xs, wx = rule_out.map_to(lo, hi)
+            for lo, hi, case in pair_pieces(mesh, i, j):
+                xs, wx = rule.map_to(lo, hi)
                 fx = [_element_values(space, f, i, xs) for f in fields]
-                if j != i and lo >= bj[1] - delta - ctol and hi <= bj[0] + delta + ctol:
+                if case == CONTAINED:
                     y, wy = elem_y[j]
                     fy = elem_vals[j]
                     s = y[None, :] - xs[:, None]
                     diff = [v[None, :] - u[:, None] for v, u in zip(fy, fx)]
                 else:
-                    l = np.maximum(bj[0], xs - delta)
-                    u_ = np.minimum(bj[1], xs + delta)
-                    if j == i:
-                        y = np.concatenate((l[:, None] + (xs - l)[:, None] * q_in,
-                                            xs[:, None] + (u_ - xs)[:, None] * q_in), axis=1)
-                        wy = np.concatenate(((xs - l)[:, None] * w_in,
-                                             (u_ - xs)[:, None] * w_in), axis=1)
-                    else:
-                        y = l[:, None] + (u_ - l)[:, None] * q_in
-                        wy = (u_ - l)[:, None] * w_in
+                    # both self cases split the inner interval at x
+                    y, wy = inner_points(xs, bj, delta, q_in, w_in, split=j == i)
                     nq = y.shape[1]
                     fy = [_element_values(space, f, j, y.ravel()).reshape(-1, nq)
                           for f in fields]

@@ -10,6 +10,14 @@ double-integral form of the diffusion inner product.
 All matrices carry columns for *all* DOFs of the column space (free and
 constrained); the constrained columns are what the boundary lift multiplies.
 Rows are restricted to free test DOFs throughout.
+
+The geometry of every element pair (its smooth pieces, their cases and the
+inner nodes) comes from the pair layer in ``quadrature``, the only place that
+holds the case logic.  This module keeps the integrands: the mirrored/Taylor
+self window, the shared-vertex shift and the per-element tables of the
+contained case.  One path builds the discrete problem: ``assemble_parts``
+collects the norm-independent pieces once per mesh, and
+``mixed_system_from_parts`` turns them into G, B and F for one test norm.
 """
 
 from dataclasses import dataclass
@@ -17,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import horizon_neighbors
-from .quadrature import gauss_legendre, smooth_pieces
+from .quadrature import (CONTAINED, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
+                         inner_points, pair_pieces, unit_rule)
 from .space import boundary_lift
 
 
@@ -54,9 +63,7 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
     n_in = max(test.order, max(s.order for s, _, _ in columns)) + n_over
     rule_out = gauss_legendre(n_out)
     rule_in = gauss_legendre(n_in)
-    # inner rule in [0, 1] form so it maps onto per-point intervals by broadcasting
-    q_in = 0.5 * (rule_in.points + 1.0)
-    w_in = 0.5 * rule_in.weights
+    q_in, w_in = unit_rule(n_in)
 
     need_diff = any(wd for _, wd, _ in columns)
     need_conv = any(wc for _, _, wc in columns)
@@ -74,17 +81,15 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
              np.zeros((test.n_free, s.n_dofs)) if wc else None)
             for s, wd, wc in columns]
 
-    ctol = 1e-12 * max(1.0, delta)
     for i in mesh.interior_elements:
-        bi = mesh.bounds(i)
         rows, keep = rows_of[i]
         for j in horizon_neighbors(mesh, i):
             bj = mesh.bounds(j)
-            for lo, hi in smooth_pieces(bi, bj, delta):
+            for lo, hi, case in pair_pieces(mesh, i, j):
                 xs, wx = rule_out.map_to(lo, hi)
                 Btx = test.local_basis(i, xs)
                 wBtx = Btx * wx[:, None]
-                if j == i and lo >= bj[0] + delta - ctol and hi <= bj[1] - delta + ctol:
+                if case == SELF_INSIDE:
                     # unclipped self window: pair mirrored points y = x -+ t so
                     # the O(delta^-3) kernel multiplies symmetric differences of
                     # the basis instead of two huge cancelling half-integrals
@@ -105,7 +110,7 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
                             # finite Taylor expansion of L(xi +- tau) around xi:
                             # exact for polynomials and free of the eps-level
                             # evaluation noise that the kernel would amplify
-                            pows = space.derivative_matrix_powers()
+                            pows = space.diff_powers
                             fact = 1.0
                             Md = np.zeros((nu, nu))
                             Mc = np.zeros((nu, nu))
@@ -131,25 +136,12 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
                             Zc = (wKc_t[None, :, None] * (Byp - Bym)).sum(axis=1)
                             C[np.ix_(rows, cols_i)] += (wBtx.T @ Zc)[keep]
                     continue
-                if j == i:
-                    # clipped self window: split the inner interval at x_p
-                    l = np.maximum(bj[0], xs - delta)
-                    u = np.minimum(bj[1], xs + delta)
-                    y = np.concatenate((l[:, None] + (xs - l)[:, None] * q_in,
-                                        xs[:, None] + (u - xs)[:, None] * q_in), axis=1)
-                    wy = np.concatenate(((xs - l)[:, None] * w_in,
-                                         (u - xs)[:, None] * w_in), axis=1)
-                    contained = False
-                elif lo >= bj[1] - delta - ctol and hi <= bj[0] + delta + ctol:
+                contained = case == CONTAINED
+                if contained:
                     y, wy = elem_y[j]
-                    contained = True
                 else:
-                    l = np.maximum(bj[0], xs - delta)
-                    u = np.minimum(bj[1], xs + delta)
-                    y = l[:, None] + (u - l)[:, None] * q_in
-                    wy = (u - l)[:, None] * w_in
-                    contained = False
-
+                    y, wy = inner_points(xs, bj, delta, q_in, w_in,
+                                         split=case == SELF_CLIPPED)
                 s = (y[None, :] if contained else y) - xs[:, None]
                 if need_diff:
                     wKd = kernel.eval_diffusion(s) * wy
@@ -202,69 +194,31 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
     return mats
 
 
-def assemble_diffusion(trial, test, kernel, n_over=13):
-    """Matrix A with A[v, u] = a(u, v) = (-L_delta u, v); all trial columns."""
-    (A, _), = assemble_nonlocal_forms(test, [(trial, True, False)], kernel, n_over)
-    return A
-
-
-def assemble_convection(trial, test, kernel, n_over=13):
-    """Matrix C with C[v, u] = (b . G_delta u, v) for b = 1; all trial columns."""
-    (_, C), = assemble_nonlocal_forms(test, [(trial, False, True)], kernel, n_over)
-    return C
-
-
 def assemble_mass_mean(test):
     """L2(Omega) mass matrix and mean vector on the free test DOFs."""
-    n = test.order + 1
-    rule = gauss_legendre(n)
-    rowmap = np.full(test.n_dofs, -1, dtype=int)
-    rowmap[test.free_dofs] = np.arange(test.n_free)
+    rule = gauss_legendre(test.order + 1)
+    rows_of = _free_row_data(test)
     M = np.zeros((test.n_free, test.n_free))
     m = np.zeros(test.n_free)
     for e in test.mesh.interior_elements:
         xs, ws = rule.map_to(*test.mesh.bounds(e))
-        B = test.local_basis(e, xs)
-        rows = rowmap[test.element_dofs(e)]
-        keep = rows >= 0
-        Bk = B[:, keep]
-        M[np.ix_(rows[keep], rows[keep])] += Bk.T @ (Bk * ws[:, None])
-        m[rows[keep]] += Bk.T @ ws
+        rows, keep = rows_of[e]
+        Bk = test.local_basis(e, xs)[:, keep]
+        M[np.ix_(rows, rows)] += Bk.T @ (Bk * ws[:, None])
+        m[rows] += Bk.T @ ws
     return M, m
-
-
-def assemble_gram(test, kernel, eps, norm, n_over=13, diffusion_vv=None):
-    """Gram matrix of the chosen test-space norm on the free test DOFs.
-
-    'eng' is the nonlocal energy inner product; 'app' is
-    eps^2 * energy + mean-free L2, the computable optimal-norm surrogate.
-    """
-    if norm not in ("app", "eng"):
-        raise ValueError(f"unknown test norm {norm!r}, expected 'app' or 'eng'")
-    A = diffusion_vv
-    if A is None:
-        A = assemble_diffusion(test, test, kernel, n_over)[:, test.free_dofs]
-    if norm == "eng":
-        G = A
-    else:
-        M, m = assemble_mass_mean(test)
-        omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
-        G = eps**2 * A + M - np.outer(m, m) / omega
-    return 0.5 * (G + G.T)
 
 
 def load_vector(test, forcing, n_over=13):
     """(f, v) for all free test functions; f is evaluated on (0, 1) only."""
     rule = gauss_legendre(test.order + n_over)
-    rowmap = np.full(test.n_dofs, -1, dtype=int)
-    rowmap[test.free_dofs] = np.arange(test.n_free)
+    rows_of = _free_row_data(test)
     F = np.zeros(test.n_free)
     for e in test.mesh.interior_elements:
         xs, ws = rule.map_to(*test.mesh.bounds(e))
-        B = test.local_basis(e, xs)
-        rows = rowmap[test.element_dofs(e)]
-        keep = rows >= 0
-        F[rows[keep]] += B[:, keep].T @ (ws * np.asarray(forcing(xs), dtype=float))
+        rows, keep = rows_of[e]
+        f = np.asarray(forcing(xs), dtype=float)
+        F[rows] += test.local_basis(e, xs)[:, keep].T @ (ws * f)
     return F
 
 
@@ -280,25 +234,20 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel, n_over=13):
     mesh = test.mesh
     delta = mesh.delta
     rule_out = gauss_legendre(test.order + n_over)
-    rule_in = gauss_legendre(max(test.order, trial.order) + n_over)
-    q_in = 0.5 * (rule_in.points + 1.0)
-    w_in = 0.5 * rule_in.weights
+    q_in, w_in = unit_rule(max(test.order, trial.order) + n_over)
     rows_of = _free_row_data(test)
     exterior = (0, mesh.n_elements - 1)
 
     F = np.zeros(test.n_free)
     for i in mesh.interior_elements:
-        bi = mesh.bounds(i)
         rows, keep = rows_of[i]
         for j in exterior:
             bj = mesh.bounds(j)
-            for lo, hi in smooth_pieces(bi, bj, delta):
+            # the defect is integrated on the clipped window in every case
+            for lo, hi, _ in pair_pieces(mesh, i, j):
                 xs, wx = rule_out.map_to(lo, hi)
                 wBtx = test.local_basis(i, xs) * wx[:, None]
-                l = np.maximum(bj[0], xs - delta)
-                u = np.minimum(bj[1], xs + delta)
-                y = l[:, None] + (u - l)[:, None] * q_in
-                wy = (u - l)[:, None] * w_in
+                y, wy = inner_points(xs, bj, delta, q_in, w_in, split=False)
                 s = y - xs[:, None]
                 defect = (np.asarray(boundary(y.ravel()), dtype=float).reshape(y.shape)
                           - trial.local_basis(j, y.ravel()).reshape(y.shape + (-1,))
@@ -306,23 +255,6 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel, n_over=13):
                 dens = (-2.0 * eps * kernel.eval_diffusion(s)
                         + kernel.eval_convection_signed(s)) * wy * defect
                 F[rows] += (wBtx.T @ dens.sum(axis=1))[keep]
-    return F
-
-
-def assemble_load(test, forcing, trial, lift, eps, kernel, n_over=13, matrices=None,
-                  boundary=None):
-    """Load vector F_v = (f, v) - b(g_lift, v); ``lift`` is a full trial vector.
-
-    When ``boundary`` (the exact data g) is given, the collar interpolation
-    defect is subtracted as well, so the data enters with its exact values.
-    """
-    if matrices is None:
-        (A, C), = assemble_nonlocal_forms(test, [(trial, True, True)], kernel, n_over)
-    else:
-        A, C = matrices
-    F = load_vector(test, forcing, n_over) - (eps * A + C) @ lift
-    if boundary is not None:
-        F -= boundary_defect_load(test, trial, lift, boundary, eps, kernel, n_over)
     return F
 
 
@@ -337,8 +269,6 @@ class SystemParts:
     A_vu: np.ndarray
     C_vu: np.ndarray
     A_vv: np.ndarray
-    M: np.ndarray
-    m: np.ndarray
     load: np.ndarray
 
 
@@ -370,21 +300,32 @@ def assemble_parts(trial, test, kernel, forcing, n_over=13):
         raise ValueError("test space must be strictly richer than the trial space (dp >= 1)")
     (A_vu, C_vu), (A_vv, _) = assemble_nonlocal_forms(
         test, [(trial, True, True), (test, True, False)], kernel, n_over)
-    M, m = assemble_mass_mean(test)
     return SystemParts(trial, test, kernel, n_over, A_vu, C_vu,
-                       A_vv[:, test.free_dofs], M, m, load_vector(test, forcing, n_over))
+                       A_vv[:, test.free_dofs], load_vector(test, forcing, n_over))
 
 
-def mixed_system_from_parts(parts, eps, norm, boundary):
-    trial, test = parts.trial, parts.test
+def assemble_gram(test, diffusion_vv, eps, norm):
+    """Gram matrix of the chosen test-space norm on the free test DOFs.
+
+    ``diffusion_vv`` is the free-column block of the test-space diffusion
+    matrix.  'eng' is the nonlocal energy inner product; 'app' is
+    eps^2 * energy + mean-free L2, the computable optimal-norm surrogate.
+    """
     if norm not in ("app", "eng"):
         raise ValueError(f"unknown test norm {norm!r}, expected 'app' or 'eng'")
     if norm == "eng":
-        G = parts.A_vv
+        G = diffusion_vv
     else:
+        M, m = assemble_mass_mean(test)
         omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
-        G = eps**2 * parts.A_vv + parts.M - np.outer(parts.m, parts.m) / omega
-    G = 0.5 * (G + G.T)
+        G = eps**2 * diffusion_vv + M - np.outer(m, m) / omega
+    return 0.5 * (G + G.T)
+
+
+def mixed_system_from_parts(parts, eps, norm, boundary):
+    """The discrete mixed problem for one test norm, from norm-independent parts."""
+    trial, test = parts.trial, parts.test
+    G = assemble_gram(test, parts.A_vv, eps, norm)
     lift = boundary_lift(trial, boundary)
     op = eps * parts.A_vu + parts.C_vu
     F = (parts.load - op @ lift
@@ -392,9 +333,3 @@ def mixed_system_from_parts(parts, eps, norm, boundary):
                                 parts.n_over))
     return MixedSystem(G=G, B=op[:, trial.free_dofs], F=F,
                        trial=trial, test=test, lift=lift, eps=eps, norm=norm)
-
-
-def build_mixed_system(trial, test, kernel, eps, norm, forcing, boundary, n_over=13):
-    """Assemble the full discrete mixed problem for one norm."""
-    parts = assemble_parts(trial, test, kernel, forcing, n_over)
-    return mixed_system_from_parts(parts, eps, norm, boundary)

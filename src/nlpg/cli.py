@@ -64,34 +64,29 @@ def _run_command(args):
                  if getattr(args, key) is not None}
     cfg = experiments.apply_overrides(cfg, overrides)
     cfg.validate()
-    records = experiments.run(cfg)
+    # the dumps show the state of the run's last solve, kept as it happens
+    last = {}
+
+    def keep_last(step, mesh, result, indicators):
+        last.update(mesh=mesh, system=result.system)
+
+    dumps = args.mesh_out or args.dump_matrices
+    records = experiments.run(cfg, on_step=keep_last if dumps else None)
     text = experiments.records_to_csv(records, cfg.output or None)
     if cfg.output:
         print(f"wrote {cfg.output} ({len(records)} steps)")
     else:
         sys.stdout.write(text)
 
-    if args.mesh_out or args.dump_matrices:
-        from .driver import solve_problem
-        from .mesh import initial_mesh, refine_uniform
-        from .problems import make_problem
-        # rebuild the final state of a uniform run for the requested dumps
-        mesh = initial_mesh(cfg.delta)
-        if cfg.refinement == "uniform-h" and cfg.coupling == "fixed":
-            for _ in range(max(1, cfg.steps) - 1):
-                mesh = refine_uniform(mesh)
-        if args.mesh_out:
-            write_nodes_csv(mesh, args.mesh_out)
-            print(f"wrote {args.mesh_out}")
-        if args.dump_matrices:
-            problem = make_problem(cfg.problem, cfg.eps, mesh.delta)
-            result = solve_problem(mesh, problem, eps=cfg.eps, p=cfg.p, dp=cfg.dp,
-                                   norms=(cfg.norm,), n_over=cfg.n_over)[cfg.norm]
-            for name, arr in (("G", result.system.G), ("B", result.system.B),
-                              ("F", result.system.F)):
-                path = f"{args.dump_matrices}{name}.txt"
-                np.savetxt(path, np.atleast_2d(arr))
-                print(f"wrote {path}")
+    if args.mesh_out:
+        write_nodes_csv(last["mesh"], args.mesh_out)
+        print(f"wrote {args.mesh_out}")
+    if args.dump_matrices:
+        system = last["system"]
+        for name, arr in (("G", system.G), ("B", system.B), ("F", system.F)):
+            path = f"{args.dump_matrices}{name}.txt"
+            np.savetxt(path, np.atleast_2d(arr))
+            print(f"wrote {path}")
     return 0
 
 

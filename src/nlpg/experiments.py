@@ -96,10 +96,13 @@ def _record(step, mesh, result, prev, dof_rates=False):
         err_l2=result.err_l2, rate_l2=r_l)
 
 
-def uniform_h_study(cfg, norms=None):
+def uniform_h_study(cfg, norms=None, on_step=None):
     """Uniform h-refinement records for one or several test norms at once.
 
     Assembly is shared across norms per step; returns {norm: [records]}.
+    ``on_step`` (optional) receives (step, mesh, result, None) after each
+    solve, as in ``adaptive_loop``; result is that of ``cfg.norm``, which
+    must then be among ``norms``.
     """
     norms = tuple(norms) if norms else (cfg.norm,)
     out = {n: [] for n in norms}
@@ -118,13 +121,18 @@ def uniform_h_study(cfg, norms=None):
             rec = _record(step, mesh, results[n], prev[n])
             out[n].append(rec)
             prev[n] = rec
+        if on_step is not None:
+            on_step(step, mesh, results[cfg.norm], None)
         if cfg.coupling == "fixed":
             mesh = refine_uniform(mesh)
     return out
 
 
-def uniform_p_study(cfg, norms=None):
-    """Uniform p-refinement on the fixed initial mesh, trial orders 1..steps."""
+def uniform_p_study(cfg, norms=None, on_step=None):
+    """Uniform p-refinement on the fixed initial mesh, trial orders 1..steps.
+
+    ``on_step`` is called as in ``uniform_h_study``.
+    """
     norms = tuple(norms) if norms else (cfg.norm,)
     out = {n: [] for n in norms}
     prev = {n: None for n in norms}
@@ -140,18 +148,24 @@ def uniform_p_study(cfg, norms=None):
             rec = _record(step, mesh, results[n], prev[n], dof_rates=True)
             out[n].append(rec)
             prev[n] = rec
+        if on_step is not None:
+            on_step(step, mesh, results[cfg.norm], None)
     return out
 
 
-def run(cfg):
-    """Execute one configured study and return its records."""
+def run(cfg, on_step=None):
+    """Execute one configured study and return its records.
+
+    ``on_step`` (optional) receives (step, mesh, result, indicators) after
+    each solve; indicators is None except in adaptive runs.
+    """
     cfg.validate()
     if cfg.refinement == "adaptive":
         problem = make_problem(cfg.problem, cfg.eps, cfg.delta)
-        return adaptive_loop(problem, cfg)
+        return adaptive_loop(problem, cfg, on_step)
     if cfg.refinement == "uniform-p":
-        return uniform_p_study(cfg)[cfg.norm]
-    return uniform_h_study(cfg)[cfg.norm]
+        return uniform_p_study(cfg, on_step=on_step)[cfg.norm]
+    return uniform_h_study(cfg, on_step=on_step)[cfg.norm]
 
 
 def overshoot_metric(space, coeffs, samples_per_element=1000):

@@ -24,6 +24,12 @@ class KernelPair:
     ``delta**-2 * conv_profile(|s|/delta)`` (both zero outside the horizon).
     The built-in pair satisfies the unit second/first moment normalizations
     and the pointwise relation conv = |s| * diff / eta.
+
+    Profiles may be any callables, but the assembly assumes polynomial ones:
+    the nested Gauss quadrature is exact to roundoff only when every piece
+    integrand is a polynomial, and the Taylor form of the self window (used
+    when delta is small against the element) is exact only then.  Other
+    profiles get a quadrature error that this code does not estimate.
     """
 
     delta: float

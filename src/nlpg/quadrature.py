@@ -19,6 +19,14 @@ refinements make this accurate for every delta/h ratio:
 
 With the built-in kernels every piece integrand is polynomial, so the nested
 values are exact up to roundoff.
+
+The pair layer, ``pair_pieces`` and ``inner_points``, is the only place that
+decides the geometry of an element pair: which smooth pieces of K_i it has,
+which case each piece is (self window inside K_i, self window clipped by an end
+of K_i, K_j contained in the ball, or clipped), and where the inner nodes sit.
+Assembly, the collar data functional, the energy error and the indicators all
+walk their pairs through it and keep only their integrands.
+``nested_integrate`` stays apart as the independent reference.
 """
 
 from dataclasses import dataclass
@@ -80,6 +88,57 @@ def smooth_pieces(outer, inner, delta):
     edges = [lo, *cuts, hi]
     return [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)
             if edges[k + 1] - edges[k] > tol]
+
+
+# piece cases of the pair layer (see module docstring)
+SELF_INSIDE = "self-inside"     # j == i and B_delta(x) inside K_i over the piece
+SELF_CLIPPED = "self-clipped"   # j == i and B_delta(x) crosses an end of K_i
+CONTAINED = "contained"         # K_j inside B_delta(x) at both ends of the piece
+CLIPPED = "clipped"             # every other piece: K_j ∩ B_delta(x) moves with x
+
+
+def pair_pieces(mesh, i, j):
+    """Smooth pieces (lo, hi, case) of K_i for the element pair (K_i, K_j)."""
+    delta = mesh.delta
+    bj = mesh.bounds(j)
+    tol = 1e-12 * max(1.0, delta)
+    for lo, hi in smooth_pieces(mesh.bounds(i), bj, delta):
+        if j == i:
+            inside = lo >= bj[0] + delta - tol and hi <= bj[1] - delta + tol
+            yield lo, hi, SELF_INSIDE if inside else SELF_CLIPPED
+        elif lo >= bj[1] - delta - tol and hi <= bj[0] + delta + tol:
+            yield lo, hi, CONTAINED
+        else:
+            yield lo, hi, CLIPPED
+
+
+@lru_cache(maxsize=None)
+def unit_rule(n):
+    """Gauss-Legendre points and weights of order n on [0, 1]."""
+    rule = gauss_legendre(n)
+    q = 0.5 * (rule.points + 1.0)
+    w = 0.5 * rule.weights
+    q.flags.writeable = False
+    w.flags.writeable = False
+    return q, w
+
+
+def inner_points(xs, bj, delta, q_in, w_in, split):
+    """Inner nodes and weights on K_j ∩ B_delta(x) for every outer node x.
+
+    ``q_in``, ``w_in`` is a rule on [0, 1] (``unit_rule``); with ``split`` the
+    interval is split at x.  Returns arrays of shape (len(xs), n) with n the
+    rule order, or twice that when split.
+    """
+    l = np.maximum(bj[0], xs - delta)
+    u = np.minimum(bj[1], xs + delta)
+    if split:
+        y = np.concatenate((l[:, None] + (xs - l)[:, None] * q_in,
+                            xs[:, None] + (u - xs)[:, None] * q_in), axis=1)
+        wy = np.concatenate(((xs - l)[:, None] * w_in,
+                             (u - xs)[:, None] * w_in), axis=1)
+        return y, wy
+    return l[:, None] + (u - l)[:, None] * q_in, (u - l)[:, None] * w_in
 
 
 def _union_pieces(mesh, i, neighbors):

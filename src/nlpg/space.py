@@ -42,6 +42,25 @@ def lagrange_basis(nodes, weights, x):
     return out
 
 
+def _diff_powers(nodes, w):
+    """Powers of the reference differentiation matrix, (I, D, ..., D^order).
+
+    D[i, j] = L_j'(xi_i) on the reference nodes, so values of the m-th
+    cardinal derivatives at arbitrary points are B @ D^m.
+    """
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    D = (w[None, :] / w[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    powers = [np.eye(len(nodes))]
+    for _ in range(len(nodes) - 1):
+        powers.append(powers[-1] @ D)
+    for P in powers:
+        P.flags.writeable = False
+    return tuple(powers)
+
+
 class Space:
     """Trial/test space of uniform order on a mesh; see module docstring."""
 
@@ -52,6 +71,7 @@ class Space:
         self.order = order
         self.ref_nodes = gauss_lobatto_nodes(order + 1)
         self._bary = barycentric_weights(self.ref_nodes)
+        self.diff_powers = _diff_powers(self.ref_nodes, self._bary)
 
         nel = mesh.n_elements
         n_vertex = nel + 1
@@ -86,25 +106,6 @@ class Space:
     def element_dofs(self, e):
         return self._element_dofs[e]
 
-    def derivative_matrix_powers(self):
-        """Powers of the reference differentiation matrix, [I, D, D^2, ...].
-
-        D[i, j] = L_j'(xi_i) on the reference nodes, so values of the m-th
-        cardinal derivatives at arbitrary points are B @ D^m.
-        """
-        if not hasattr(self, "_diff_powers"):
-            nodes, w = self.ref_nodes, self._bary
-            diff = nodes[:, None] - nodes[None, :]
-            np.fill_diagonal(diff, 1.0)
-            D = (w[None, :] / w[:, None]) / diff
-            np.fill_diagonal(D, 0.0)
-            np.fill_diagonal(D, -D.sum(axis=1))
-            powers = [np.eye(self.order + 1)]
-            for _ in range(self.order):
-                powers.append(powers[-1] @ D)
-            self._diff_powers = powers
-        return self._diff_powers
-
     def local_basis(self, e, x):
         """Values of the element-e basis functions at global points x."""
         a, b = self.mesh.bounds(e)
@@ -129,19 +130,6 @@ class Space:
             sel = elems == e
             out[sel] = self.local_basis(e, x[sel]) @ coeffs[self._element_dofs[e]]
         return out
-
-
-def build_space(mesh, order):
-    """Continuous nodal space of the given order on the mesh."""
-    return Space(mesh, order)
-
-
-def interpolate(space, f):
-    return space.interpolate(f)
-
-
-def evaluate(space, coeffs, x):
-    return space.evaluate(coeffs, x)
 
 
 def boundary_lift(space, g):

@@ -246,7 +246,7 @@ def test_criterion_7_property_suite():
     detail.append(f"antisymmetry defect={anti:.1e}")
     ok &= np.linalg.eigvalsh(0.5 * (Aff + Aff.T)).min() > 0.0
     for norm in ("app", "eng"):
-        G = assemble_gram(test, kernel, eps, norm, diffusion_vv=Aff)
+        G = assemble_gram(test, Aff, eps, norm)
         ok &= np.linalg.eigvalsh(G).min() > 0.0
     detail.append("diffusion/gram SPD")
 
@@ -262,7 +262,7 @@ def test_criterion_7_property_suite():
     rng = np.random.default_rng(3)
     psi = rng.standard_normal(test.n_free)
     ind = localize_indicator(psi, test, kernel, eps, "app")
-    G = assemble_gram(test, kernel, eps, "app", diffusion_vv=Aff)
+    G = assemble_gram(test, Aff, eps, "app")
     gap = abs(ind.eta2.sum() - psi @ G @ psi) / (psi @ G @ psi)
     ok &= gap <= 1e-10
     detail.append(f"indicator gap={gap:.1e}")

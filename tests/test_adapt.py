@@ -45,7 +45,7 @@ def test_indicator_sum_matches_gram_quadratic_form(norm, delta):
     ind = localize_indicator(psi, test, kernel, 0.01, norm)
     (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
     if norm == "app":
-        G = assemble_gram(test, kernel, 0.01, "app", diffusion_vv=Avv[:, test.free_dofs])
+        G = assemble_gram(test, Avv[:, test.free_dofs], 0.01, "app")
         target = psi @ G @ psi
     else:
         ff = Avv[:, test.free_dofs]

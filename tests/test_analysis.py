@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from nlpg.analysis import (compute_discrete_optimal_norm, energy_seminorm,
                            error_energy, error_l2, loglog_slope, rate, rate_dof)
-from nlpg.assembly import assemble_gram
+from nlpg.assembly import assemble_gram, assemble_nonlocal_forms
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.space import Space
@@ -130,7 +130,8 @@ def test_optimal_norm_close_to_app_norm():
     mesh = refine_uniform(refine_uniform(initial_mesh(delta)))
     test = Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
-    G = assemble_gram(test, kernel, eps, "app")
+    (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
+    G = assemble_gram(test, Avv[:, test.free_dofs], eps, "app")
     rng = np.random.default_rng(5)
     for _ in range(20):
         v = rng.standard_normal(test.n_free)
@@ -151,7 +152,8 @@ def test_optimal_norm_shrinks_toward_app_with_delta():
         test = Space(mesh, 2)
         kernel = constant_kernel_pair(delta)
         v = test.interpolate(lambda x: np.sin(2 * np.pi * x) + x * (1 - x))[test.free_dofs]
-        G = assemble_gram(test, kernel, eps, "app")
+        (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
+        G = assemble_gram(test, Avv[:, test.free_dofs], eps, "app")
         app = math.sqrt(v @ G @ v)
         opt = compute_discrete_optimal_norm(v, test, kernel, eps)
         gaps.append(abs(app - opt))

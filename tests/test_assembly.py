@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlpg.assembly import (assemble_convection, assemble_diffusion,
-                           assemble_gram, assemble_load, assemble_mass_mean,
-                           assemble_nonlocal_forms, build_mixed_system)
+from nlpg.assembly import (assemble_gram, assemble_mass_mean, assemble_nonlocal_forms,
+                           assemble_parts, mixed_system_from_parts)
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform
-from nlpg.space import Space, boundary_lift
+from nlpg.space import Space
 
 
 @pytest.fixture(scope="module", params=[0.1, 1e-4])
@@ -80,27 +79,28 @@ def test_bilinear_form_definite_on_random_vectors(setup):
 
 def test_gram_app_eps_zero_is_spd(setup):
     _, _, test, kernel, _, _, Avv, _ = setup
-    G = assemble_gram(test, kernel, 0.0, "app", diffusion_vv=Avv[:, test.free_dofs])
+    G = assemble_gram(test, Avv[:, test.free_dofs], 0.0, "app")
     assert np.linalg.eigvalsh(G).min() > 0.0
 
 
 def test_gram_eng_equals_diffusion_block(setup):
     _, _, test, kernel, _, _, Avv, _ = setup
     ff = Avv[:, test.free_dofs]
-    G = assemble_gram(test, kernel, 0.01, "eng", diffusion_vv=ff)
+    G = assemble_gram(test, ff, 0.01, "eng")
     np.testing.assert_allclose(G, 0.5 * (ff + ff.T))
 
 
 def test_gram_rejects_unknown_norm(setup):
     _, _, test, kernel, _, _, Avv, _ = setup
     with pytest.raises(ValueError):
-        assemble_gram(test, kernel, 0.01, "opt", diffusion_vv=Avv[:, test.free_dofs])
+        assemble_gram(test, Avv[:, test.free_dofs], 0.01, "opt")
 
 
 def test_mismatched_meshes_rejected():
     m1, m2 = initial_mesh(0.1), refine_uniform(initial_mesh(0.1))
     with pytest.raises(ValueError):
-        assemble_diffusion(Space(m1, 1), Space(m2, 3), constant_kernel_pair(0.1))
+        assemble_nonlocal_forms(Space(m2, 3), [(Space(m1, 1), True, False)],
+                                constant_kernel_pair(0.1))
 
 
 def test_app_gram_hat_against_dense_integration():
@@ -110,7 +110,8 @@ def test_app_gram_hat_against_dense_integration():
     mesh = initial_mesh(delta)
     test = Space(mesh, 1)
     kernel = constant_kernel_pair(delta)
-    G = assemble_gram(test, kernel, eps, "app")
+    (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
+    G = assemble_gram(test, Avv[:, test.free_dofs], eps, "app")
     idx = 1   # hat at x = 0.4
     e = np.zeros(test.n_free)
     e[idx] = 1.0
@@ -134,10 +135,10 @@ def test_app_gram_hat_against_dense_integration():
 
 
 def test_load_zero_data_gives_zero(setup):
-    _, trial, test, kernel, A, C, _, _ = setup
-    F = assemble_load(test, lambda x: np.zeros_like(x), trial,
-                      np.zeros(trial.n_dofs), 0.01, kernel, matrices=(A, C),
-                      boundary=lambda x: np.zeros_like(x))
+    _, trial, test, kernel, _, _, _, _ = setup
+    zero = lambda x: np.zeros_like(x)
+    F = mixed_system_from_parts(assemble_parts(trial, test, kernel, zero),
+                                0.01, "app", zero).F
     np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
 
@@ -146,9 +147,8 @@ def test_load_consistency_linear(setup):
     _, trial, test, kernel, A, C, _, _ = setup
     eps = 0.01
     g = lambda x: np.asarray(x, dtype=float)
-    lift = boundary_lift(trial, g)
-    F = assemble_load(test, lambda x: np.ones_like(x), trial, lift, eps, kernel,
-                      matrices=(A, C), boundary=g)
+    parts = assemble_parts(trial, test, kernel, lambda x: np.ones_like(x))
+    F = mixed_system_from_parts(parts, eps, "app", g).F
     coeffs = trial.interpolate(g)
     resid = F - (eps * A + C)[:, trial.free_dofs] @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-11 * max(1.0, np.abs(F).max())
@@ -161,8 +161,9 @@ def test_load_consistency_quintic():
     trial, test = Space(mesh, 5), Space(mesh, 7)
     kernel = constant_kernel_pair(delta)
     g = lambda x: np.asarray(x, dtype=float) ** 5
-    system = build_mixed_system(trial, test, kernel, eps, "app",
-                                lambda x: forcing_smooth_nonlocal(x, eps, delta), g)
+    parts = assemble_parts(trial, test, kernel,
+                           lambda x: forcing_smooth_nonlocal(x, eps, delta))
+    system = mixed_system_from_parts(parts, eps, "app", g)
     coeffs = trial.interpolate(g)
     resid = system.F - system.B @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(system.F).max())
@@ -172,5 +173,4 @@ def test_enrichment_required():
     mesh = initial_mesh(0.1)
     kernel = constant_kernel_pair(0.1)
     with pytest.raises(ValueError):
-        build_mixed_system(Space(mesh, 2), Space(mesh, 2), kernel, 0.01, "app",
-                           lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
+        assemble_parts(Space(mesh, 2), Space(mesh, 2), kernel, lambda x: np.ones_like(x))

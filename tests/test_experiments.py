@@ -125,3 +125,24 @@ def test_cli_mesh_and_matrix_dump(tmp_path):
     np.testing.assert_allclose(nodes, initial_mesh(0.1).nodes)
     G = np.loadtxt(tmp_path / "dbg_G.txt")
     assert G.shape[0] == G.shape[1] == 14   # free test dofs, p~=3 on 7 elements
+
+    # every refinement kind and coupling dumps the state of its last solve
+    for flags, p in ((["--problem", "sharp", "--delta", "1e-5", "--dp", "6",
+                       "--refinement", "adaptive", "--steps", "6"], 1),
+                     (["--problem", "linear", "--delta", "0.1",
+                       "--refinement", "uniform-p", "--steps", "3"], 3),
+                     (["--problem", "smooth-local-forcing", "--coupling", "h",
+                       "--steps", "3"], 1)):
+        proc = subprocess.run([*cmd[:4], *flags, "--output", str(out),
+                               "--mesh_out", str(tmp_path / "mesh.csv"),
+                               "--dump_matrices", str(tmp_path / "dbg_")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        last = out.read_text().splitlines()[-1].split(",")
+        delta, n_trial, n_test = float(last[2]), int(last[3]), int(last[4])
+        nodes = [float(v) for v in (tmp_path / "mesh.csv").read_text().split()]
+        # order-p free trial DOFs on n interior elements: n * p - 1
+        assert len(nodes) == (n_trial + 1) // p + 3, flags
+        assert nodes[0] == pytest.approx(-delta, rel=1e-12), flags
+        B = np.loadtxt(tmp_path / "dbg_B.txt", ndmin=2)
+        assert B.shape == (n_test, n_trial), flags

@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from nlpg.kernels import constant_kernel_pair
-from nlpg.mesh import initial_mesh
-from nlpg.quadrature import gauss_legendre, intersect, nested_integrate
+from nlpg.mesh import horizon_neighbors, initial_mesh, refine_marked, refine_uniform
+from nlpg.quadrature import (CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE,
+                             gauss_legendre, inner_points, intersect,
+                             nested_integrate, pair_pieces, unit_rule)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 24])
@@ -110,3 +112,71 @@ def test_inner_split_makes_convection_order_insensitive():
     v1 = nested_integrate(mesh, 3, g, lambda x, v: v, n_out=16, n_in=16)
     v2 = nested_integrate(mesh, 3, g, lambda x, v: v, n_out=16, n_in=32)
     assert abs(v1 - v2) < 1e-12 * max(1.0, abs(v1))
+
+
+def _pair_layer_meshes(delta):
+    graded = initial_mesh(delta)
+    for _ in range(4):   # bisect towards x = 1 so neighbours differ in width
+        graded = refine_marked(graded, [graded.n_elements - 2, graded.n_elements - 3])
+    return [refine_uniform(refine_uniform(initial_mesh(delta))), graded]
+
+
+def _pairs(mesh):
+    for i in range(mesh.n_elements):
+        for j in horizon_neighbors(mesh, i):
+            yield i, j, list(pair_pieces(mesh, i, j))
+
+
+@pytest.mark.parametrize("delta", [0.1, 1e-4])
+def test_pair_pieces_tile_the_interaction_window(delta):
+    for mesh in _pair_layer_meshes(delta):
+        tol = 1e-12 * max(1.0, delta)
+        for i, j, pieces in _pairs(mesh):
+            (ai, bi), (aj, bj) = mesh.bounds(i), mesh.bounds(j)
+            lo, hi = max(ai, aj - delta), min(bi, bj + delta)
+            if hi - lo <= tol:
+                assert pieces == []
+                continue
+            assert pieces[0][0] == pytest.approx(lo, abs=tol)
+            assert pieces[-1][1] == pytest.approx(hi, abs=tol)
+            for (_, end, _), (start, _, _) in zip(pieces[:-1], pieces[1:]):
+                assert start == pytest.approx(end, abs=tol)
+            assert all(b > a for a, b, _ in pieces)
+
+
+@pytest.mark.parametrize("delta", [0.1, 1e-4])
+def test_pair_piece_cases(delta):
+    seen = set()
+    for mesh in _pair_layer_meshes(delta):
+        tol = 1e-12 * max(1.0, delta)
+        for i, j, pieces in _pairs(mesh):
+            (ai, bi), (aj, bj) = mesh.bounds(i), mesh.bounds(j)
+            for lo, hi, case in pieces:
+                seen.add(case)
+                assert (case in (SELF_INSIDE, SELF_CLIPPED)) == (j == i)
+                if case == SELF_INSIDE:   # B_delta(x) inside K_i on the whole piece
+                    assert lo - delta >= ai - tol and hi + delta <= bi + tol
+                if case == CONTAINED:     # K_j inside B_delta(x) at both ends
+                    for x in (lo, hi):
+                        assert x - delta <= aj + tol and x + delta >= bj - tol
+    # delta = 0.1 spans elements of width 0.05 and less; delta = 1e-4 never does
+    assert seen == ({SELF_CLIPPED, CONTAINED, CLIPPED} if delta == 0.1
+                    else {SELF_INSIDE, SELF_CLIPPED, CLIPPED})
+
+
+@pytest.mark.parametrize("delta", [0.1, 1e-4])
+def test_inner_weights_measure_the_intersection(delta):
+    rule = gauss_legendre(8)
+    q, w = unit_rule(10)
+    for mesh in _pair_layer_meshes(delta):
+        for i, j, pieces in _pairs(mesh):
+            aj, bj = mesh.bounds(j)
+            for lo, hi, case in pieces:
+                xs, _ = rule.map_to(lo, hi)
+                y, wy = inner_points(xs, (aj, bj), delta, q, w, split=j == i)
+                length = np.minimum(bj, xs + delta) - np.maximum(aj, xs - delta)
+                np.testing.assert_allclose(wy.sum(axis=1), length, rtol=0, atol=1e-13)
+                if case == CONTAINED:
+                    np.testing.assert_allclose(wy.sum(axis=1), bj - aj, rtol=0, atol=1e-13)
+                assert np.all(y >= np.maximum(aj, xs - delta)[:, None])
+                assert np.all(y <= np.minimum(bj, xs + delta)[:, None])

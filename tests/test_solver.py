@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlpg.assembly import build_mixed_system
+from nlpg.assembly import assemble_parts, mixed_system_from_parts
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform
@@ -39,7 +39,8 @@ def test_zero_data_gives_zero_solution():
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    system = build_mixed_system(trial, test, kernel, 0.01, "app", zero, zero)
+    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, zero),
+                                     0.01, "app", zero)
     sol = solve_mixed(system)
     np.testing.assert_allclose(sol.u, 0.0, atol=1e-14)
     np.testing.assert_allclose(sol.psi, 0.0, atol=1e-14)
@@ -50,8 +51,8 @@ def test_solution_invariant_under_gram_scaling():
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
-    system = build_mixed_system(trial, test, kernel, 0.01, "app",
-                                problem.forcing, problem.boundary)
+    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, problem.forcing),
+                                     0.01, "app", problem.boundary)
     base = solve_mixed(system)
     system.G = 7.0 * system.G
     scaled = solve_mixed(system)
@@ -74,8 +75,8 @@ def test_indefinite_gram_reported():
     problem = make_problem("linear", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
-    system = build_mixed_system(trial, test, kernel, 0.01, "app",
-                                problem.forcing, problem.boundary)
+    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, problem.forcing),
+                                     0.01, "app", problem.boundary)
     system.G = -system.G
     with pytest.raises(IndefiniteGramError):
         solve_mixed(system)

@@ -4,58 +4,58 @@ import numpy as np
 import pytest
 
 from nlpg.mesh import initial_mesh, refine_uniform
-from nlpg.space import boundary_lift, build_space, evaluate, interpolate
+from nlpg.space import Space, boundary_lift
 
 
 def test_dof_counts_p1():
-    sp = build_space(initial_mesh(0.1), 1)
+    sp = Space(initial_mesh(0.1), 1)
     assert sp.n_dofs == 8
     assert sp.n_free == 4
     np.testing.assert_allclose(sp.dof_positions[sp.free_dofs], [0.2, 0.4, 0.6, 0.8])
 
 
 def test_dof_counts_p2():
-    sp = build_space(initial_mesh(0.1), 2)
+    sp = Space(initial_mesh(0.1), 2)
     assert sp.n_dofs == 15
     assert sp.n_free == 9   # 4 interior vertices + 5 interior bubbles
 
 
 def test_dof_counts_refined():
-    sp = build_space(refine_uniform(initial_mesh(0.1)), 1)
+    sp = Space(refine_uniform(initial_mesh(0.1)), 1)
     assert sp.n_free == 9
 
 
 def test_order_validation():
     with pytest.raises(ValueError):
-        build_space(initial_mesh(0.1), 0)
+        Space(initial_mesh(0.1), 0)
 
 
 def test_interpolate_reproduces_linears():
-    sp = build_space(initial_mesh(0.1), 1)
-    c = interpolate(sp, lambda x: x)
+    sp = Space(initial_mesh(0.1), 1)
+    c = sp.interpolate(lambda x: x)
     xs = np.linspace(-0.1, 1.1, 301)
-    np.testing.assert_allclose(evaluate(sp, c, xs), xs, atol=1e-14)
+    np.testing.assert_allclose(sp.evaluate(c, xs), xs, atol=1e-14)
 
 
 def test_interpolate_reproduces_quintic_at_p5():
-    sp = build_space(initial_mesh(0.1), 5)
-    c = interpolate(sp, lambda x: x**5)
+    sp = Space(initial_mesh(0.1), 5)
+    c = sp.interpolate(lambda x: x**5)
     xs = np.linspace(-0.1, 1.1, 301)
-    np.testing.assert_allclose(evaluate(sp, c, xs), xs**5, atol=1e-13)
+    np.testing.assert_allclose(sp.evaluate(c, xs), xs**5, atol=1e-13)
 
 
 def test_linear_interpolant_error_bound():
     # max error of the piecewise-linear interpolant of x^5 on (0, 1) against
     # the (5/8) * max|u''| * h^2 bound, sampled densely
-    sp = build_space(initial_mesh(0.1), 1)
-    c = interpolate(sp, lambda x: x**5)
+    sp = Space(initial_mesh(0.1), 1)
+    c = sp.interpolate(lambda x: x**5)
     xs = np.linspace(0.0, 1.0, 20001)
-    err = np.abs(evaluate(sp, c, xs) - xs**5).max()
+    err = np.abs(sp.evaluate(c, xs) - xs**5).max()
     assert 0.0 < err <= (5.0 / 8.0) * 20.0 * 0.2**2
 
 
 def test_evaluate_basics():
-    sp = build_space(initial_mesh(0.1), 2)
+    sp = Space(initial_mesh(0.1), 2)
     ones = np.ones(sp.n_dofs)
     xs = np.linspace(-0.1, 1.1, 57)
     np.testing.assert_allclose(sp.evaluate(ones, xs), 1.0, atol=1e-13)
@@ -70,7 +70,7 @@ def test_evaluate_basics():
 
 
 def test_evaluate_outside_domain_raises():
-    sp = build_space(initial_mesh(0.1), 1)
+    sp = Space(initial_mesh(0.1), 1)
     with pytest.raises(ValueError):
         sp.evaluate(np.zeros(sp.n_dofs), np.array([1.2]))
     with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ def test_evaluate_outside_domain_raises():
 
 def test_partition_of_unity():
     rng = np.random.default_rng(11)
-    sp = build_space(initial_mesh(0.05), 4)
+    sp = Space(initial_mesh(0.05), 4)
     ones = np.ones(sp.n_dofs)
     for e in range(sp.mesh.n_elements):
         a, b = sp.mesh.bounds(e)
@@ -89,7 +89,7 @@ def test_partition_of_unity():
 
 
 def test_free_basis_vanishes_on_collar():
-    sp = build_space(initial_mesh(0.1), 3)
+    sp = Space(initial_mesh(0.1), 3)
     rng = np.random.default_rng(2)
     c = np.zeros(sp.n_dofs)
     c[sp.free_dofs] = rng.standard_normal(sp.n_free)
@@ -98,7 +98,7 @@ def test_free_basis_vanishes_on_collar():
 
 
 def test_boundary_lift_matches_data_at_nodes():
-    sp = build_space(initial_mesh(0.1), 3)
+    sp = Space(initial_mesh(0.1), 3)
     g = lambda x: x**5
     lift = boundary_lift(sp, g)
     pos = sp.dof_positions
