@@ -11,7 +11,7 @@ from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.space import Space
 
 
-@pytest.fixture(scope="module", params=[0.1, 1e-4])
+@pytest.fixture(scope="module", params=[0.1, 0.02, 1e-4])
 def setup(request):
     delta = request.param
     mesh = refine_uniform(initial_mesh(delta))
