@@ -13,17 +13,26 @@ Rows are restricted to free test DOFs throughout.
 
 The geometry of every element pair (its smooth pieces, their cases and the
 inner nodes) comes from the pair layer in ``quadrature``, the only place that
-holds the case logic.  This module keeps the integrands: the mirrored/Taylor
-self window, the shared-vertex shift and the per-element tables of the
-contained case.  One path builds the discrete problem: ``assemble_parts``
+holds the case logic.  This module keeps the integrands.  Both nonlocal forms,
+(-L_delta u, v) and (G_delta u, v), read factor * int v(x) int (u(y) - u(x))
+K(y - x) dy dx with their own factor and kernel K; the two-entry table
+``FORMS`` holds them.  So each integrand case (the Taylor and the mirrored self
+window, the clipped self window, and the off-diagonal pair with its
+per-element tables for the contained case and its shared-vertex shift) is
+written once, yields local blocks (columns, block) for every wanted form, and
+one statement adds them into the matrices.  ``boundary_defect_load`` builds
+its density from the same table.  One path builds the discrete problem:
+``assemble_parts``
 collects the norm-independent pieces once per mesh, and
 ``mixed_system_from_parts`` turns them into G, B and F for one test norm.
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .kernels import KernelPair
 from .mesh import horizon_neighbors
 from .quadrature import (CONTAINED, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
                          inner_points, pair_pieces, unit_rule)
@@ -46,6 +55,33 @@ def _free_row_data(space):
     return per_element
 
 
+class _Form(NamedTuple):
+    """One nonlocal form: factor * int v(x) int (u(y) - u(x)) K(y - x) dy dx."""
+
+    factor: float       # -2 or 1, folded into the kernel weights (an exact scaling)
+    signed: Callable    # K on signed separations y - x
+    mirrored: Callable  # K(|t|) for the mirrored self window y = x -+ t
+    parity: int         # 0 for an even K, 1 for an odd one: the surviving Taylor powers
+
+
+# diffusion (-L_delta u, v) and convection (G_delta u, v), in the order of the
+# (A, C) pairs of assemble_nonlocal_forms
+FORMS = (_Form(-2.0, KernelPair.eval_diffusion, KernelPair.eval_diffusion, 0),
+         _Form(1.0, KernelPair.eval_convection_signed, KernelPair.eval_convection, 1))
+
+
+def _taylor_matrix(space, wK_t, tau, parity):
+    # finite Taylor expansion of L(xi +- tau) around xi: exact for polynomials
+    # and free of the eps-level evaluation noise that the kernel would amplify
+    M = np.zeros((space.order + 1, space.order + 1))
+    fact = 1.0
+    for m in range(1, space.order + 1):
+        fact *= m
+        if m % 2 == parity:
+            M += 2.0 * (wK_t @ (tau**m)) / fact * space.diff_powers[m]
+    return M
+
+
 def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
     """Assemble (-L_delta u, v) and (b.G_delta u, v) matrices in one sweep.
 
@@ -65,8 +101,9 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
     rule_in = gauss_legendre(n_in)
     q_in, w_in = unit_rule(n_in)
 
-    need_diff = any(wd for _, wd, _ in columns)
-    need_conv = any(wc for _, _, wc in columns)
+    # indices into FORMS wanted by each column space, and by any of them
+    wants = [[f for f, w in enumerate(flags) if w] for _, *flags in columns]
+    needed = set().union(*wants)
 
     # per-element inner grids and basis tables for the fully-contained case
     elem_y = [rule_in.map_to(*mesh.bounds(j)) for j in range(mesh.n_elements)]
@@ -77,9 +114,8 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
                                  for j in range(mesh.n_elements)]
 
     rows_of = _free_row_data(test)
-    mats = [(np.zeros((test.n_free, s.n_dofs)) if wd else None,
-             np.zeros((test.n_free, s.n_dofs)) if wc else None)
-            for s, wd, wc in columns]
+    mats = [tuple(np.zeros((test.n_free, s.n_dofs)) if w else None for w in flags)
+            for s, *flags in columns]
 
     for i in mesh.interior_elements:
         rows, keep = rows_of[i]
@@ -89,108 +125,73 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
                 xs, wx = rule_out.map_to(lo, hi)
                 Btx = test.local_basis(i, xs)
                 wBtx = Btx * wx[:, None]
+                contained = case == CONTAINED
                 if case == SELF_INSIDE:
                     # unclipped self window: pair mirrored points y = x -+ t so
                     # the O(delta^-3) kernel multiplies symmetric differences of
                     # the basis instead of two huge cancelling half-integrals
                     t = delta * q_in
-                    wt = delta * w_in
-                    wKd_t = kernel.eval_diffusion(t) * wt if need_diff else None
-                    wKc_t = kernel.eval_convection(t) * wt if need_conv else None
+                    wK = {f: FORMS[f].factor * FORMS[f].mirrored(kernel, t) * (delta * w_in)
+                          for f in needed}
                     tau = 2.0 * t / (bj[1] - bj[0])
                     taylor = tau[-1] <= 0.1
-                    if not taylor:
-                        yp = xs[:, None] + t[None, :]
-                        ym = xs[:, None] - t[None, :]
-                    for (space, wd, wc), (A, C) in zip(columns, mats):
-                        Bx = Btx if space is test else space.local_basis(i, xs)
-                        nu = space.order + 1
-                        cols_i = space.element_dofs(i)
-                        if taylor:
-                            # finite Taylor expansion of L(xi +- tau) around xi:
-                            # exact for polynomials and free of the eps-level
-                            # evaluation noise that the kernel would amplify
-                            pows = space.diff_powers
-                            fact = 1.0
-                            Md = np.zeros((nu, nu))
-                            Mc = np.zeros((nu, nu))
-                            for m in range(1, space.order + 1):
-                                fact *= m
-                                if wc and m % 2 == 1:
-                                    Mc += 2.0 * (wKc_t @ (tau**m)) / fact * pows[m]
-                                if wd and m % 2 == 0:
-                                    Md += 2.0 * (wKd_t @ (tau**m)) / fact * pows[m]
-                            if wd:
-                                A[np.ix_(rows, cols_i)] += \
-                                    -2.0 * (wBtx.T @ (Bx @ Md))[keep]
-                            if wc:
-                                C[np.ix_(rows, cols_i)] += (wBtx.T @ (Bx @ Mc))[keep]
-                            continue
+                    yp, ym = xs[:, None] + t, xs[:, None] - t
+                else:
+                    if contained:
+                        y, wy = elem_y[j]
+                    else:
+                        y, wy = inner_points(xs, bj, delta, q_in, w_in,
+                                             split=case == SELF_CLIPPED)
+                    s = (y[None, :] if contained else y) - xs[:, None]
+                    wK = {f: FORMS[f].factor * FORMS[f].signed(kernel, s) * wy for f in needed}
+                    sK = {f: wK[f].sum(axis=-1) for f in needed}
+
+                for (space, _, _), forms, mat in zip(columns, wants, mats):
+                    Bx = Btx if space is test else space.local_basis(i, xs)
+                    nu = space.order + 1
+                    cols_i = space.element_dofs(i)
+                    if case == SELF_INSIDE and not taylor:
                         Byp = space.local_basis(i, yp.ravel()).reshape(n_out, -1, nu)
                         Bym = space.local_basis(i, ym.ravel()).reshape(n_out, -1, nu)
-                        if wd:
-                            Zd = (wKd_t[None, :, None]
-                                  * (Byp + Bym - 2.0 * Bx[:, None, :])).sum(axis=1)
-                            A[np.ix_(rows, cols_i)] += -2.0 * (wBtx.T @ Zd)[keep]
-                        if wc:
-                            Zc = (wKc_t[None, :, None] * (Byp - Bym)).sum(axis=1)
-                            C[np.ix_(rows, cols_i)] += (wBtx.T @ Zc)[keep]
-                    continue
-                contained = case == CONTAINED
-                if contained:
-                    y, wy = elem_y[j]
-                else:
-                    y, wy = inner_points(xs, bj, delta, q_in, w_in,
-                                         split=case == SELF_CLIPPED)
-                s = (y[None, :] if contained else y) - xs[:, None]
-                if need_diff:
-                    wKd = kernel.eval_diffusion(s) * wy
-                    sd = wKd.sum(axis=-1)
-                if need_conv:
-                    wKc = kernel.eval_convection_signed(s) * wy
-                    sc = wKc.sum(axis=-1)
+                    elif case != SELF_INSIDE:
+                        By = (tables[id(space)][j] if contained else
+                              space.local_basis(j, y.ravel()).reshape(n_out, -1, nu))
+                        if j == i:
+                            # same column block: difference the basis values
+                            # before applying the O(delta^-3) kernel weights, so
+                            # the huge x-part/y-part cancellation never reaches
+                            # the matrix
+                            D = By - Bx[:, None, :]
+                        elif not contained and abs(j - i) == 1:
+                            # adjacent window: shift both sides by the
+                            # shared-vertex cardinal (exactly 1 at the shared
+                            # node, so the two shifts cancel analytically); keeps
+                            # the summands at the size of the continuous
+                            # difference for delta << h
+                            By = By.copy()
+                            Bx = Bx.copy()
+                            By[..., 0 if j > i else -1] -= 1.0
+                            Bx[:, -1 if j > i else 0] -= 1.0
 
-                for (space, wd, wc), (A, C) in zip(columns, mats):
-                    if contained:
-                        By = tables[id(space)][j]
-                    else:
-                        By = space.local_basis(j, y.ravel()).reshape(n_out, -1, space.order + 1)
-                    Bx = Btx if space is test else space.local_basis(i, xs)
-                    cols_j = space.element_dofs(j)
-                    cols_i = space.element_dofs(i)
-                    if j == i:
-                        # same column block: difference the basis values before
-                        # applying the O(delta^-3) kernel weights, so the huge
-                        # x-part/y-part cancellation never reaches the matrix
-                        D = By - Bx[:, None, :]
-                        if wd:
-                            A[np.ix_(rows, cols_i)] += \
-                                -2.0 * (wBtx.T @ (wKd[:, :, None] * D).sum(axis=1))[keep]
-                        if wc:
-                            C[np.ix_(rows, cols_i)] += \
-                                (wBtx.T @ (wKc[:, :, None] * D).sum(axis=1))[keep]
-                        continue
-                    if not contained and abs(j - i) == 1:
-                        # adjacent window: shift both sides by the shared-vertex
-                        # cardinal (exactly 1 at the shared node, so the two
-                        # shifts cancel analytically); keeps the summands at the
-                        # size of the continuous difference for delta << h
-                        By = By.copy()
-                        Bx = Bx.copy()
-                        if j > i:
-                            By[..., 0] -= 1.0
-                            Bx[:, -1] -= 1.0
+                    # local blocks (columns, block) of each wanted form
+                    for f in forms:
+                        parity, wKf = FORMS[f].parity, wK[f]
+                        if case == SELF_INSIDE and taylor:
+                            M = _taylor_matrix(space, wKf, tau, parity)
+                            blocks = [(cols_i, wBtx.T @ (Bx @ M))]
+                        elif case == SELF_INSIDE:
+                            # even part of the basis shift for an even kernel,
+                            # odd part for an odd one
+                            sym = Byp + Bym - 2.0 * Bx[:, None, :] if parity == 0 else Byp - Bym
+                            blocks = [(cols_i, wBtx.T @ (wKf[None, :, None] * sym).sum(axis=1))]
+                        elif j == i:
+                            blocks = [(cols_i, wBtx.T @ (wKf[:, :, None] * D).sum(axis=1))]
                         else:
-                            By[..., -1] -= 1.0
-                            Bx[:, 0] -= 1.0
-                    if wd:
-                        Zd = wKd @ By if contained else (wKd[:, :, None] * By).sum(axis=1)
-                        A[np.ix_(rows, cols_j)] += -2.0 * (wBtx.T @ Zd)[keep]
-                        A[np.ix_(rows, cols_i)] += 2.0 * ((wBtx * sd[:, None]).T @ Bx)[keep]
-                    if wc:
-                        Zc = wKc @ By if contained else (wKc[:, :, None] * By).sum(axis=1)
-                        C[np.ix_(rows, cols_j)] += (wBtx.T @ Zc)[keep]
-                        C[np.ix_(rows, cols_i)] += -((wBtx * sc[:, None]).T @ Bx)[keep]
+                            Z = wKf @ By if contained else (wKf[:, :, None] * By).sum(axis=1)
+                            blocks = [(space.element_dofs(j), wBtx.T @ Z),
+                                      (cols_i, -((wBtx * sK[f][:, None]).T @ Bx))]
+                        for cols, block in blocks:
+                            mat[f][np.ix_(rows, cols)] += block[keep]
     return mats
 
 
@@ -252,8 +253,9 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel, n_over=13):
                 defect = (np.asarray(boundary(y.ravel()), dtype=float).reshape(y.shape)
                           - trial.local_basis(j, y.ravel()).reshape(y.shape + (-1,))
                           @ lift[trial.element_dofs(j)])
-                dens = (-2.0 * eps * kernel.eval_diffusion(s)
-                        + kernel.eval_convection_signed(s)) * wy * defect
+                # b(w, v) = eps (-L_delta w, v) + (G_delta w, v) by the form table
+                dens = sum(form.factor * weight * form.signed(kernel, s)
+                           for form, weight in zip(FORMS, (eps, 1.0))) * wy * defect
                 F[rows] += (wBtx.T @ dens.sum(axis=1))[keep]
     return F
 
