@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 
 class IndefiniteGramError(RuntimeError):
@@ -51,8 +52,9 @@ def solve_mixed(system):
     scale = 1.0 + np.linalg.norm(F)
     res1 = np.linalg.norm(G @ psi + B @ u - F) / scale
     res2 = np.linalg.norm(B.T @ psi) / scale
-    diag = np.diagonal(sfac[0])
-    cond = float((diag.max() / diag.min()) ** 2)
+    # LAPACK 1-norm estimate of kappa_1(S) from the Cholesky factor of S
+    rcond, _ = dpocon(sfac[0], np.abs(S).sum(axis=0).max(), uplo="L")
+    cond = 1.0 / rcond
     return MixedSolution(u=u, psi=psi, residual_primal=float(res1),
                          residual_orthogonality=float(res2), schur_cond_estimate=cond)
 

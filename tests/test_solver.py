@@ -6,7 +6,7 @@ import pytest
 from nlpg.assembly import assemble_parts, mixed_system_from_parts
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair
-from nlpg.mesh import initial_mesh, refine_uniform
+from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import make_problem
 from nlpg.solver import IndefiniteGramError, expand_solution, solve_mixed
 from nlpg.space import Space
@@ -89,3 +89,19 @@ def test_residual_diagnostics_small():
     assert res.solution.residual_primal <= 1e-10
     assert res.solution.residual_orthogonality <= 1e-10
     assert res.solution.schur_cond_estimate >= 1.0
+
+
+@pytest.mark.parametrize("name, delta, n_interior, dp", [
+    ("smooth-nonlocal", 0.1, 40, 2),
+    ("smooth-nonlocal", 1e-4, 80, 2),
+    ("sharp", 1e-5, 5, 6),
+])
+def test_schur_cond_estimate_tracks_the_1norm_condition(name, delta, n_interior, dp):
+    # the estimate must be of kappa_1(S) itself, S = B^T G^-1 B: at most a
+    # factor 10 below it and never above it (up to roundoff)
+    problem = make_problem(name, 0.01, delta)
+    res = solve_problem(uniform_mesh(delta, n_interior), problem, eps=0.01, p=1,
+                        dp=dp)["app"]
+    B = res.system.B
+    kappa = np.linalg.cond(B.T @ np.linalg.solve(res.system.G, B), 1)
+    assert kappa / 10 <= res.solution.schur_cond_estimate <= kappa * (1 + 1e-10)
