@@ -2,28 +2,21 @@
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import experiments
 from .mesh import write_nodes_csv
 
+_CONFIG_KEYS = tuple(f.name for f in fields(experiments.RunConfig))
+
 
 def _add_config_flags(parser):
     # every config-file key is also a flag of the same name; flags win
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--problem")
-    parser.add_argument("--eps")
-    parser.add_argument("--delta")
-    parser.add_argument("--coupling")
-    parser.add_argument("--p")
-    parser.add_argument("--dp")
-    parser.add_argument("--norm")
-    parser.add_argument("--refinement")
-    parser.add_argument("--steps")
-    parser.add_argument("--theta")
-    parser.add_argument("--n_over")
-    parser.add_argument("--output")
+    for key in _CONFIG_KEYS:
+        parser.add_argument(f"--{key}")
     parser.add_argument("--mesh_out", help="write the final mesh nodes as CSV")
     parser.add_argument("--dump_matrices", metavar="PREFIX",
                         help="debug: dump final G/B/F as dense row-major text")
@@ -58,9 +51,7 @@ def build_parser():
 def _run_command(args):
     cfg = (experiments.config_from_file(args.config) if args.config
            else experiments.RunConfig())
-    overrides = {key: getattr(args, key) for key in
-                 ("problem", "eps", "delta", "coupling", "p", "dp", "norm",
-                  "refinement", "steps", "theta", "n_over", "output")
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
                  if getattr(args, key) is not None}
     cfg = experiments.apply_overrides(cfg, overrides)
     cfg.validate()

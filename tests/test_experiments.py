@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from nlpg import cli
 from nlpg.experiments import (CSV_HEADER, RunConfig, apply_overrides,
                               config_from_file, coupling_delta, overshoot_metric,
                               records_to_csv, run, run_sharp_demo)
@@ -111,6 +113,28 @@ def test_cli_run_and_presets(tmp_path):
                          capture_output=True, text=True)
     assert bad.returncode != 0
     assert "error:" in bad.stderr
+
+
+def test_cli_run_flag_for_every_config_key(tmp_path, monkeypatch):
+    # each RunConfig field is a `run` flag whose value reaches the config
+    values = {}
+    for f in fields(RunConfig):
+        if f.name == "output":
+            values[f.name] = str(tmp_path / "run.csv")
+        elif f.type in (int, "int"):
+            values[f.name] = f.default + 7
+        elif f.type in (float, "float"):
+            values[f.name] = f.default + 0.5
+        else:
+            values[f.name] = f"{f.default}-flag"
+    seen = []
+    monkeypatch.setattr(RunConfig, "validate", lambda self: None)
+    monkeypatch.setattr(cli.experiments, "run", lambda cfg, on_step=None: seen.append(cfg) or [])
+    argv = ["run"]
+    for key, val in values.items():
+        argv += [f"--{key}", str(val)]
+    assert cli.main(argv) == 0
+    assert seen == [RunConfig(**values)]
 
 
 def test_cli_mesh_and_matrix_dump(tmp_path):
