@@ -1,6 +1,5 @@
 """Benchmark harness: refinement studies, CSV output, CLI presets."""
 
-import io
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -16,7 +15,13 @@ COUPLINGS = ("fixed", "h", "2h", "h^2", "sqrt(h)")
 NORMS = ("app", "eng")
 REFINEMENTS = ("uniform-h", "uniform-p", "adaptive")
 
-CSV_HEADER = "step,h_min,delta,n_trial,n_test,err_energy,rate_energy,err_l2,rate_l2"
+# CSV cells of a record, (attribute, format): the energy pair that the wide
+# tables report, and the stable per-run schema
+_ERR_CELLS = (("err_energy", ".6e"), ("rate_energy", ".4f"))
+_RECORD_CELLS = (("step", "d"), ("h_min", ".10g"), ("delta", ".10g"), ("n_trial", "d"),
+                 ("n_test", "d"), *_ERR_CELLS, ("err_l2", ".6e"), ("rate_l2", ".4f"))
+CSV_HEADER = ",".join(name for name, _ in _RECORD_CELLS)
+_TABLE_DELTAS = (0.1, 0.01, 0.001, 0.0001)
 
 _INITIAL_H = 0.2   # width of the five starting interior elements
 
@@ -181,84 +186,59 @@ def overshoot_metric(space, coeffs, samples_per_element=1000):
     return worst
 
 
-def _fmt(x, spec):
-    return "" if (isinstance(x, float) and math.isnan(x)) else format(x, spec)
+def _cell(record, name, spec):
+    value = getattr(record, name)
+    # rates are undefined at the first step and left empty there
+    return "" if name.startswith("rate") and math.isnan(value) else format(value, spec)
+
+
+def _write_csv(header, rows, file):
+    """CSV text of the header and rows of cells; also written to ``file`` if given."""
+    text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
+    if file:
+        with open(file, "w") as fh:
+            fh.write(text)
+    return text
 
 
 def records_to_csv(records, file=None):
     """Render records in the stable CSV schema; returns the text."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in records:
-        buf.write(",".join([
-            str(r.step), format(r.h_min, ".10g"), format(r.delta, ".10g"),
-            str(r.n_trial), str(r.n_test),
-            format(r.err_energy, ".6e"), _fmt(r.rate_energy, ".4f"),
-            format(r.err_l2, ".6e"), _fmt(r.rate_l2, ".4f"),
-        ]) + "\n")
-    text = buf.getvalue()
-    if file:
-        with open(file, "w") as fh:
-            fh.write(text)
-    return text
+    return _write_csv(CSV_HEADER.split(","),
+                      [[_cell(r, *c) for c in _RECORD_CELLS] for r in records], file)
 
 
-def _wide_csv(first_header, first_column, columns, file):
-    """Multi-column table: err(rate) pairs per study column."""
-    names = list(columns)
-    buf = io.StringIO()
-    heads = [first_header]
-    for name in names:
-        heads += [f"err[{name}]", f"rate[{name}]"]
-    buf.write(",".join(heads) + "\n")
-    n_rows = len(first_column)
-    for k in range(n_rows):
-        row = [format(first_column[k], ".10g") if isinstance(first_column[k], float)
-               else str(first_column[k])]
-        for name in names:
-            rec = columns[name][k]
-            row += [format(rec.err_energy, ".6e"), _fmt(rec.rate_energy, ".4f")]
-        buf.write(",".join(row) + "\n")
-    text = buf.getvalue()
-    if file:
-        with open(file, "w") as fh:
-            fh.write(text)
-    return text
+def _wide_table(first, key, values, file, **common):
+    """One study per value of the config ``key``, the other fields in ``common``.
+
+    The CSV has the leading column ``first`` = (header, record attribute,
+    format), read from the first study, then err(rate) pairs per study.
+    """
+    cols = {f"delta={v}": run(RunConfig(**common, **{key: v})) for v in values}
+    header = [first[0]] + [f"{kind}[{name}]" for name in cols for kind in ("err", "rate")]
+    rows = [[_cell(rec, *first[1:])]
+            + [_cell(recs[k], *c) for recs in cols.values() for c in _ERR_CELLS]
+            for k, rec in enumerate(next(iter(cols.values())))]
+    return _write_csv(header, rows, file)
 
 
 def run_table1(norm="app", steps=9, out=None, n_over=13):
     """Smooth-solution uniform-h sweep over the four horizon sizes."""
-    deltas = (0.1, 0.01, 0.001, 0.0001)
-    cols = {}
-    for d in deltas:
-        cfg = RunConfig(problem="smooth-nonlocal", delta=d, norm=norm, steps=steps,
-                        n_over=n_over)
-        cols[f"delta={d:g}"] = run(cfg)
-    h = [rec.h_min for rec in next(iter(cols.values()))]
-    return _wide_csv("h", h, cols, out)
+    return _wide_table(("h", "h_min", ".10g"), "delta", _TABLE_DELTAS, out,
+                       problem="smooth-nonlocal", norm=norm, steps=steps, n_over=n_over)
 
 
 def run_table3(norm="app", dp=2, steps=4, out=None, n_over=13):
     """Smooth-solution uniform-p sweep over the four horizon sizes."""
-    deltas = (0.1, 0.01, 0.001, 0.0001)
-    cols = {}
-    for d in deltas:
-        cfg = RunConfig(problem="smooth-nonlocal", delta=d, norm=norm, dp=dp,
-                        refinement="uniform-p", steps=steps, n_over=n_over)
-        cols[f"delta={d:g}"] = run(cfg)
-    n = [rec.n_trial for rec in next(iter(cols.values()))]
-    return _wide_csv("N", n, cols, out)
+    return _wide_table(("N", "n_trial", "d"), "delta", _TABLE_DELTAS, out,
+                       problem="smooth-nonlocal", norm=norm, dp=dp,
+                       refinement="uniform-p", steps=steps, n_over=n_over)
 
 
 def run_table7(norm="app", steps=9, out=None, n_over=13):
     """Local-limit couplings delta = h, 2h, h^2, sqrt(h) under uniform h."""
-    cols = {}
-    for coupling in ("h", "2h", "h^2", "sqrt(h)"):
-        cfg = RunConfig(problem="smooth-local-forcing", coupling=coupling, norm=norm,
-                        steps=steps, n_over=n_over)
-        cols[f"delta={coupling}"] = run(cfg)
-    h = [rec.h_min for rec in next(iter(cols.values()))]
-    return _wide_csv("h", h, cols, out)
+    return _wide_table(("h", "h_min", ".10g"), "coupling", ("h", "2h", "h^2", "sqrt(h)"),
+                       out, problem="smooth-local-forcing", norm=norm, steps=steps,
+                       n_over=n_over)
 
 
 def run_sharp_demo(delta=1e-5, eps=0.01, p=1, dp=6, out=None, n_over=13,
