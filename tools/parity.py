@@ -37,7 +37,7 @@ QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2")
 
 
 def _mesh(kind, delta):
-    from nlpg.mesh import refine_marked, refine_uniform, uniform_mesh
+    from nlpg.mesh import refine_marked, uniform_mesh
 
     mesh = uniform_mesh(delta, 10)
     if kind == "graded":
@@ -89,7 +89,8 @@ def _drift(new, old):
         return np.inf
     scale = np.abs(old).max(initial=0.0)
     diff = np.abs(new - old).max(initial=0.0)
-    return diff / scale if scale > 0.0 else diff
+    drift = diff / scale if scale > 0.0 else diff
+    return np.inf if np.isnan(drift) else drift
 
 
 def main(argv):
@@ -97,12 +98,14 @@ def main(argv):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     rev = argv[0]
-    root = subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
-                          capture_output=True, text=True).stdout.strip()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     archive = subprocess.run(["git", "-C", root, "archive", "--format=tar", rev, "src"],
-                             check=True, capture_output=True).stdout
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode().strip(), file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp)
         old = _run_grid(os.path.join(tmp, "src"), os.path.join(tmp, "old.npz"))
         new = _run_grid(os.path.join(root, "src"), os.path.join(tmp, "new.npz"))
