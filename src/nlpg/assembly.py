@@ -21,10 +21,11 @@ window, the clipped self window, and the off-diagonal pair with its
 per-element tables for the contained case and its shared-vertex shift) is
 written once, yields local blocks (columns, block) for every wanted form, and
 one statement adds them into the matrices.  ``boundary_defect_load`` builds
-its density from the same table.  One path builds the discrete problem:
-``assemble_parts``
-collects the norm-independent pieces once per mesh, and
-``mixed_system_from_parts`` turns them into G, B and F for one test norm.
+its density from the same table.
+
+One path builds the discrete problem: ``assemble_parts`` collects the
+norm-independent pieces once per mesh, and ``mixed_system_from_parts`` turns
+them into G, B and F for one test norm.
 """
 
 from dataclasses import dataclass
@@ -119,6 +120,7 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
 
     for i in mesh.interior_elements:
         rows, keep = rows_of[i]
+        rows = rows[:, None]   # against a row of columns it indexes like np.ix_
         for j in horizon_neighbors(mesh, i):
             bj = mesh.bounds(j)
             for lo, hi, case in pair_pieces(mesh, i, j):
@@ -191,7 +193,7 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
                             blocks = [(space.element_dofs(j), wBtx.T @ Z),
                                       (cols_i, -((wBtx * sK[f][:, None]).T @ Bx))]
                         for cols, block in blocks:
-                            mat[f][np.ix_(rows, cols)] += block[keep]
+                            mat[f][rows, cols[None, :]] += block[keep]
     return mats
 
 

@@ -53,7 +53,7 @@ def solve_mixed(system):
     res1 = np.linalg.norm(G @ psi + B @ u - F) / scale
     res2 = np.linalg.norm(B.T @ psi) / scale
     # LAPACK 1-norm estimate of kappa_1(S) from the Cholesky factor of S
-    rcond, _ = dpocon(sfac[0], np.abs(S).sum(axis=0).max(), uplo="L")
+    rcond, _ = dpocon(sfac[0], np.linalg.norm(S, 1), uplo="L")
     cond = 1.0 / rcond
     return MixedSolution(u=u, psi=psi, residual_primal=float(res1),
                          residual_orthogonality=float(res2), schur_cond_estimate=cond)
