@@ -37,17 +37,17 @@ def localize_indicator(psi, test, kernel, eps, norm, n_over=13):
     """
     mesh = test.mesh
     interior = mesh.interior_elements
-    pos = {int(e): k for k, e in enumerate(interior)}
     coeffs = np.zeros(test.n_dofs)
     coeffs[test.free_dofs] = np.asarray(psi, dtype=float)
 
     eta2 = np.zeros(len(interior))
     scale = eps**2 if norm == "app" else 1.0
-    for i, j, (val,) in pairwise_energy_contributions(
+    for i, js, (val,) in pairwise_energy_contributions(
             test, [(coeffs, None)], kernel, range(mesh.n_elements), n_over):
-        target = i if mesh.is_interior(i) else j
-        if mesh.is_interior(target):
-            eta2[pos[int(target)]] += scale * val
+        target = np.full(len(js), i) if mesh.is_interior(i) else js
+        inside = (target > 0) & (target < mesh.n_elements - 1)
+        # unbuffered, in piece order: interior element e is entry e - 1
+        np.add.at(eta2, target[inside] - 1, scale * val[inside])
 
     if norm == "app":
         rule = gauss_legendre(test.order + n_over)

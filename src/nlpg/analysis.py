@@ -1,4 +1,15 @@
-"""Error norms, convergence rates, and the discrete optimal-norm diagnostic."""
+"""Error norms, convergence rates, and the discrete optimal-norm diagnostic.
+
+The energy-norm errors, the energy seminorm and the indicators of ``adapt``
+share one sweep, ``pairwise_energy_contributions``.  It takes the pieces of
+each outer element from the pair layer (``quadrature.element_pieces``) and
+evaluates them in three array batches, so its cost per element is a fixed
+number of numpy calls rather than one Python iteration per piece.  u_h is
+evaluated by matrix-vector products (``@``), one per piece as for a single
+element: g(y) - g(x) cancels for |y - x| <= delta, and a contraction that
+sums in another order (``einsum``) moved the relative energy error at
+delta = 1e-5 by 1.3e-11.
+"""
 
 import math
 from dataclasses import dataclass
@@ -7,8 +18,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .assembly import assemble_nonlocal_forms
-from .mesh import horizon_neighbors
-from .quadrature import CONTAINED, gauss_legendre, inner_points, pair_pieces, unit_rule
+from .quadrature import (CLIPPED, CONTAINED, element_pieces, gauss_legendre, inner_points,
+                         unit_rule)
 from .solver import IndefiniteGramError
 
 
@@ -28,12 +39,16 @@ class ExperimentRecord:
     rate_l2: float
 
 
-def _element_values(space, field, e, pts):
+def _field_values(space, field, elems, pts):
+    """g = u_h - exact at pts, whose row k lies in element elems[k]."""
     coeffs, exact = field
     if coeffs is None:
-        vals = np.zeros(len(pts))
+        vals = np.zeros(pts.shape)
     else:
-        vals = space.local_basis(e, pts) @ coeffs[space.element_dofs(e)]
+        basis = space.local_basis(elems.reshape((-1,) + (1,) * (pts.ndim - 1)), pts)
+        # one matrix-vector product per row, as for a single element
+        local = coeffs[space.element_dofs(elems)][:, :, None]
+        vals = (basis.reshape(len(elems), -1, basis.shape[-1]) @ local).reshape(pts.shape)
     if exact is not None:
         vals = vals - exact(pts)
     return vals
@@ -41,50 +56,61 @@ def _element_values(space, field, e, pts):
 
 def pairwise_energy_contributions(space, fields, kernel, outer_elements, n_over=13,
                                   inner_interior=False):
-    """Per element pair, the gamma-weighted squared-difference double integral.
+    """Per outer element, the gamma-weighted squared-difference double integrals.
 
     ``fields`` is a list of (coeffs, exact) pairs defining g = u_h - exact
-    (either part may be None).  Yields (i, j, values) with
+    (either part may be None).  Yields (i, js, values) for every outer element
+    K_i, where js[k] is the inner element of the k-th piece of
+    ``element_pieces`` and
 
-        values[k] = int_{K_i} int_{K_j ∩ B_delta(x)} gamma_diff (g(y)-g(x))^2 dy dx
+        values[f][k] = int_{piece k} int_{K_j ∩ B_delta(x)} gamma_diff (g(y)-g(x))^2 dy dx
 
-    using the same pair layer and nested quadrature as the assembly, so the
-    sums agree with the assembled quadratic forms to roundoff.  ``inner_interior``
-    skips exterior inner elements (the Omega x Omega error convention).
+    for field f, with the same pair layer and nested quadrature as the
+    assembly, so the sums agree with the assembled quadratic forms to roundoff.
+    The pieces of one element are evaluated in three batches (K_j contained in
+    the ball, the self window split at x, and the clipped windows), each with
+    one set of array operations.  ``inner_interior`` skips exterior inner
+    elements (the Omega x Omega error convention).
     """
     mesh = space.mesh
     delta = mesh.delta
     n = space.order + n_over
     rule = gauss_legendre(n)
     q_in, w_in = unit_rule(n)
+    nodes = mesh.nodes
 
-    elem_y = [rule.map_to(*mesh.bounds(j)) for j in range(mesh.n_elements)]
-    elem_vals = [[_element_values(space, f, j, elem_y[j][0]) for f in fields]
-                 for j in range(mesh.n_elements)]
+    # per-element grids and field values for the contained case
+    elem_y, elem_w = rule.map_to(nodes[:-1, None], nodes[1:, None])
+    every = np.arange(mesh.n_elements)
+    elem_vals = [_field_values(space, f, every, elem_y) for f in fields]
 
     for i in outer_elements:
-        for j in horizon_neighbors(mesh, i):
-            if inner_interior and not mesh.is_interior(j):
+        js, lo, hi, case = element_pieces(mesh, i)
+        if inner_interior:
+            interior = (js > 0) & (js < mesh.n_elements - 1)
+            js, lo, hi, case = js[interior], lo[interior], hi[interior], case[interior]
+        xs, wx = rule.map_to(lo[:, None], hi[:, None])
+        fx = [_field_values(space, f, np.full(len(js), i), xs) for f in fields]
+        values = [np.empty(len(js)) for _ in fields]
+        contained, self_window = case == CONTAINED, js == i
+        for batch in (contained, self_window, case == CLIPPED):
+            if not batch.any():
                 continue
-            bj = mesh.bounds(j)
-            for lo, hi, case in pair_pieces(mesh, i, j):
-                xs, wx = rule.map_to(lo, hi)
-                fx = [_element_values(space, f, i, xs) for f in fields]
-                if case == CONTAINED:
-                    y, wy = elem_y[j]
-                    fy = elem_vals[j]
-                    s = y[None, :] - xs[:, None]
-                    diff = [v[None, :] - u[:, None] for v, u in zip(fy, fx)]
-                else:
-                    # both self cases split the inner interval at x
-                    y, wy = inner_points(xs, bj, delta, q_in, w_in, split=j == i)
-                    nq = y.shape[1]
-                    fy = [_element_values(space, f, j, y.ravel()).reshape(-1, nq)
-                          for f in fields]
-                    s = y - xs[:, None]
-                    diff = [v - u[:, None] for v, u in zip(fy, fx)]
-                wK = kernel.eval_diffusion(s) * wy
-                yield i, j, [float(wx @ (wK * d * d).sum(axis=-1)) for d in diff]
+            jb, xb, wb = js[batch], xs[batch], wx[batch]
+            if batch is contained:
+                y, wy = elem_y[jb][:, None, :], elem_w[jb][:, None, :]
+                fy = [v[jb][:, None, :] for v in elem_vals]
+            else:
+                # both self cases split the inner interval at x
+                y, wy = inner_points(xb, (nodes[jb, None], nodes[jb + 1, None]), delta,
+                                     q_in, w_in, split=batch is self_window)
+                fy = [_field_values(space, f, jb, y) for f in fields]
+            wK = kernel.eval_diffusion(y - xb[..., None]) * wy
+            for v, u, out in zip(fy, fx, values):
+                d = v - u[batch][..., None]
+                inner = (wK * d * d).sum(axis=-1)
+                out[batch] = (wb[:, None, :] @ inner[..., None])[:, 0, 0]
+        yield i, js, values
 
 
 def energy_error_norms(space, coeffs, u_exact, kernel, n_over=13):
@@ -100,8 +126,8 @@ def energy_error_norms(space, coeffs, u_exact, kernel, n_over=13):
     for _, _, (a, b) in pairwise_energy_contributions(
             space, fields, kernel, space.mesh.interior_elements, n_over,
             inner_interior=True):
-        err2 += a
-        ex2 += b
+        err2 += a.sum()
+        ex2 += b.sum()
     return math.sqrt(err2), math.sqrt(ex2)
 
 
@@ -115,7 +141,7 @@ def error_energy(space, coeffs, u_exact, kernel, n_over=13):
 
 def energy_seminorm(space, coeffs, kernel, n_over=13):
     """S_delta seminorm of a discrete function, over the full Omega_delta."""
-    total = sum(v[0] for _, _, v in pairwise_energy_contributions(
+    total = sum(v[0].sum() for _, _, v in pairwise_energy_contributions(
         space, [(coeffs, None)], kernel, range(space.mesh.n_elements), n_over))
     return math.sqrt(total)
 

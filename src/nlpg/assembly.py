@@ -35,8 +35,8 @@ import numpy as np
 
 from .kernels import KernelPair
 from .mesh import horizon_neighbors
-from .quadrature import (CONTAINED, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
-                         inner_points, pair_pieces, unit_rule)
+from .quadrature import (CONTAINED, SELF_CLIPPED, SELF_INSIDE, element_pieces,
+                         gauss_legendre, inner_points, unit_rule)
 from .space import boundary_lift
 
 
@@ -121,79 +121,76 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
     for i in mesh.interior_elements:
         rows, keep = rows_of[i]
         rows = rows[:, None]   # against a row of columns it indexes like np.ix_
-        for j in horizon_neighbors(mesh, i):
+        for j, lo, hi, case in zip(*element_pieces(mesh, i)):
             bj = mesh.bounds(j)
-            for lo, hi, case in pair_pieces(mesh, i, j):
-                xs, wx = rule_out.map_to(lo, hi)
-                Btx = test.local_basis(i, xs)
-                wBtx = Btx * wx[:, None]
-                contained = case == CONTAINED
-                if case == SELF_INSIDE:
-                    # unclipped self window: pair mirrored points y = x -+ t so
-                    # the O(delta^-3) kernel multiplies symmetric differences of
-                    # the basis instead of two huge cancelling half-integrals
-                    t = delta * q_in
-                    wK = {f: FORMS[f].factor * FORMS[f].mirrored(kernel, t) * (delta * w_in)
-                          for f in needed}
-                    tau = 2.0 * t / (bj[1] - bj[0])
-                    taylor = tau[-1] <= 0.1
-                    yp, ym = xs[:, None] + t, xs[:, None] - t
+            xs, wx = rule_out.map_to(lo, hi)
+            Btx = test.local_basis(i, xs)
+            wBtx = Btx * wx[:, None]
+            contained = case == CONTAINED
+            if case == SELF_INSIDE:
+                # unclipped self window: pair mirrored points y = x -+ t so
+                # the O(delta^-3) kernel multiplies symmetric differences of
+                # the basis instead of two huge cancelling half-integrals
+                t = delta * q_in
+                wK = {f: FORMS[f].factor * FORMS[f].mirrored(kernel, t) * (delta * w_in)
+                      for f in needed}
+                tau = 2.0 * t / (bj[1] - bj[0])
+                taylor = tau[-1] <= 0.1
+                yp, ym = xs[:, None] + t, xs[:, None] - t
+            else:
+                if contained:
+                    y, wy = elem_y[j]
                 else:
-                    if contained:
-                        y, wy = elem_y[j]
+                    y, wy = inner_points(xs, bj, delta, q_in, w_in,
+                                         split=case == SELF_CLIPPED)
+                s = (y[None, :] if contained else y) - xs[:, None]
+                wK = {f: FORMS[f].factor * FORMS[f].signed(kernel, s) * wy for f in needed}
+                sK = {f: wK[f].sum(axis=-1) for f in needed}
+
+            for (space, _, _), forms, mat in zip(columns, wants, mats):
+                Bx = Btx if space is test else space.local_basis(i, xs)
+                cols_i = space.element_dofs(i)
+                if case == SELF_INSIDE and not taylor:
+                    Byp = space.local_basis(i, yp)
+                    Bym = space.local_basis(i, ym)
+                elif case != SELF_INSIDE:
+                    By = tables[id(space)][j] if contained else space.local_basis(j, y)
+                    if j == i:
+                        # same column block: difference the basis values
+                        # before applying the O(delta^-3) kernel weights, so
+                        # the huge x-part/y-part cancellation never reaches
+                        # the matrix
+                        D = By - Bx[:, None, :]
+                    elif not contained and abs(j - i) == 1:
+                        # adjacent window: shift both sides by the
+                        # shared-vertex cardinal (exactly 1 at the shared
+                        # node, so the two shifts cancel analytically); keeps
+                        # the summands at the size of the continuous
+                        # difference for delta << h
+                        By = By.copy()
+                        Bx = Bx.copy()
+                        By[..., 0 if j > i else -1] -= 1.0
+                        Bx[:, -1 if j > i else 0] -= 1.0
+
+                # local blocks (columns, block) of each wanted form
+                for f in forms:
+                    parity, wKf = FORMS[f].parity, wK[f]
+                    if case == SELF_INSIDE and taylor:
+                        M = _taylor_matrix(space, wKf, tau, parity)
+                        blocks = [(cols_i, wBtx.T @ (Bx @ M))]
+                    elif case == SELF_INSIDE:
+                        # even part of the basis shift for an even kernel,
+                        # odd part for an odd one
+                        sym = Byp + Bym - 2.0 * Bx[:, None, :] if parity == 0 else Byp - Bym
+                        blocks = [(cols_i, wBtx.T @ (wKf[None, :, None] * sym).sum(axis=1))]
+                    elif j == i:
+                        blocks = [(cols_i, wBtx.T @ (wKf[:, :, None] * D).sum(axis=1))]
                     else:
-                        y, wy = inner_points(xs, bj, delta, q_in, w_in,
-                                             split=case == SELF_CLIPPED)
-                    s = (y[None, :] if contained else y) - xs[:, None]
-                    wK = {f: FORMS[f].factor * FORMS[f].signed(kernel, s) * wy for f in needed}
-                    sK = {f: wK[f].sum(axis=-1) for f in needed}
-
-                for (space, _, _), forms, mat in zip(columns, wants, mats):
-                    Bx = Btx if space is test else space.local_basis(i, xs)
-                    nu = space.order + 1
-                    cols_i = space.element_dofs(i)
-                    if case == SELF_INSIDE and not taylor:
-                        Byp = space.local_basis(i, yp.ravel()).reshape(n_out, -1, nu)
-                        Bym = space.local_basis(i, ym.ravel()).reshape(n_out, -1, nu)
-                    elif case != SELF_INSIDE:
-                        By = (tables[id(space)][j] if contained else
-                              space.local_basis(j, y.ravel()).reshape(n_out, -1, nu))
-                        if j == i:
-                            # same column block: difference the basis values
-                            # before applying the O(delta^-3) kernel weights, so
-                            # the huge x-part/y-part cancellation never reaches
-                            # the matrix
-                            D = By - Bx[:, None, :]
-                        elif not contained and abs(j - i) == 1:
-                            # adjacent window: shift both sides by the
-                            # shared-vertex cardinal (exactly 1 at the shared
-                            # node, so the two shifts cancel analytically); keeps
-                            # the summands at the size of the continuous
-                            # difference for delta << h
-                            By = By.copy()
-                            Bx = Bx.copy()
-                            By[..., 0 if j > i else -1] -= 1.0
-                            Bx[:, -1 if j > i else 0] -= 1.0
-
-                    # local blocks (columns, block) of each wanted form
-                    for f in forms:
-                        parity, wKf = FORMS[f].parity, wK[f]
-                        if case == SELF_INSIDE and taylor:
-                            M = _taylor_matrix(space, wKf, tau, parity)
-                            blocks = [(cols_i, wBtx.T @ (Bx @ M))]
-                        elif case == SELF_INSIDE:
-                            # even part of the basis shift for an even kernel,
-                            # odd part for an odd one
-                            sym = Byp + Bym - 2.0 * Bx[:, None, :] if parity == 0 else Byp - Bym
-                            blocks = [(cols_i, wBtx.T @ (wKf[None, :, None] * sym).sum(axis=1))]
-                        elif j == i:
-                            blocks = [(cols_i, wBtx.T @ (wKf[:, :, None] * D).sum(axis=1))]
-                        else:
-                            Z = wKf @ By if contained else (wKf[:, :, None] * By).sum(axis=1)
-                            blocks = [(space.element_dofs(j), wBtx.T @ Z),
-                                      (cols_i, -((wBtx * sK[f][:, None]).T @ Bx))]
-                        for cols, block in blocks:
-                            mat[f][rows, cols[None, :]] += block[keep]
+                        Z = wKf @ By if contained else (wKf[:, :, None] * By).sum(axis=1)
+                        blocks = [(space.element_dofs(j), wBtx.T @ Z),
+                                  (cols_i, -((wBtx * sK[f][:, None]).T @ Bx))]
+                    for cols, block in blocks:
+                        mat[f][rows, cols[None, :]] += block[keep]
     return mats
 
 
@@ -239,26 +236,28 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel, n_over=13):
     rule_out = gauss_legendre(test.order + n_over)
     q_in, w_in = unit_rule(max(test.order, trial.order) + n_over)
     rows_of = _free_row_data(test)
-    exterior = (0, mesh.n_elements - 1)
+    last = mesh.n_elements - 1
+    # the horizon relation is symmetric: only these elements see the collar
+    near = np.union1d(horizon_neighbors(mesh, 0), horizon_neighbors(mesh, last))
 
     F = np.zeros(test.n_free)
-    for i in mesh.interior_elements:
+    for i in near[(near > 0) & (near < last)]:
         rows, keep = rows_of[i]
-        for j in exterior:
+        js, lo, hi, _ = element_pieces(mesh, i)
+        collar = (js == 0) | (js == last)
+        for j, lo, hi in zip(js[collar], lo[collar], hi[collar]):
             bj = mesh.bounds(j)
             # the defect is integrated on the clipped window in every case
-            for lo, hi, _ in pair_pieces(mesh, i, j):
-                xs, wx = rule_out.map_to(lo, hi)
-                wBtx = test.local_basis(i, xs) * wx[:, None]
-                y, wy = inner_points(xs, bj, delta, q_in, w_in, split=False)
-                s = y - xs[:, None]
-                defect = (np.asarray(boundary(y.ravel()), dtype=float).reshape(y.shape)
-                          - trial.local_basis(j, y.ravel()).reshape(y.shape + (-1,))
-                          @ lift[trial.element_dofs(j)])
-                # b(w, v) = eps (-L_delta w, v) + (G_delta w, v) by the form table
-                dens = sum(form.factor * weight * form.signed(kernel, s)
-                           for form, weight in zip(FORMS, (eps, 1.0))) * wy * defect
-                F[rows] += (wBtx.T @ dens.sum(axis=1))[keep]
+            xs, wx = rule_out.map_to(lo, hi)
+            wBtx = test.local_basis(i, xs) * wx[:, None]
+            y, wy = inner_points(xs, bj, delta, q_in, w_in, split=False)
+            s = y - xs[:, None]
+            defect = (np.asarray(boundary(y.ravel()), dtype=float).reshape(y.shape)
+                      - trial.local_basis(j, y) @ lift[trial.element_dofs(j)])
+            # b(w, v) = eps (-L_delta w, v) + (G_delta w, v) by the form table
+            dens = sum(form.factor * weight * form.signed(kernel, s)
+                       for form, weight in zip(FORMS, (eps, 1.0))) * wy * defect
+            F[rows] += (wBtx.T @ dens.sum(axis=1))[keep]
     return F
 
 

@@ -20,13 +20,20 @@ refinements make this accurate for every delta/h ratio:
 With the built-in kernels every piece integrand is polynomial, so the nested
 values are exact up to roundoff.
 
-The pair layer, ``pair_pieces`` and ``inner_points``, is the only place that
-decides the geometry of an element pair: which smooth pieces of K_i it has,
-which case each piece is (self window inside K_i, self window clipped by an end
-of K_i, K_j contained in the ball, or clipped), and where the inner nodes sit.
-Assembly, the collar data functional, the energy error and the indicators all
-walk their pairs through it and keep only their integrands.
-``nested_integrate`` stays apart as the independent reference.
+The pair layer, ``element_pieces`` and ``inner_points``, is the only place
+that decides the geometry of an element pair: which smooth pieces of K_i it
+has, which case each piece is (self window inside K_i, self window clipped by
+an end of K_i, K_j contained in the ball, or clipped), and where the inner
+nodes sit.  ``element_pieces(mesh, i)`` returns the pieces of K_i against all
+its horizon neighbours as arrays (j, lo, hi, case).  Assembly and the collar
+data functional walk those rows one by one; the energy sweep behind the
+errors, the seminorm and the indicators evaluates all pieces of one element
+in a few array batches.  Every caller keeps only its integrands.
+
+``smooth_pieces`` is the same cut rule for one pair.  It stays public, with
+``mesh.horizon_neighbors``, because the benchmark counts pieces with them, and
+the tests hold ``element_pieces`` to it bit for bit.  ``nested_integrate``
+stays apart as the independent reference.
 """
 
 from dataclasses import dataclass
@@ -91,25 +98,42 @@ def smooth_pieces(outer, inner, delta):
 
 
 # piece cases of the pair layer (see module docstring)
-SELF_INSIDE = "self-inside"     # j == i and B_delta(x) inside K_i over the piece
-SELF_CLIPPED = "self-clipped"   # j == i and B_delta(x) crosses an end of K_i
-CONTAINED = "contained"         # K_j inside B_delta(x) at both ends of the piece
-CLIPPED = "clipped"             # every other piece: K_j ∩ B_delta(x) moves with x
+SELF_INSIDE = 0     # j == i and B_delta(x) inside K_i over the piece
+SELF_CLIPPED = 1    # j == i and B_delta(x) crosses an end of K_i
+CONTAINED = 2       # K_j inside B_delta(x) at both ends of the piece
+CLIPPED = 3         # every other piece: K_j ∩ B_delta(x) moves with x
 
 
-def pair_pieces(mesh, i, j):
-    """Smooth pieces (lo, hi, case) of K_i for the element pair (K_i, K_j)."""
+def element_pieces(mesh, i):
+    """Smooth pieces of K_i against all its horizon neighbours, as arrays.
+
+    Returns (j, lo, hi, case): piece k is (lo[k], hi[k]) of K_i paired with
+    K_j[k], ordered by j and then along K_i.  The pieces are those of
+    ``smooth_pieces`` for each pair, evaluated for every neighbour at once;
+    the case is decided with the one tolerance 1e-12 * max(1, delta).
+    """
     delta = mesh.delta
-    bj = mesh.bounds(j)
+    ai, bi = mesh.bounds(i)
+    js = horizon_neighbors(mesh, i)
+    aj, bj = mesh.nodes[js], mesh.nodes[js + 1]
+    lo = np.maximum(ai, aj - delta)
+    hi = np.minimum(bi, bj + delta)
+    cut_tol = 1e-12 * max(bi - ai, delta)   # the tolerance of smooth_pieces
+    # the crossings strictly inside (lo, hi) cut the window; the others are
+    # moved onto hi, where they only add empty pieces
+    cuts = np.stack((aj - delta, aj + delta, bj - delta, bj + delta), axis=1)
+    inside = ((lo + cut_tol)[:, None] < cuts) & (cuts < (hi - cut_tol)[:, None])
+    edges = np.sort(np.column_stack((lo, np.where(inside, cuts, hi[:, None]), hi)), axis=1)
+    keep = (edges[:, 1:] - edges[:, :-1] > cut_tol) & (hi - lo > cut_tol)[:, None]
+    row = np.nonzero(keep)[0]
+    j, lo, hi = js[row], edges[:, :-1][keep], edges[:, 1:][keep]
+    aj, bj = aj[row], bj[row]
     tol = 1e-12 * max(1.0, delta)
-    for lo, hi in smooth_pieces(mesh.bounds(i), bj, delta):
-        if j == i:
-            inside = lo >= bj[0] + delta - tol and hi <= bj[1] - delta + tol
-            yield lo, hi, SELF_INSIDE if inside else SELF_CLIPPED
-        elif lo >= bj[1] - delta - tol and hi <= bj[0] + delta + tol:
-            yield lo, hi, CONTAINED
-        else:
-            yield lo, hi, CLIPPED
+    self_inside = (lo >= aj + delta - tol) & (hi <= bj - delta + tol)
+    contained = (lo >= bj - delta - tol) & (hi <= aj + delta + tol)
+    case = np.where(j == i, np.where(self_inside, SELF_INSIDE, SELF_CLIPPED),
+                    np.where(contained, CONTAINED, CLIPPED))
+    return j, lo, hi, case
 
 
 @lru_cache(maxsize=None)
@@ -127,18 +151,19 @@ def inner_points(xs, bj, delta, q_in, w_in, split):
     """Inner nodes and weights on K_j ∩ B_delta(x) for every outer node x.
 
     ``q_in``, ``w_in`` is a rule on [0, 1] (``unit_rule``); with ``split`` the
-    interval is split at x.  Returns arrays of shape (len(xs), n) with n the
-    rule order, or twice that when split.
+    interval is split at x.  ``bj`` holds the bounds of K_j, scalars or arrays
+    that broadcast against ``xs``.  Returns arrays of shape xs.shape + (n,)
+    with n the rule order, or twice that when split.
     """
     l = np.maximum(bj[0], xs - delta)
     u = np.minimum(bj[1], xs + delta)
     if split:
-        y = np.concatenate((l[:, None] + (xs - l)[:, None] * q_in,
-                            xs[:, None] + (u - xs)[:, None] * q_in), axis=1)
-        wy = np.concatenate(((xs - l)[:, None] * w_in,
-                             (u - xs)[:, None] * w_in), axis=1)
+        y = np.concatenate((l[..., None] + (xs - l)[..., None] * q_in,
+                            xs[..., None] + (u - xs)[..., None] * q_in), axis=-1)
+        wy = np.concatenate(((xs - l)[..., None] * w_in,
+                             (u - xs)[..., None] * w_in), axis=-1)
         return y, wy
-    return l[:, None] + (u - l)[:, None] * q_in, (u - l)[:, None] * w_in
+    return l[..., None] + (u - l)[..., None] * q_in, (u - l)[..., None] * w_in
 
 
 def _union_pieces(mesh, i, neighbors):

@@ -107,10 +107,16 @@ class Space:
         return self._element_dofs[e]
 
     def local_basis(self, e, x):
-        """Values of the element-e basis functions at global points x."""
+        """Values of the element-e basis functions at global points x.
+
+        ``e`` is one element or an index array that broadcasts against x;
+        the result has shape x.shape + (order + 1,), or (1, order + 1) for a
+        scalar x.
+        """
         a, b = self.mesh.bounds(e)
         xi = (2.0 * np.asarray(x, dtype=float) - a - b) / (b - a)
-        return lagrange_basis(self.ref_nodes, self._bary, xi)
+        return lagrange_basis(self.ref_nodes, self._bary, xi.ravel()).reshape(
+            xi.shape + (-1,) if xi.ndim else (1, -1))
 
     def interpolate(self, f):
         """Coefficients matching f at the interpolation nodes."""

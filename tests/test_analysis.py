@@ -2,15 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlpg.analysis import (compute_discrete_optimal_norm, energy_seminorm,
-                           error_energy, error_l2, loglog_slope, rate, rate_dof)
+from nlpg.analysis import (compute_discrete_optimal_norm, energy_error_norms,
+                           energy_seminorm, error_energy, error_l2, loglog_slope,
+                           rate, rate_dof)
 from nlpg.assembly import assemble_gram, assemble_nonlocal_forms
-from nlpg.kernels import constant_kernel_pair
-from nlpg.mesh import initial_mesh, refine_uniform
+from nlpg.kernels import constant_kernel_pair, exact_smooth
+from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
 from nlpg.space import Space
 
 
@@ -51,6 +53,43 @@ def test_hat_seminorm_against_dense_integration():
     oracle = sum(quad(inner, lo, hi, limit=200, epsabs=1e-13)[0]
                  for lo, hi in zip(cuts[:-1], cuts[1:]))
     assert ours**2 == pytest.approx(oracle, rel=1e-10)
+
+
+def _x5_energy_norm(delta):
+    # sqrt of int_0^1 int_{(0,1) ∩ B_delta(x)} (3/2) delta^-3 (y^5 - x^5)^2 dy dx,
+    # with y = x + s and x mapped onto [0, 1] for each s
+    with mpmath.workdps(30):
+        d = mpmath.mpf(delta)
+
+        def right(s, t):   # s in [0, delta], x in [0, 1 - s]
+            x = (1 - s) * t
+            return (1 - s) * ((x + s)**5 - x**5)**2
+
+        def left(s, t):    # s in [-delta, 0], x in [-s, 1]
+            x = -s + (1 + s) * t
+            return (1 + s) * ((x + s)**5 - x**5)**2
+
+        total = (mpmath.quad(right, [0, d], [0, 1], method="gauss-legendre")
+                 + mpmath.quad(left, [-d, 0], [0, 1], method="gauss-legendre"))
+        return float(mpmath.sqrt(mpmath.mpf(1.5) / d**3 * total))
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.01, 1e-4])
+def test_exact_energy_norm_against_mpmath(delta):
+    # the second value of energy_error_norms walks the contained, self and
+    # clipped windows of the x^5 field; at delta = 0.1 the uniform mesh
+    # (h = 0.05) has all three, the smaller horizons the last two
+    graded = uniform_mesh(delta, 10)
+    for _ in range(3):   # bisect towards x = 1 so neighbours differ in width
+        graded = refine_marked(graded, [graded.n_elements - 2, graded.n_elements - 3])
+    oracle = _x5_energy_norm(delta)
+    kernel = constant_kernel_pair(delta)
+    for mesh in (uniform_mesh(delta, 20), graded):
+        for p in (1, 3):
+            sp = Space(mesh, p)
+            _, exact = energy_error_norms(sp, sp.interpolate(exact_smooth), exact_smooth,
+                                          kernel)
+            assert exact == pytest.approx(oracle, rel=1e-11)
 
 
 def test_error_energy_triangle_inequality():

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, initial_mesh, refine_marked, refine_uniform
 from nlpg.quadrature import (CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE,
-                             gauss_legendre, inner_points, intersect,
-                             nested_integrate, pair_pieces, unit_rule)
+                             element_pieces, gauss_legendre, inner_points, intersect,
+                             nested_integrate, smooth_pieces, unit_rule)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 24])
@@ -123,8 +123,33 @@ def _pair_layer_meshes(delta):
 
 def _pairs(mesh):
     for i in range(mesh.n_elements):
+        js, lo, hi, case = element_pieces(mesh, i)
         for j in horizon_neighbors(mesh, i):
-            yield i, j, list(pair_pieces(mesh, i, j))
+            pair = js == j
+            yield i, j, list(zip(lo[pair], hi[pair], case[pair]))
+
+
+@pytest.mark.parametrize("delta", [0.1, 1e-4])
+def test_element_pieces_match_the_scalar_cut_and_case_rule(delta):
+    # element_pieces evaluates smooth_pieces and the case rule for all
+    # neighbours at once; every value must come out bit for bit
+    for mesh in _pair_layer_meshes(delta):
+        tol = 1e-12 * max(1.0, delta)
+        for i in range(mesh.n_elements):
+            expected = []
+            for j in horizon_neighbors(mesh, i):
+                aj, bj = mesh.bounds(j)
+                for lo, hi in smooth_pieces(mesh.bounds(i), (aj, bj), delta):
+                    if j == i:
+                        inside = lo >= aj + delta - tol and hi <= bj - delta + tol
+                        case = SELF_INSIDE if inside else SELF_CLIPPED
+                    elif lo >= bj - delta - tol and hi <= aj + delta + tol:
+                        case = CONTAINED
+                    else:
+                        case = CLIPPED
+                    expected.append((j, lo, hi, case))
+            got = list(zip(*element_pieces(mesh, i)))
+            assert got == expected
 
 
 @pytest.mark.parametrize("delta", [0.1, 1e-4])

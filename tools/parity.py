@@ -11,7 +11,8 @@ checkout's ``src/``, each in its own process:
     x test norms app and eng                                   (96 cases)
 
 For each case it keeps G, B and F of the mixed system, the relative energy
-and L2 errors, and the squared indicators eta^2.  It prints, per quantity,
+and L2 errors, the squared indicators eta^2, and the energy seminorm of the
+residual representer psi (``energy_seminorm`` on the test space).  It prints, per quantity,
 the largest relative drift max|new - old| / max|old| over the grid and the
 number of cases that are not bit-identical, and exits 1 if any drift
 exceeds 1e-12 (a shape change counts as infinite drift).
@@ -33,7 +34,7 @@ MESHES = ("uniform", "graded")
 PROBLEMS = ("smooth-nonlocal", "sharp")
 ORDERS = ((1, 2), (2, 3), (1, 6))
 NORMS = ("app", "eng")
-QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2")
+QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2", "seminorm")
 
 
 def _mesh(kind, delta):
@@ -50,6 +51,7 @@ def _mesh(kind, delta):
 def dump(path):
     """Run the grid with the nlpg on sys.path and save every quantity to path."""
     from nlpg.adapt import localize_indicator
+    from nlpg.analysis import energy_seminorm
     from nlpg.driver import solve_problem
     from nlpg.kernels import constant_kernel_pair
     from nlpg.problems import make_problem
@@ -66,10 +68,13 @@ def dump(path):
                                             norms=NORMS)
                     for norm, res in results.items():
                         case = f"delta={delta:g} {kind} {name} p={p} dp={dp} {norm}"
-                        eta2 = localize_indicator(res.solution.psi, res.test, kernel,
-                                                  EPS, norm).eta2
+                        psi = res.solution.psi
+                        eta2 = localize_indicator(psi, res.test, kernel, EPS, norm).eta2
+                        coeffs = np.zeros(res.test.n_dofs)
+                        coeffs[res.test.free_dofs] = psi
                         values = (res.system.G, res.system.B, res.system.F,
-                                  res.err_energy, res.err_l2, eta2)
+                                  res.err_energy, res.err_l2, eta2,
+                                  energy_seminorm(res.test, coeffs, kernel))
                         for q, v in zip(QUANTITIES, values):
                             out[f"{case}|{q}"] = np.asarray(v, dtype=float)
     np.savez(path, **out)
