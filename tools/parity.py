@@ -12,10 +12,10 @@ checkout's ``src/``, each in its own process:
 
 For each case it keeps G, B and F of the mixed system, the relative energy
 and L2 errors, the squared indicators eta^2, and the energy seminorm of the
-residual representer psi (``energy_seminorm`` on the test space).  It prints, per quantity,
-the largest relative drift max|new - old| / max|old| over the grid and the
-number of cases that are not bit-identical, and exits 1 if any drift
-exceeds 1e-12 (a shape change counts as infinite drift).
+residual representer psi (``energy_seminorm`` on the test space).  It
+prints, per quantity, the largest relative drift max|new - old| / max|old|
+over the grid and the number of cases that are not bit-identical, and exits
+1 if any drift exceeds 1e-12 (a shape change counts as infinite drift).
 """
 
 import io
