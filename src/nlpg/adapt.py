@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ExperimentRecord, pairwise_energy_contributions, rate
+from .analysis import pairwise_energy_contributions, step_record
+from .assembly import check_norm
 from .driver import solve_problem
 from .kernels import constant_kernel_pair
 from .mesh import initial_mesh, refine_marked
-from .quadrature import gauss_legendre
+from .quadrature import N_OVER, gauss_legendre
 
 
 @dataclass
@@ -25,7 +26,7 @@ class IndicatorSet:
         return math.sqrt(self.eta2.sum())
 
 
-def localize_indicator(psi, test, kernel, eps, norm, n_over=13):
+def localize_indicator(psi, test, kernel, eps, norm):
     """Split the test-norm energy of psi into per-interior-element indicators.
 
     The seminorm part integrates x over each interior element; the part with
@@ -33,8 +34,9 @@ def localize_indicator(psi, test, kernel, eps, norm, n_over=13):
     element, so the indicators sum exactly to the global quadratic form.  The
     app norm adds the mean-free L2 density with the *global* mean; the eng
     norm is the plain seminorm density (no eps^2 factor - constant scalings
-    do not change the marked set).
+    do not change the marked set).  Any other norm raises ValueError.
     """
+    check_norm(norm)
     mesh = test.mesh
     interior = mesh.interior_elements
     coeffs = np.zeros(test.n_dofs)
@@ -43,14 +45,14 @@ def localize_indicator(psi, test, kernel, eps, norm, n_over=13):
     eta2 = np.zeros(len(interior))
     scale = eps**2 if norm == "app" else 1.0
     for i, js, (val,) in pairwise_energy_contributions(
-            test, [(coeffs, None)], kernel, range(mesh.n_elements), n_over):
+            test, [(coeffs, None)], kernel, range(mesh.n_elements)):
         target = np.full(len(js), i) if mesh.is_interior(i) else js
         inside = (target > 0) & (target < mesh.n_elements - 1)
         # unbuffered, in piece order: interior element e is entry e - 1
         np.add.at(eta2, target[inside] - 1, scale * val[inside])
 
     if norm == "app":
-        rule = gauss_legendre(test.order + n_over)
+        rule = gauss_legendre(test.order + N_OVER)
         weights, values = [], []
         for e in interior:
             xs, ws = rule.map_to(*mesh.bounds(e))
@@ -82,35 +84,20 @@ def dorfler_mark(indicators, theta):
 def adaptive_loop(problem, config, on_step=None):
     """Drive {assemble, solve, record, localize, mark, refine} for config.steps solves.
 
-    ``config`` needs attributes delta, eps, p, dp, norm, steps, theta, n_over.
+    ``config`` needs attributes delta, eps, p, dp, norm, steps and theta.
     The loop stops early when every indicator is zero.  ``on_step`` (optional)
     receives (step, mesh, result, indicators) after each solve.
     """
     mesh = initial_mesh(config.delta)
     kernel = constant_kernel_pair(config.delta)
     records = []
-    prev = None
     for step in range(max(1, config.steps)):
         result = solve_problem(mesh, problem, eps=config.eps, p=config.p,
-                               dp=config.dp, norms=(config.norm,),
-                               n_over=config.n_over)[config.norm]
-        rec = ExperimentRecord(
-            step=step,
-            h_min=float(mesh.interior_widths.min()),
-            h_max=float(mesh.interior_widths.max()),
-            delta=config.delta,
-            n_trial=result.n_trial,
-            n_test=result.n_test,
-            err_energy=result.err_energy,
-            rate_energy=rate(prev.err_energy, result.err_energy) if prev else math.nan,
-            err_l2=result.err_l2,
-            rate_l2=rate(prev.err_l2, result.err_l2) if prev else math.nan,
-        )
-        records.append(rec)
-        prev = rec
+                               dp=config.dp, norms=(config.norm,))[config.norm]
+        records.append(step_record(step, mesh, result, records[-1] if records else None))
 
         indicators = localize_indicator(result.solution.psi, result.test, kernel,
-                                        config.eps, config.norm, config.n_over)
+                                        config.eps, config.norm)
         if on_step is not None:
             on_step(step, mesh, result, indicators)
         # stop once the representer energy is solver noise (exactly

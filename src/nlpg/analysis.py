@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .assembly import assemble_nonlocal_forms
-from .quadrature import (CLIPPED, CONTAINED, element_pieces, gauss_legendre, inner_points,
-                         unit_rule)
+from .quadrature import (CLIPPED, CONTAINED, N_OVER, element_pieces, gauss_legendre,
+                         inner_points, unit_rule)
 from .solver import IndefiniteGramError
 
 
@@ -39,6 +39,28 @@ class ExperimentRecord:
     rate_l2: float
 
 
+def step_record(step, mesh, result, prev, dof_rates=False):
+    """The record of one solve; rates against ``prev``, the record before it.
+
+    Rates are halving rates, or with ``dof_rates`` rates against trial-DOF
+    growth; they are NaN at the first step (``prev`` None).
+    """
+    r_e = r_l = math.nan
+    if prev is not None:
+        if dof_rates:
+            r_e = rate_dof(prev.err_energy, result.err_energy, prev.n_trial, result.n_trial)
+            r_l = rate_dof(prev.err_l2, result.err_l2, prev.n_trial, result.n_trial)
+        else:
+            r_e = rate(prev.err_energy, result.err_energy)
+            r_l = rate(prev.err_l2, result.err_l2)
+    return ExperimentRecord(
+        step=step, h_min=float(mesh.interior_widths.min()),
+        h_max=float(mesh.interior_widths.max()), delta=mesh.delta,
+        n_trial=result.n_trial, n_test=result.n_test,
+        err_energy=result.err_energy, rate_energy=r_e,
+        err_l2=result.err_l2, rate_l2=r_l)
+
+
 def _field_values(space, field, elems, pts):
     """g = u_h - exact at pts, whose row k lies in element elems[k]."""
     coeffs, exact = field
@@ -54,8 +76,7 @@ def _field_values(space, field, elems, pts):
     return vals
 
 
-def pairwise_energy_contributions(space, fields, kernel, outer_elements, n_over=13,
-                                  inner_interior=False):
+def pairwise_energy_contributions(space, fields, kernel, outer_elements, inner_interior=False):
     """Per outer element, the gamma-weighted squared-difference double integrals.
 
     ``fields`` is a list of (coeffs, exact) pairs defining g = u_h - exact
@@ -74,7 +95,7 @@ def pairwise_energy_contributions(space, fields, kernel, outer_elements, n_over=
     """
     mesh = space.mesh
     delta = mesh.delta
-    n = space.order + n_over
+    n = space.order + N_OVER
     rule = gauss_legendre(n)
     q_in, w_in = unit_rule(n)
     nodes = mesh.nodes
@@ -113,7 +134,7 @@ def pairwise_energy_contributions(space, fields, kernel, outer_elements, n_over=
         yield i, js, values
 
 
-def energy_error_norms(space, coeffs, u_exact, kernel, n_over=13):
+def energy_error_norms(space, coeffs, u_exact, kernel):
     """Absolute energy-norm error of u_h and the matching norm of u_exact.
 
     Both double integrals run over Omega x (Omega ∩ B_delta(x)): errors are
@@ -124,31 +145,30 @@ def energy_error_norms(space, coeffs, u_exact, kernel, n_over=13):
     ex2 = 0.0
     fields = [(coeffs, u_exact), (None, u_exact)]
     for _, _, (a, b) in pairwise_energy_contributions(
-            space, fields, kernel, space.mesh.interior_elements, n_over,
-            inner_interior=True):
+            space, fields, kernel, space.mesh.interior_elements, inner_interior=True):
         err2 += a.sum()
         ex2 += b.sum()
     return math.sqrt(err2), math.sqrt(ex2)
 
 
-def error_energy(space, coeffs, u_exact, kernel, n_over=13):
+def error_energy(space, coeffs, u_exact, kernel):
     """Relative error in the nonlocal energy norm (see energy_error_norms)."""
-    err, ex = energy_error_norms(space, coeffs, u_exact, kernel, n_over)
+    err, ex = energy_error_norms(space, coeffs, u_exact, kernel)
     if ex == 0.0:
         raise ValueError("exact solution has zero energy norm")
     return err / ex
 
 
-def energy_seminorm(space, coeffs, kernel, n_over=13):
+def energy_seminorm(space, coeffs, kernel):
     """S_delta seminorm of a discrete function, over the full Omega_delta."""
     total = sum(v[0].sum() for _, _, v in pairwise_energy_contributions(
-        space, [(coeffs, None)], kernel, range(space.mesh.n_elements), n_over))
+        space, [(coeffs, None)], kernel, range(space.mesh.n_elements)))
     return math.sqrt(total)
 
 
-def error_l2(space, coeffs, u_exact, n_over=13):
+def error_l2(space, coeffs, u_exact):
     """Relative L2(Omega) error; the interior domain only."""
-    rule = gauss_legendre(space.order + n_over)
+    rule = gauss_legendre(space.order + N_OVER)
     num = 0.0
     den = 0.0
     coeffs = np.asarray(coeffs, dtype=float)
@@ -183,14 +203,14 @@ def loglog_slope(ns, errs):
                             np.log(np.asarray(errs, dtype=float)), 1)[0])
 
 
-def compute_discrete_optimal_norm(v, test, kernel, eps, n_over=13):
+def compute_discrete_optimal_norm(v, test, kernel, eps):
     """Discrete optimal test norm of a free test-space vector.
 
     Evaluates eps^2 * energy + (w, A^{-1} w) with w the Galerkin image of the
     nonlocal gradient of v; an offline diagnostic, not a solver norm.
     """
     v = np.asarray(v, dtype=float)
-    (A, C), = assemble_nonlocal_forms(test, [(test, True, True)], kernel, n_over)
+    (A, C), = assemble_nonlocal_forms(test, [(test, True, True)], kernel)
     Aff = A[:, test.free_dofs]
     Aff = 0.5 * (Aff + Aff.T)
     w = C[:, test.free_dofs] @ v

@@ -35,7 +35,7 @@ import numpy as np
 
 from .kernels import KernelPair
 from .mesh import horizon_neighbors
-from .quadrature import (CONTAINED, SELF_CLIPPED, SELF_INSIDE, element_pieces,
+from .quadrature import (CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, element_pieces,
                          gauss_legendre, inner_points, unit_rule)
 from .space import boundary_lift
 
@@ -83,7 +83,7 @@ def _taylor_matrix(space, wK_t, tau, parity):
     return M
 
 
-def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
+def assemble_nonlocal_forms(test, columns, kernel):
     """Assemble (-L_delta u, v) and (b.G_delta u, v) matrices in one sweep.
 
     ``columns`` is a sequence of (space, want_diffusion, want_convection)
@@ -96,8 +96,8 @@ def assemble_nonlocal_forms(test, columns, kernel, n_over=13):
     for space, _, _ in columns:
         _check_meshes(space, test)
 
-    n_out = test.order + n_over
-    n_in = max(test.order, max(s.order for s, _, _ in columns)) + n_over
+    n_out = test.order + N_OVER
+    n_in = max(test.order, max(s.order for s, _, _ in columns)) + N_OVER
     rule_out = gauss_legendre(n_out)
     rule_in = gauss_legendre(n_in)
     q_in, w_in = unit_rule(n_in)
@@ -209,9 +209,9 @@ def assemble_mass_mean(test):
     return M, m
 
 
-def load_vector(test, forcing, n_over=13):
+def load_vector(test, forcing):
     """(f, v) for all free test functions; f is evaluated on (0, 1) only."""
-    rule = gauss_legendre(test.order + n_over)
+    rule = gauss_legendre(test.order + N_OVER)
     rows_of = _free_row_data(test)
     F = np.zeros(test.n_free)
     for e in test.mesh.interior_elements:
@@ -222,7 +222,7 @@ def load_vector(test, forcing, n_over=13):
     return F
 
 
-def boundary_defect_load(test, trial, lift, boundary, eps, kernel, n_over=13):
+def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
     """b(w, v) for the collar interpolation defect w = g - (nodal lift of g).
 
     The volumetric data is imposed with its exact values: the discrete
@@ -233,8 +233,8 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel, n_over=13):
     """
     mesh = test.mesh
     delta = mesh.delta
-    rule_out = gauss_legendre(test.order + n_over)
-    q_in, w_in = unit_rule(max(test.order, trial.order) + n_over)
+    rule_out = gauss_legendre(test.order + N_OVER)
+    q_in, w_in = unit_rule(max(test.order, trial.order) + N_OVER)
     rows_of = _free_row_data(test)
     last = mesh.n_elements - 1
     # the horizon relation is symmetric: only these elements see the collar
@@ -268,7 +268,6 @@ class SystemParts:
     trial: object
     test: object
     kernel: object
-    n_over: int
     A_vu: np.ndarray
     C_vu: np.ndarray
     A_vv: np.ndarray
@@ -283,28 +282,23 @@ class MixedSystem:
     B: np.ndarray
     F: np.ndarray
     trial: object
-    test: object
     lift: np.ndarray
-    eps: float
-    norm: str
-
-    @property
-    def n_trial(self):
-        return self.B.shape[1]
-
-    @property
-    def n_test(self):
-        return self.B.shape[0]
 
 
-def assemble_parts(trial, test, kernel, forcing, n_over=13):
+def assemble_parts(trial, test, kernel, forcing):
     _check_meshes(trial, test)
     if test.n_free <= trial.n_free:
         raise ValueError("test space must be strictly richer than the trial space (dp >= 1)")
     (A_vu, C_vu), (A_vv, _) = assemble_nonlocal_forms(
-        test, [(trial, True, True), (test, True, False)], kernel, n_over)
-    return SystemParts(trial, test, kernel, n_over, A_vu, C_vu,
-                       A_vv[:, test.free_dofs], load_vector(test, forcing, n_over))
+        test, [(trial, True, True), (test, True, False)], kernel)
+    return SystemParts(trial, test, kernel, A_vu, C_vu,
+                       A_vv[:, test.free_dofs], load_vector(test, forcing))
+
+
+def check_norm(norm):
+    """Raise ValueError unless ``norm`` names a test norm, 'app' or 'eng'."""
+    if norm not in ("app", "eng"):
+        raise ValueError(f"unknown test norm {norm!r}, expected 'app' or 'eng'")
 
 
 def assemble_gram(test, diffusion_vv, eps, norm):
@@ -314,8 +308,7 @@ def assemble_gram(test, diffusion_vv, eps, norm):
     matrix.  'eng' is the nonlocal energy inner product; 'app' is
     eps^2 * energy + mean-free L2, the computable optimal-norm surrogate.
     """
-    if norm not in ("app", "eng"):
-        raise ValueError(f"unknown test norm {norm!r}, expected 'app' or 'eng'")
+    check_norm(norm)
     if norm == "eng":
         G = diffusion_vv
     else:
@@ -332,7 +325,5 @@ def mixed_system_from_parts(parts, eps, norm, boundary):
     lift = boundary_lift(trial, boundary)
     op = eps * parts.A_vu + parts.C_vu
     F = (parts.load - op @ lift
-         - boundary_defect_load(test, trial, lift, boundary, eps, parts.kernel,
-                                parts.n_over))
-    return MixedSystem(G=G, B=op[:, trial.free_dofs], F=F,
-                       trial=trial, test=test, lift=lift, eps=eps, norm=norm)
+         - boundary_defect_load(test, trial, lift, boundary, eps, parts.kernel))
+    return MixedSystem(G=G, B=op[:, trial.free_dofs], F=F, trial=trial, lift=lift)

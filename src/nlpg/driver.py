@@ -33,20 +33,20 @@ class StepResult:
         return self.test.n_free
 
 
-def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",), n_over=13):
+def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
     """Assemble once, solve for each requested test norm; returns {norm: StepResult}."""
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
     kernel = constant_kernel_pair(mesh.delta)
-    parts = assemble_parts(trial, test, kernel, problem.forcing, n_over)
+    parts = assemble_parts(trial, test, kernel, problem.forcing)
     out = {}
     for norm in norms:
         system = mixed_system_from_parts(parts, eps, norm, problem.boundary)
         solution = solve_mixed(system)
         coeffs = expand_solution(system, solution)
-        err, exact = energy_error_norms(trial, coeffs, problem.u_exact, kernel, n_over)
+        err, exact = energy_error_norms(trial, coeffs, problem.u_exact, kernel)
         out[norm] = StepResult(
             mesh=mesh, trial=trial, test=test, system=system, solution=solution,
             coeffs=coeffs, err_energy=err / exact,
-            err_l2=error_l2(trial, coeffs, problem.u_exact, n_over))
+            err_l2=error_l2(trial, coeffs, problem.u_exact))
     return out

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .adapt import adaptive_loop
-from .analysis import ExperimentRecord, rate, rate_dof
+from .analysis import step_record
 from .driver import solve_problem
 from .mesh import initial_mesh, refine_uniform, uniform_mesh
 from .problems import PROBLEM_NAMES, make_problem
@@ -41,7 +41,6 @@ class RunConfig:
     refinement: str = "uniform-h"
     steps: int = 9
     theta: float = 0.1
-    n_over: int = 13
     output: str = ""
 
     def validate(self):
@@ -68,8 +67,6 @@ class RunConfig:
             raise ValueError(f"steps: must be >= 0, got {self.steps}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta: must lie in (0, 1], got {self.theta}")
-        if self.n_over < 1:
-            raise ValueError(f"n_over: must be >= 1, got {self.n_over}")
 
 
 def coupling_delta(coupling, h):
@@ -82,23 +79,6 @@ def coupling_delta(coupling, h):
     if coupling == "sqrt(h)":
         return math.sqrt(h)
     raise ValueError(f"coupling: unknown value {coupling!r}")
-
-
-def _record(step, mesh, result, prev, dof_rates=False):
-    r_e = r_l = math.nan
-    if prev is not None:
-        if dof_rates:
-            r_e = rate_dof(prev.err_energy, result.err_energy, prev.n_trial, result.n_trial)
-            r_l = rate_dof(prev.err_l2, result.err_l2, prev.n_trial, result.n_trial)
-        else:
-            r_e = rate(prev.err_energy, result.err_energy)
-            r_l = rate(prev.err_l2, result.err_l2)
-    return ExperimentRecord(
-        step=step, h_min=float(mesh.interior_widths.min()),
-        h_max=float(mesh.interior_widths.max()), delta=mesh.delta,
-        n_trial=result.n_trial, n_test=result.n_test,
-        err_energy=result.err_energy, rate_energy=r_e,
-        err_l2=result.err_l2, rate_l2=r_l)
 
 
 def uniform_h_study(cfg, norms=None, on_step=None):
@@ -120,10 +100,9 @@ def uniform_h_study(cfg, norms=None, on_step=None):
             n_int = 5 * 2**step
             mesh = uniform_mesh(coupling_delta(cfg.coupling, _INITIAL_H / 2**step), n_int)
         problem = make_problem(cfg.problem, cfg.eps, mesh.delta)
-        results = solve_problem(mesh, problem, eps=cfg.eps, p=cfg.p, dp=cfg.dp,
-                                norms=norms, n_over=cfg.n_over)
+        results = solve_problem(mesh, problem, eps=cfg.eps, p=cfg.p, dp=cfg.dp, norms=norms)
         for n in norms:
-            rec = _record(step, mesh, results[n], prev[n])
+            rec = step_record(step, mesh, results[n], prev[n])
             out[n].append(rec)
             prev[n] = rec
         if on_step is not None:
@@ -145,12 +124,11 @@ def uniform_p_study(cfg, norms=None, on_step=None):
     problem = make_problem(cfg.problem, cfg.eps, cfg.delta)
     for step in range(max(1, cfg.steps)):
         p = step + 1
-        results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp,
-                                norms=norms, n_over=cfg.n_over)
+        results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp, norms=norms)
         for n in norms:
             # p-sweeps report rates against DOF growth, matching halving rates
             # only asymptotically
-            rec = _record(step, mesh, results[n], prev[n], dof_rates=True)
+            rec = step_record(step, mesh, results[n], prev[n], dof_rates=True)
             out[n].append(rec)
             prev[n] = rec
         if on_step is not None:
@@ -173,13 +151,16 @@ def run(cfg, on_step=None):
     return uniform_h_study(cfg, on_step=on_step)[cfg.norm]
 
 
-def overshoot_metric(space, coeffs, samples_per_element=1000):
-    """Largest violation of the [0, 1] solution range, sampled densely on (0, 1)."""
+def overshoot_metric(space, coeffs):
+    """Largest violation of the [0, 1] solution range on (0, 1).
+
+    Sampled at 1000 equispaced points per interior element.
+    """
     worst = 0.0
     coeffs = np.asarray(coeffs, dtype=float)
     for e in space.mesh.interior_elements:
         a, b = space.mesh.bounds(e)
-        xs = np.linspace(a, b, samples_per_element, endpoint=False)
+        xs = np.linspace(a, b, 1000, endpoint=False)
         vals = space.local_basis(e, xs) @ coeffs[space.element_dofs(e)]
         worst = max(worst, float(np.maximum(vals - 1.0, 0.0).max()),
                     float(np.maximum(-vals, 0.0).max()))
@@ -221,28 +202,26 @@ def _wide_table(first, key, values, file, **common):
     return _write_csv(header, rows, file)
 
 
-def run_table1(norm="app", steps=9, out=None, n_over=13):
+def run_table1(norm="app", steps=9, out=None):
     """Smooth-solution uniform-h sweep over the four horizon sizes."""
     return _wide_table(("h", "h_min", ".10g"), "delta", _TABLE_DELTAS, out,
-                       problem="smooth-nonlocal", norm=norm, steps=steps, n_over=n_over)
+                       problem="smooth-nonlocal", norm=norm, steps=steps)
 
 
-def run_table3(norm="app", dp=2, steps=4, out=None, n_over=13):
+def run_table3(norm="app", dp=2, steps=4, out=None):
     """Smooth-solution uniform-p sweep over the four horizon sizes."""
     return _wide_table(("N", "n_trial", "d"), "delta", _TABLE_DELTAS, out,
                        problem="smooth-nonlocal", norm=norm, dp=dp,
-                       refinement="uniform-p", steps=steps, n_over=n_over)
+                       refinement="uniform-p", steps=steps)
 
 
-def run_table7(norm="app", steps=9, out=None, n_over=13):
+def run_table7(norm="app", steps=9, out=None):
     """Local-limit couplings delta = h, 2h, h^2, sqrt(h) under uniform h."""
     return _wide_table(("h", "h_min", ".10g"), "coupling", ("h", "2h", "h^2", "sqrt(h)"),
-                       out, problem="smooth-local-forcing", norm=norm, steps=steps,
-                       n_over=n_over)
+                       out, problem="smooth-local-forcing", norm=norm, steps=steps)
 
 
-def run_sharp_demo(delta=1e-5, eps=0.01, p=1, dp=6, out=None, n_over=13,
-                   samples_per_element=1000):
+def run_sharp_demo(delta=1e-5, eps=0.01, p=1, dp=6, out=None):
     """Sharp-gradient stability comparison on the initial mesh.
 
     Solves with both test norms, reports the overshoot of each, and (when
@@ -250,10 +229,9 @@ def run_sharp_demo(delta=1e-5, eps=0.01, p=1, dp=6, out=None, n_over=13,
     """
     mesh = initial_mesh(delta)
     problem = make_problem("sharp", eps, delta)
-    results = solve_problem(mesh, problem, eps=eps, p=p, dp=dp,
-                            norms=("app", "eng"), n_over=n_over)
-    overshoot = {n: overshoot_metric(results[n].trial, results[n].coeffs,
-                                     samples_per_element) for n in ("app", "eng")}
+    results = solve_problem(mesh, problem, eps=eps, p=p, dp=dp, norms=("app", "eng"))
+    overshoot = {n: overshoot_metric(results[n].trial, results[n].coeffs)
+                 for n in ("app", "eng")}
     if out:
         xs = np.concatenate([np.linspace(*mesh.bounds(e), 201)[:-1]
                              for e in mesh.interior_elements] + [[1.0]])

@@ -1,58 +1,37 @@
 """Nonlocal kernel pair, manufactured solutions and forcing functions."""
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 
-def _const_diff_profile(r):
-    return np.full_like(np.asarray(r, dtype=float), 1.5)
-
-
-def _const_conv_profile(r):
-    return 1.5 * np.asarray(r, dtype=float)
-
-
 @dataclass(frozen=True)
 class KernelPair:
-    """Scaled diffusion/convection kernel pair with horizon ``delta``.
+    """The built-in diffusion/convection kernel pair with horizon ``delta``.
 
-    The reference profiles live on [0, 1]; the scaled kernels are
-    ``delta**-3 * diff_profile(|s|/delta)`` and
-    ``delta**-2 * conv_profile(|s|/delta)`` (both zero outside the horizon).
-    The built-in pair satisfies the unit second/first moment normalizations
-    and the pointwise relation conv = |s| * diff / eta.
-
-    Profiles may be any callables, but the assembly assumes polynomial ones:
-    the nested Gauss quadrature is exact to roundoff only when every piece
-    integrand is a polynomial, and the Taylor form of the self window (used
-    when delta is small against the element) is exact only then.  Other
-    profiles get a quadrature error that this code does not estimate.
+    The diffusion kernel is 3/(2 delta**3) and the convection kernel
+    3|s|/(2 delta**3), both zero outside the horizon |s| <= delta.  They have
+    unit second and first moments, and conv = |s| * diff pointwise.  The
+    manufactured forcings of this module are derived for this pair.
     """
 
     delta: float
-    eta: float = 1.0
-    diff_profile: Callable = field(default=_const_diff_profile)
-    conv_profile: Callable = field(default=_const_conv_profile)
 
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError(f"horizon delta must be positive, got {self.delta}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"sector fraction eta must lie in (0, 1], got {self.eta}")
 
     def eval_diffusion(self, s):
         """Scaled diffusion kernel value at signed separation ``s``."""
         r = np.abs(np.asarray(s, dtype=float)) / self.delta
-        val = self.diff_profile(np.minimum(r, 1.0)) / self.delta**3
+        val = np.full_like(r, 1.5) / self.delta**3
         return np.where(r <= 1.0, val, 0.0)
 
     def eval_convection(self, s):
         """Scaled (unsigned) convection kernel value at signed separation ``s``."""
         r = np.abs(np.asarray(s, dtype=float)) / self.delta
-        val = self.conv_profile(np.minimum(r, 1.0)) / self.delta**2
+        val = 1.5 * np.minimum(r, 1.0) / self.delta**2
         return np.where(r <= 1.0, val, 0.0)
 
     def eval_convection_signed(self, s):
@@ -61,12 +40,9 @@ class KernelPair:
         return np.sign(s) * self.eval_convection(s)
 
 
-def constant_kernel_pair(delta, eta=1.0):
-    """Built-in pair: diffusion profile 3/2, convection profile 3|r|/(2 eta)."""
-    if eta == 1.0:
-        return KernelPair(delta)
-    return KernelPair(delta, eta, _const_diff_profile,
-                      lambda r: 1.5 * np.asarray(r, dtype=float) / eta)
+def constant_kernel_pair(delta):
+    """Built-in pair: diffusion profile 3/2, convection profile 3|r|/2."""
+    return KernelPair(delta)
 
 
 def exact_smooth(x):

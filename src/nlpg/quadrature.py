@@ -43,6 +43,12 @@ import numpy as np
 
 from .mesh import horizon_neighbors
 
+# Gauss points added to the polynomial order of the spaces in every rule.
+# The piece integrands of the operators are polynomial, but the forcing, the
+# exact solutions and the boundary data are not, and every reported number
+# depends on this value.
+N_OVER = 13
+
 
 @dataclass(frozen=True)
 class QuadRule:

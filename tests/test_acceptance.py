@@ -210,7 +210,7 @@ def test_criterion_6_sharp_stability():
         worst = []
         adaptive_loop(make_problem("sharp", 0.01, 0.01), cfg,
                       on_step=lambda s, m, res, i: worst.append(
-                          overshoot_metric(res.trial, res.coeffs, 1000)))
+                          overshoot_metric(res.trial, res.coeffs)))
         evolution[norm] = max(worst)
     ok &= evolution["app"] < evolution["eng"]
     _report("criterion 6", ok,

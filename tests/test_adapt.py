@@ -21,6 +21,13 @@ def test_zero_field_zero_indicators():
     assert ind.total == 0.0
 
 
+@pytest.mark.parametrize("norm", ["APP", "l2"])
+def test_localize_indicator_rejects_unknown_norm(norm):
+    test = Space(initial_mesh(0.1), 3)
+    with pytest.raises(ValueError, match="unknown test norm"):
+        localize_indicator(np.zeros(test.n_free), test, constant_kernel_pair(0.1), 0.01, norm)
+
+
 def test_indicator_support_locality():
     # a single bubble on element 3 only reaches its horizon neighbors (eng norm:
     # the app norm's global-mean term spreads over every element)

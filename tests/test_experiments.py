@@ -82,19 +82,19 @@ def test_overshoot_metric_zero_for_exact():
     from nlpg.kernels import exact_sharp
     sp = Space(initial_mesh(1e-3), 1)
     coeffs = sp.interpolate(lambda x: exact_sharp(x, 0.01))
-    assert overshoot_metric(sp, coeffs, 500) <= 1e-12
+    assert overshoot_metric(sp, coeffs) <= 1e-12
 
 
 def test_overshoot_metric_measures_range_violation():
     sp = Space(initial_mesh(0.1), 1)
     coeffs = sp.interpolate(lambda x: np.asarray(x, dtype=float))
     coeffs[sp.free_dofs[0]] = 1.3
-    assert overshoot_metric(sp, coeffs, 500) == pytest.approx(0.3, abs=1e-3)
+    assert overshoot_metric(sp, coeffs) == pytest.approx(0.3, abs=1e-3)
 
 
 def test_sharp_demo_writes_samples(tmp_path):
     out = tmp_path / "sharp.csv"
-    results, overshoot = run_sharp_demo(delta=1e-5, out=out, samples_per_element=50)
+    results, overshoot = run_sharp_demo(delta=1e-5, out=out)
     assert set(overshoot) == {"app", "eng"}
     lines = out.read_text().splitlines()
     assert lines[0] == "x,exact,u_app,u_eng"

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlpg.kernels import (KernelPair, constant_kernel_pair, exact_sharp,
-                          exact_smooth, forcing_sharp, forcing_smooth_local,
-                          forcing_smooth_nonlocal)
+from nlpg.kernels import (constant_kernel_pair, exact_sharp, exact_smooth, forcing_sharp,
+                          forcing_smooth_local, forcing_smooth_nonlocal)
 
 DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -31,8 +30,6 @@ def test_convection_kernel_values():
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         constant_kernel_pair(0.0)
-    with pytest.raises(ValueError):
-        KernelPair(0.1, eta=0.0)
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -58,7 +55,7 @@ def test_kernel_relation_pointwise():
         k = constant_kernel_pair(delta)
         s = rng.uniform(-delta, delta, size=1000)
         np.testing.assert_allclose(k.eval_convection(s),
-                                   np.abs(s) * k.eval_diffusion(s) / k.eta,
+                                   np.abs(s) * k.eval_diffusion(s),
                                    rtol=1e-13)
 
 

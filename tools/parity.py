@@ -14,10 +14,16 @@ For each case it keeps G, B and F of the mixed system, the relative energy
 and L2 errors, the squared indicators eta^2, and the energy seminorm of the
 residual representer psi (``energy_seminorm`` on the test space).  It
 prints, per quantity, the largest relative drift max|new - old| / max|old|
-over the grid and the number of cases that are not bit-identical, and exits
-1 if any drift exceeds 1e-12 (a shape change counts as infinite drift).
+over the grid and the number of cases that are not bit-identical.
+
+It then writes the study CSVs of the CLI with both trees (``nlpg run`` with
+each of this checkout's ``configs/*.cfg``, a uniform-p run, a delta = h
+local-limit run, and the three table presets) and lists every CSV that is
+not byte-identical.  It exits 1 if any drift exceeds 1e-12 (a shape change
+counts as infinite drift) or if any CSV differs.
 """
 
+import glob
 import io
 import os
 import subprocess
@@ -35,6 +41,15 @@ PROBLEMS = ("smooth-nonlocal", "sharp")
 ORDERS = ((1, 2), (2, 3), (1, 6))
 NORMS = ("app", "eng")
 QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2", "seminorm")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# CLI runs whose CSV is compared byte for byte, (CSV name, arguments); the
+# runs of the config files are added in _csv_runs
+CLI_RUNS = (
+    ("uniform_p.csv", ["run", "--refinement", "uniform-p", "--steps", "4"]),
+    ("local_h.csv", ["run", "--problem", "smooth-local-forcing", "--coupling", "h",
+                     "--steps", "7"]),
+    *((f"{t}.csv", [t, "--steps", "3"]) for t in ("table1", "table3", "table7")),
+)
 
 
 def _mesh(kind, delta):
@@ -89,6 +104,31 @@ def _run_grid(src, path):
         return {key: data[key] for key in data.files}
 
 
+def _csv_runs():
+    configs = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
+    return [(os.path.basename(c)[:-4] + ".csv", ["run", "--config", c])
+            for c in configs] + list(CLI_RUNS)
+
+
+def _write_csvs(src, outdir):
+    """Write every CSV of _csv_runs with the nlpg in src; None where a run fails."""
+    os.makedirs(outdir)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = {}
+    for name, args in _csv_runs():
+        path = os.path.join(outdir, name)
+        flag = "--output" if args[0] == "run" else "--out"
+        proc = subprocess.run([sys.executable, "-m", "nlpg.cli", *args, flag, path],
+                              env=env, cwd=outdir, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{name}: run failed with {src}: {proc.stderr.strip()}", file=sys.stderr)
+            out[name] = None
+        else:
+            with open(path, "rb") as fh:
+                out[name] = fh.read()
+    return out
+
+
 def _drift(new, old):
     if new.shape != old.shape:
         return np.inf
@@ -103,8 +143,7 @@ def main(argv):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     rev = argv[0]
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    archive = subprocess.run(["git", "-C", root, "archive", "--format=tar", rev, "src"],
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
                              capture_output=True)
     if archive.returncode != 0:
         print(archive.stderr.decode().strip(), file=sys.stderr)
@@ -113,7 +152,9 @@ def main(argv):
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp)
         old = _run_grid(os.path.join(tmp, "src"), os.path.join(tmp, "old.npz"))
-        new = _run_grid(os.path.join(root, "src"), os.path.join(tmp, "new.npz"))
+        new = _run_grid(os.path.join(ROOT, "src"), os.path.join(tmp, "new.npz"))
+        old_csv = _write_csvs(os.path.join(tmp, "src"), os.path.join(tmp, "old_csv"))
+        new_csv = _write_csvs(os.path.join(ROOT, "src"), os.path.join(tmp, "new_csv"))
 
     cases = sorted({key.split("|")[0] for key in old})
     worst = 0.0
@@ -124,8 +165,13 @@ def main(argv):
         differing = sum(not np.array_equal(new[f"{c}|{q}"], old[f"{c}|{q}"]) for c in cases)
         worst = max(worst, max(drifts))
         print(f"{q:<12}{max(drifts):>15.3e}{differing:>18d}")
-    ok = worst <= BOUND
-    print(f"max drift {worst:.3e} {'<=' if ok else '>'} {BOUND:g}: {'PASS' if ok else 'FAIL'}")
+    differ = [name for name in old_csv if old_csv[name] is None or new_csv[name] != old_csv[name]]
+    for name in differ:
+        print(f"CSV differs: {name}")
+    print(f"{len(old_csv) - len(differ)} of {len(old_csv)} CSVs byte-identical")
+    ok = worst <= BOUND and not differ
+    print(f"max drift {worst:.3e} {'<=' if worst <= BOUND else '>'} {BOUND:g}, "
+          f"{len(differ)} CSVs differing: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
