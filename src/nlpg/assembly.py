@@ -106,13 +106,11 @@ def assemble_nonlocal_forms(test, columns, kernel):
     wants = [[f for f, w in enumerate(flags) if w] for _, *flags in columns]
     needed = set().union(*wants)
 
-    # per-element inner grids and basis tables for the fully-contained case
-    elem_y = [rule_in.map_to(*mesh.bounds(j)) for j in range(mesh.n_elements)]
-    tables = {}
-    for space, _, _ in columns:
-        if id(space) not in tables:
-            tables[id(space)] = [space.local_basis(j, elem_y[j][0])
-                                 for j in range(mesh.n_elements)]
+    # per-element inner grids and, per column space, basis tables for the
+    # fully-contained case
+    every = np.arange(mesh.n_elements)
+    elem_y, elem_w = rule_in.map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    tables = [space.local_basis(every[:, None], elem_y) for space, _, _ in columns]
 
     rows_of = _free_row_data(test)
     mats = [tuple(np.zeros((test.n_free, s.n_dofs)) if w else None for w in flags)
@@ -139,7 +137,7 @@ def assemble_nonlocal_forms(test, columns, kernel):
                 yp, ym = xs[:, None] + t, xs[:, None] - t
             else:
                 if contained:
-                    y, wy = elem_y[j]
+                    y, wy = elem_y[j], elem_w[j]
                 else:
                     y, wy = inner_points(xs, bj, delta, q_in, w_in,
                                          split=case == SELF_CLIPPED)
@@ -147,14 +145,14 @@ def assemble_nonlocal_forms(test, columns, kernel):
                 wK = {f: FORMS[f].factor * FORMS[f].signed(kernel, s) * wy for f in needed}
                 sK = {f: wK[f].sum(axis=-1) for f in needed}
 
-            for (space, _, _), forms, mat in zip(columns, wants, mats):
+            for (space, _, _), table, forms, mat in zip(columns, tables, wants, mats):
                 Bx = Btx if space is test else space.local_basis(i, xs)
                 cols_i = space.element_dofs(i)
                 if case == SELF_INSIDE and not taylor:
                     Byp = space.local_basis(i, yp)
                     Bym = space.local_basis(i, ym)
                 elif case != SELF_INSIDE:
-                    By = tables[id(space)][j] if contained else space.local_basis(j, y)
+                    By = table[j] if contained else space.local_basis(j, y)
                     if j == i:
                         # same column block: difference the basis values
                         # before applying the O(delta^-3) kernel weights, so
@@ -253,7 +251,7 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
             y, wy = inner_points(xs, bj, delta, q_in, w_in, split=False)
             s = y - xs[:, None]
             defect = (np.asarray(boundary(y.ravel()), dtype=float).reshape(y.shape)
-                      - trial.local_basis(j, y) @ lift[trial.element_dofs(j)])
+                      - trial.values(lift, np.full(len(y), j), y))
             # b(w, v) = eps (-L_delta w, v) + (G_delta w, v) by the form table
             dens = sum(form.factor * weight * form.signed(kernel, s)
                        for form, weight in zip(FORMS, (eps, 1.0))) * wy * defect

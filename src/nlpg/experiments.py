@@ -55,10 +55,11 @@ class RunConfig:
                 f"refinement: unknown value {self.refinement!r}, expected {REFINEMENTS}")
         if self.coupling != "fixed" and self.refinement != "uniform-h":
             raise ValueError("coupling: delta couplings require refinement = uniform-h")
-        if self.coupling == "fixed" and self.delta <= 0.0:
-            raise ValueError(f"delta: must be positive, got {self.delta}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps: must be positive, got {self.eps}")
+        # NaN fails both comparisons
+        if self.coupling == "fixed" and not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta: must be positive and finite, got {self.delta}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps: must be positive and finite, got {self.eps}")
         if self.p < 1:
             raise ValueError(f"p: must be >= 1, got {self.p}")
         if self.dp < 1:
@@ -81,6 +82,20 @@ def coupling_delta(coupling, h):
     raise ValueError(f"coupling: unknown value {coupling!r}")
 
 
+def _study(cfg, norms, steps, on_step, dof_rates=False):
+    """Solve every (mesh, problem, p) of ``steps`` for the test norms; {norm: [records]}."""
+    norms = tuple(norms) if norms else (cfg.norm,)
+    out = {n: [] for n in norms}
+    for step, (mesh, problem, p) in enumerate(steps):
+        results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp, norms=norms)
+        for n in norms:
+            prev = out[n][-1] if out[n] else None
+            out[n].append(step_record(step, mesh, results[n], prev, dof_rates))
+        if on_step is not None:
+            on_step(step, mesh, results[cfg.norm], None)
+    return out
+
+
 def uniform_h_study(cfg, norms=None, on_step=None):
     """Uniform h-refinement records for one or several test norms at once.
 
@@ -89,51 +104,29 @@ def uniform_h_study(cfg, norms=None, on_step=None):
     solve, as in ``adaptive_loop``; result is that of ``cfg.norm``, which
     must then be among ``norms``.
     """
-    norms = tuple(norms) if norms else (cfg.norm,)
-    out = {n: [] for n in norms}
-    prev = {n: None for n in norms}
-    mesh = None
-    for step in range(max(1, cfg.steps)):
-        if cfg.coupling == "fixed":
-            mesh = initial_mesh(cfg.delta) if mesh is None else mesh
-        else:
-            n_int = 5 * 2**step
-            mesh = uniform_mesh(coupling_delta(cfg.coupling, _INITIAL_H / 2**step), n_int)
-        problem = make_problem(cfg.problem, cfg.eps, mesh.delta)
-        results = solve_problem(mesh, problem, eps=cfg.eps, p=cfg.p, dp=cfg.dp, norms=norms)
-        for n in norms:
-            rec = step_record(step, mesh, results[n], prev[n])
-            out[n].append(rec)
-            prev[n] = rec
-        if on_step is not None:
-            on_step(step, mesh, results[cfg.norm], None)
-        if cfg.coupling == "fixed":
-            mesh = refine_uniform(mesh)
-    return out
+    def steps():
+        mesh = None
+        for step in range(max(1, cfg.steps)):
+            if cfg.coupling != "fixed":
+                mesh = uniform_mesh(coupling_delta(cfg.coupling, _INITIAL_H / 2**step),
+                                    5 * 2**step)
+            else:
+                mesh = initial_mesh(cfg.delta) if mesh is None else refine_uniform(mesh)
+            yield mesh, make_problem(cfg.problem, cfg.eps, mesh.delta), cfg.p
+
+    return _study(cfg, norms, steps(), on_step)
 
 
-def uniform_p_study(cfg, norms=None, on_step=None):
+def uniform_p_study(cfg, on_step=None):
     """Uniform p-refinement on the fixed initial mesh, trial orders 1..steps.
 
-    ``on_step`` is called as in ``uniform_h_study``.
+    ``on_step`` is called as in ``uniform_h_study``.  Rates are taken against
+    DOF growth, which matches halving rates only asymptotically.
     """
-    norms = tuple(norms) if norms else (cfg.norm,)
-    out = {n: [] for n in norms}
-    prev = {n: None for n in norms}
     mesh = initial_mesh(cfg.delta)
     problem = make_problem(cfg.problem, cfg.eps, cfg.delta)
-    for step in range(max(1, cfg.steps)):
-        p = step + 1
-        results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp, norms=norms)
-        for n in norms:
-            # p-sweeps report rates against DOF growth, matching halving rates
-            # only asymptotically
-            rec = step_record(step, mesh, results[n], prev[n], dof_rates=True)
-            out[n].append(rec)
-            prev[n] = rec
-        if on_step is not None:
-            on_step(step, mesh, results[cfg.norm], None)
-    return out
+    steps = ((mesh, problem, step + 1) for step in range(max(1, cfg.steps)))
+    return _study(cfg, None, steps, on_step, dof_rates=True)
 
 
 def run(cfg, on_step=None):
@@ -156,15 +149,11 @@ def overshoot_metric(space, coeffs):
 
     Sampled at 1000 equispaced points per interior element.
     """
-    worst = 0.0
-    coeffs = np.asarray(coeffs, dtype=float)
-    for e in space.mesh.interior_elements:
-        a, b = space.mesh.bounds(e)
-        xs = np.linspace(a, b, 1000, endpoint=False)
-        vals = space.local_basis(e, xs) @ coeffs[space.element_dofs(e)]
-        worst = max(worst, float(np.maximum(vals - 1.0, 0.0).max()),
-                    float(np.maximum(-vals, 0.0).max()))
-    return worst
+    interior = space.mesh.interior_elements
+    nodes = space.mesh.nodes
+    xs = np.linspace(nodes[interior], nodes[interior + 1], 1000, endpoint=False, axis=1)
+    vals = space.values(coeffs, interior, xs)
+    return max(0.0, float(vals.max()) - 1.0, -float(vals.min()))
 
 
 def _cell(record, name, spec):
@@ -221,27 +210,25 @@ def run_table7(norm="app", steps=9, out=None):
                        out, problem="smooth-local-forcing", norm=norm, steps=steps)
 
 
-def run_sharp_demo(delta=1e-5, eps=0.01, p=1, dp=6, out=None):
-    """Sharp-gradient stability comparison on the initial mesh.
+def run_sharp_demo(delta=1e-5, eps=0.01, dp=6, out=None):
+    """Sharp-gradient stability comparison on the initial mesh, trial order 1.
 
     Solves with both test norms, reports the overshoot of each, and (when
     ``out`` is given) writes sampled solution curves x,exact,u_app,u_eng.
     """
     mesh = initial_mesh(delta)
     problem = make_problem("sharp", eps, delta)
-    results = solve_problem(mesh, problem, eps=eps, p=p, dp=dp, norms=("app", "eng"))
+    results = solve_problem(mesh, problem, eps=eps, p=1, dp=dp, norms=("app", "eng"))
     overshoot = {n: overshoot_metric(results[n].trial, results[n].coeffs)
                  for n in ("app", "eng")}
     if out:
-        xs = np.concatenate([np.linspace(*mesh.bounds(e), 201)[:-1]
-                             for e in mesh.interior_elements] + [[1.0]])
-        with open(out, "w") as fh:
-            fh.write("x,exact,u_app,u_eng\n")
-            ua = results["app"].trial.evaluate(results["app"].coeffs, xs)
-            ue = results["eng"].trial.evaluate(results["eng"].coeffs, xs)
-            ex = problem.u_exact(xs)
-            for row in zip(xs, ex, ua, ue):
-                fh.write(",".join(format(v, ".8e") for v in row) + "\n")
+        interior = mesh.interior_elements
+        xs = np.append(np.linspace(mesh.nodes[interior], mesh.nodes[interior + 1], 201,
+                                   axis=1)[:, :-1], 1.0)
+        curves = [results[n].trial.evaluate(results[n].coeffs, xs) for n in ("app", "eng")]
+        _write_csv(["x", "exact", "u_app", "u_eng"],
+                   [[format(v, ".8e") for v in row]
+                    for row in zip(xs, problem.u_exact(xs), *curves)], out)
     return results, overshoot
 
 

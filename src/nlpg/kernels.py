@@ -19,8 +19,8 @@ class KernelPair:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"horizon delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:   # NaN fails both comparisons
+            raise ValueError(f"horizon delta must be positive and finite, got {self.delta}")
 
     def eval_diffusion(self, s):
         """Scaled diffusion kernel value at signed separation ``s``."""

@@ -1,5 +1,6 @@
 """1-D meshes on (-delta, 1+delta) with fixed interaction-domain elements."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ class Mesh1d:
         nodes = np.asarray(self.nodes, dtype=float)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-        if self.delta <= 0.0:
-            raise ValueError(f"horizon delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:   # NaN fails both comparisons
+            raise ValueError(f"horizon delta must be positive and finite, got {self.delta}")
         if len(nodes) < 4 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("mesh nodes must be strictly increasing with >= 3 elements")
         tol = _REL_TOL * max(1.0, self.delta)
@@ -57,8 +58,6 @@ class Mesh1d:
 
 def uniform_mesh(delta, n_interior):
     """Mesh with ``n_interior`` equal elements on (0, 1) plus the two exterior ones."""
-    if delta <= 0.0:
-        raise ValueError(f"horizon delta must be positive, got {delta}")
     if n_interior < 1:
         raise ValueError("need at least one interior element")
     nodes = np.concatenate(([-delta], np.linspace(0.0, 1.0, n_interior + 1), [1.0 + delta]))

@@ -6,6 +6,9 @@ left-to-right first, then element-interior bubbles element by element.  A DOF
 is *free* when its basis function vanishes identically on the exterior
 elements and at x in {0, 1}; everything else is *constrained* and carries
 boundary data.
+
+Every evaluation of a discrete function at points of known elements goes
+through one method, ``Space.values``.
 """
 
 import numpy as np
@@ -122,6 +125,22 @@ class Space:
         """Coefficients matching f at the interpolation nodes."""
         return np.asarray(f(self.dof_positions), dtype=float).copy()
 
+    def values(self, coeffs, elems, x):
+        """Values at x of the function with these coefficients.
+
+        Row k of x (x[k], of any shape) lies in element elems[k].  Each row is
+        one matrix-vector product (``@``), so it equals a single element's
+        ``local_basis(e, x[k]) @ coeffs[element_dofs(e)]`` bit for bit.  The
+        energy norm needs that: g(y) - g(x) cancels for |y - x| <= delta, and
+        a contraction that sums in another order (``einsum``) moved the
+        relative energy error at delta = 1e-5 by 1.3e-11.
+        """
+        elems = np.asarray(elems)
+        x = np.asarray(x, dtype=float)
+        basis = self.local_basis(elems.reshape((-1,) + (1,) * (x.ndim - 1)), x)
+        local = np.asarray(coeffs, dtype=float)[self._element_dofs[elems]][:, :, None]
+        return (basis.reshape(len(elems), -1, basis.shape[-1]) @ local).reshape(x.shape)
+
     def evaluate(self, coeffs, x):
         """Evaluate the piecewise polynomial with these coefficients at x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -130,12 +149,7 @@ class Space:
         if np.any(x < nodes[0] - tol) or np.any(x > nodes[-1] + tol):
             raise ValueError("evaluation point outside the computational domain")
         elems = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, self.mesh.n_elements - 1)
-        out = np.empty_like(x)
-        coeffs = np.asarray(coeffs, dtype=float)
-        for e in np.unique(elems):
-            sel = elems == e
-            out[sel] = self.local_basis(e, x[sel]) @ coeffs[self._element_dofs[e]]
-        return out
+        return self.values(coeffs, elems.ravel(), x.ravel()).reshape(x.shape)
 
 
 def boundary_lift(space, g):

@@ -198,7 +198,7 @@ def test_criterion_5_adaptive_slopes(adaptive_runs):
 
 
 def test_criterion_6_sharp_stability():
-    _, coarse = run_sharp_demo(delta=1e-5, eps=0.01, p=1, dp=6)
+    _, coarse = run_sharp_demo(delta=1e-5, eps=0.01, dp=6)
     ok = coarse["app"] <= 0.05
     ok &= coarse["eng"] >= 5.0 * coarse["app"]
     # the delta = 0.01 comparison tracks the adaptive evolution the figures

@@ -1,5 +1,6 @@
 """Run configuration, CSV output, determinism, presets, CLI."""
 
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -30,6 +31,11 @@ def test_config_validation_messages():
         RunConfig(theta=0.0).validate()
     with pytest.raises(ValueError, match="delta"):
         RunConfig(delta=-1.0).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"delta: must be positive and finite, got {bad}"):
+            RunConfig(delta=bad).validate()
+        with pytest.raises(ValueError, match=f"eps: must be positive and finite, got {bad}"):
+            RunConfig(eps=bad).validate()
 
 
 def test_coupling_delta_values():
@@ -83,6 +89,11 @@ def test_overshoot_metric_zero_for_exact():
     sp = Space(initial_mesh(1e-3), 1)
     coeffs = sp.interpolate(lambda x: exact_sharp(x, 0.01))
     assert overshoot_metric(sp, coeffs) <= 1e-12
+    # order 3 reproduces this quadratic; its maximum 1 lies at x = 0.5, inside
+    # the element (0.4, 0.6)
+    sp = Space(initial_mesh(1e-3), 3)
+    coeffs = sp.interpolate(lambda x: 1.0 - 4.0 * (x - 0.5)**2)
+    assert overshoot_metric(sp, coeffs) <= 1e-12
 
 
 def test_overshoot_metric_measures_range_violation():
@@ -90,6 +101,11 @@ def test_overshoot_metric_measures_range_violation():
     coeffs = sp.interpolate(lambda x: np.asarray(x, dtype=float))
     coeffs[sp.free_dofs[0]] = 1.3
     assert overshoot_metric(sp, coeffs) == pytest.approx(0.3, abs=1e-3)
+    # maximum 1.3 at x = 0.5, inside the element (0.4, 0.6); its nodes reach
+    # 1.25 at the vertices and 1.29 inside
+    sp = Space(initial_mesh(0.1), 3)
+    coeffs = sp.interpolate(lambda x: 1.3 - 5.0 * (x - 0.5)**2)
+    assert overshoot_metric(sp, coeffs) == pytest.approx(0.3, abs=1e-6)
 
 
 def test_sharp_demo_writes_samples(tmp_path):

@@ -30,6 +30,9 @@ def test_convection_kernel_values():
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         constant_kernel_pair(0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            constant_kernel_pair(bad)
 
 
 @pytest.mark.parametrize("delta", DELTAS)

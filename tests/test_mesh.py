@@ -25,6 +25,9 @@ def test_initial_mesh_rejects_bad_delta():
         initial_mesh(0.0)
     with pytest.raises(ValueError):
         initial_mesh(-0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            initial_mesh(bad)
 
 
 def test_refine_uniform():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlpg.mesh import initial_mesh, refine_uniform
+from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
 from nlpg.space import Space, boundary_lift
 
 
@@ -67,6 +67,30 @@ def test_evaluate_basics():
     for node in (0.2, 0.4, 0.8):
         left, right = sp.evaluate(c, np.array([node - 1e-13, node + 1e-13]))
         assert abs(left - right) <= 1e-11
+
+
+def _graded_mesh():
+    mesh = uniform_mesh(0.1, 10)
+    for _ in range(3):
+        mesh = refine_marked(mesh, [mesh.n_elements - 2])
+    return mesh
+
+
+@pytest.mark.parametrize("p", [1, 3, 7])
+@pytest.mark.parametrize("make_mesh", [lambda: uniform_mesh(0.1, 10), _graded_mesh],
+                         ids=["uniform", "graded"])
+def test_values_match_per_element_products(make_mesh, p):
+    # bit for bit the product a single element gives, for rows of several
+    # points and of one point, in elements drawn in mixed order
+    sp = Space(make_mesh(), p)
+    rng = np.random.default_rng(p)
+    coeffs = rng.standard_normal(sp.n_dofs)
+    elems = rng.integers(0, sp.mesh.n_elements, size=60)
+    a, b = sp.mesh.nodes[elems], sp.mesh.nodes[elems + 1]
+    for x in (a[:, None] + rng.uniform(size=(60, 17)) * (b - a)[:, None],
+              a + rng.uniform(size=60) * (b - a)):
+        ref = [sp.local_basis(e, xk) @ coeffs[sp.element_dofs(e)] for e, xk in zip(elems, x)]
+        assert np.array_equal(sp.values(coeffs, elems, x), np.reshape(ref, x.shape))
 
 
 def test_evaluate_outside_domain_raises():

@@ -18,9 +18,10 @@ over the grid and the number of cases that are not bit-identical.
 
 It then writes the study CSVs of the CLI with both trees (``nlpg run`` with
 each of this checkout's ``configs/*.cfg``, a uniform-p run, a delta = h
-local-limit run, and the three table presets) and lists every CSV that is
-not byte-identical.  It exits 1 if any drift exceeds 1e-12 (a shape change
-counts as infinite drift) or if any CSV differs.
+local-limit run, the three table presets, and the sampled solution curves
+of ``sharp-demo``) and lists every CSV that is not byte-identical.  It exits
+1 if any drift exceeds 1e-12 (a shape change counts as infinite drift) or if
+any CSV differs.
 """
 
 import glob
@@ -49,6 +50,7 @@ CLI_RUNS = (
     ("local_h.csv", ["run", "--problem", "smooth-local-forcing", "--coupling", "h",
                      "--steps", "7"]),
     *((f"{t}.csv", [t, "--steps", "3"]) for t in ("table1", "table3", "table7")),
+    ("sharp_demo.csv", ["sharp-demo"]),
 )
 
 
