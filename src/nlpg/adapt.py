@@ -44,8 +44,8 @@ def localize_indicator(psi, test, kernel, eps, norm):
 
     eta2 = np.zeros(len(interior))
     scale = eps**2 if norm == "app" else 1.0
-    for i, js, (val,) in pairwise_energy_contributions(
-            test, [(coeffs, None)], kernel, range(mesh.n_elements)):
+    for i, js, (val,) in pairwise_energy_contributions(test, [(coeffs, None)], kernel,
+                                                       interior_only=False):
         target = np.full(len(js), i) if mesh.is_interior(i) else js
         inside = (target > 0) & (target < mesh.n_elements - 1)
         # unbuffered, in piece order: interior element e is entry e - 1

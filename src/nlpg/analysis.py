@@ -74,13 +74,13 @@ def _field_values(space, field, elems, pts):
     return vals
 
 
-def pairwise_energy_contributions(space, fields, kernel, outer_elements, inner_interior=False):
+def pairwise_energy_contributions(space, fields, kernel, interior_only):
     """Per outer element, the gamma-weighted squared-difference double integrals.
 
     ``fields`` is a list of (coeffs, exact) pairs defining g = u_h - exact
     (either part may be None).  Yields (i, js, values) for every outer element
-    K_i, where js[k] is the inner element of the k-th piece of
-    ``element_pieces`` and
+    K_i in ascending order, where js[k] is the inner element of the k-th piece
+    of ``element_pieces`` and
 
         values[f][k] = int_{piece k} int_{K_j ∩ B_delta(x)} gamma_diff (g(y)-g(x))^2 dy dx
 
@@ -88,8 +88,9 @@ def pairwise_energy_contributions(space, fields, kernel, outer_elements, inner_i
     assembly, so the sums agree with the assembled quadratic forms to roundoff.
     The pieces of one element are evaluated in three batches (K_j contained in
     the ball, the self window split at x, and the clipped windows), each with
-    one set of array operations.  ``inner_interior`` skips exterior inner
-    elements (the Omega x Omega error convention).
+    one set of array operations.  ``interior_only`` restricts both elements
+    to the interior, Omega x Omega (the error convention); otherwise both run
+    over all of Omega_delta.
     """
     mesh = space.mesh
     delta = mesh.delta
@@ -103,9 +104,9 @@ def pairwise_energy_contributions(space, fields, kernel, outer_elements, inner_i
     every = np.arange(mesh.n_elements)
     elem_vals = [_field_values(space, f, every, elem_y) for f in fields]
 
-    for i in outer_elements:
+    for i in mesh.interior_elements if interior_only else every:
         js, lo, hi, case = element_pieces(mesh, i)
-        if inner_interior:
+        if interior_only:
             interior = (js > 0) & (js < mesh.n_elements - 1)
             js, lo, hi, case = js[interior], lo[interior], hi[interior], case[interior]
         xs, wx = rule.map_to(lo[:, None], hi[:, None])
@@ -142,8 +143,8 @@ def energy_error_norms(space, coeffs, u_exact, kernel):
     err2 = 0.0
     ex2 = 0.0
     fields = [(coeffs, u_exact), (None, u_exact)]
-    for _, _, (a, b) in pairwise_energy_contributions(
-            space, fields, kernel, space.mesh.interior_elements, inner_interior=True):
+    for _, _, (a, b) in pairwise_energy_contributions(space, fields, kernel,
+                                                        interior_only=True):
         err2 += a.sum()
         ex2 += b.sum()
     return math.sqrt(err2), math.sqrt(ex2)
@@ -160,7 +161,7 @@ def error_energy(space, coeffs, u_exact, kernel):
 def energy_seminorm(space, coeffs, kernel):
     """S_delta seminorm of a discrete function, over the full Omega_delta."""
     total = sum(v[0].sum() for _, _, v in pairwise_energy_contributions(
-        space, [(coeffs, None)], kernel, range(space.mesh.n_elements)))
+        space, [(coeffs, None)], kernel, interior_only=False))
     return math.sqrt(total)
 
 
@@ -206,7 +207,7 @@ def compute_discrete_optimal_norm(v, test, kernel, eps):
     nonlocal gradient of v; an offline diagnostic, not a solver norm.
     """
     v = np.asarray(v, dtype=float)
-    (A, C), = assemble_nonlocal_forms(test, [(test, True, True)], kernel)
+    (A, C), = assemble_nonlocal_forms(test, [(test, True)], kernel)
     Aff = A[:, test.free_dofs]
     Aff = 0.5 * (Aff + Aff.T)
     w = C[:, test.free_dofs] @ v

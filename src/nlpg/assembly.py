@@ -23,9 +23,10 @@ written once, yields local blocks (columns, block) for every wanted form, and
 one statement adds them into the matrices.  ``boundary_defect_load`` builds
 its density from the same table.
 
-One path builds the discrete problem: ``assemble_parts`` collects the
-norm-independent pieces once per mesh, and ``mixed_system_from_parts`` turns
-them into G, B and F for one test norm.
+One path builds the discrete problem, in two stages.  ``assemble_parts``
+builds all but the Gram matrix once per mesh (the lift, B and F, freeing the
+trial-column operators), and ``mixed_system_from_parts`` adds one test norm's
+Gram matrix, so the systems of several norms share B, F and the lift.
 """
 
 from dataclasses import dataclass
@@ -86,35 +87,34 @@ def _taylor_matrix(space, wK_t, tau, parity):
 def assemble_nonlocal_forms(test, columns, kernel):
     """Assemble (-L_delta u, v) and (b.G_delta u, v) matrices in one sweep.
 
-    ``columns`` is a sequence of (space, want_diffusion, want_convection)
-    triples sharing the test space's mesh; the returned list holds one
-    (A, C) pair per entry (None where not requested).  Rows are free test
-    DOFs, columns all DOFs of the respective column space.
+    ``columns`` is a sequence of (space, with_convection) pairs sharing the
+    test space's mesh; the returned list holds one (A, C) pair per entry, C
+    None where convection is not requested.  Rows are free test DOFs, columns
+    all DOFs of the respective column space.
     """
     mesh = test.mesh
     delta = mesh.delta
-    for space, _, _ in columns:
+    for space, _ in columns:
         _check_meshes(space, test)
 
     n_out = test.order + N_OVER
-    n_in = max(test.order, max(s.order for s, _, _ in columns)) + N_OVER
+    n_in = max(test.order, max(s.order for s, _ in columns)) + N_OVER
     rule_out = gauss_legendre(n_out)
     rule_in = gauss_legendre(n_in)
     q_in, w_in = unit_rule(n_in)
 
-    # indices into FORMS wanted by each column space, and by any of them
-    wants = [[f for f, w in enumerate(flags) if w] for _, *flags in columns]
-    needed = set().union(*wants)
+    # indices into FORMS wanted by each column space: diffusion, then convection
+    wants = [range(1 + conv) for _, conv in columns]
 
     # per-element inner grids and, per column space, basis tables for the
     # fully-contained case
     every = np.arange(mesh.n_elements)
     elem_y, elem_w = rule_in.map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    tables = [space.local_basis(every[:, None], elem_y) for space, _, _ in columns]
+    tables = [space.local_basis(every[:, None], elem_y) for space, _ in columns]
 
     rows_of = _free_row_data(test)
-    mats = [tuple(np.zeros((test.n_free, s.n_dofs)) if w else None for w in flags)
-            for s, *flags in columns]
+    mats = [(np.zeros((test.n_free, s.n_dofs)),
+             np.zeros((test.n_free, s.n_dofs)) if conv else None) for s, conv in columns]
 
     for i in mesh.interior_elements:
         rows, keep = rows_of[i]
@@ -130,8 +130,7 @@ def assemble_nonlocal_forms(test, columns, kernel):
                 # the O(delta^-3) kernel multiplies symmetric differences of
                 # the basis instead of two huge cancelling half-integrals
                 t = delta * q_in
-                wK = {f: FORMS[f].factor * FORMS[f].mirrored(kernel, t) * (delta * w_in)
-                      for f in needed}
+                wK = [form.factor * form.mirrored(kernel, t) * (delta * w_in) for form in FORMS]
                 tau = 2.0 * t / (bj[1] - bj[0])
                 taylor = tau[-1] <= 0.1
                 yp, ym = xs[:, None] + t, xs[:, None] - t
@@ -142,10 +141,10 @@ def assemble_nonlocal_forms(test, columns, kernel):
                     y, wy = inner_points(xs, bj, delta, q_in, w_in,
                                          split=case == SELF_CLIPPED)
                 s = (y[None, :] if contained else y) - xs[:, None]
-                wK = {f: FORMS[f].factor * FORMS[f].signed(kernel, s) * wy for f in needed}
-                sK = {f: wK[f].sum(axis=-1) for f in needed}
+                wK = [form.factor * form.signed(kernel, s) * wy for form in FORMS]
+                sK = [w.sum(axis=-1) for w in wK]
 
-            for (space, _, _), table, forms, mat in zip(columns, tables, wants, mats):
+            for (space, _), table, forms, mat in zip(columns, tables, wants, mats):
                 Bx = Btx if space is test else space.local_basis(i, xs)
                 cols_i = space.element_dofs(i)
                 if case == SELF_INSIDE and not taylor:
@@ -261,15 +260,15 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
 
 @dataclass
 class SystemParts:
-    """Norm-independent pieces of the discrete problem on one mesh."""
+    """All of the discrete problem on one mesh but the norm's Gram matrix."""
 
     trial: object
     test: object
-    kernel: object
-    A_vu: np.ndarray
-    C_vu: np.ndarray
+    eps: float
     A_vv: np.ndarray
-    load: np.ndarray
+    B: np.ndarray
+    F: np.ndarray
+    lift: np.ndarray
 
 
 @dataclass
@@ -283,14 +282,19 @@ class MixedSystem:
     lift: np.ndarray
 
 
-def assemble_parts(trial, test, kernel, forcing):
-    _check_meshes(trial, test)
+def assemble_parts(trial, test, kernel, eps, problem):
+    """The norm-independent parts: A_vv, the lift, B = op on the free trial
+    columns and F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu."""
     if test.n_free <= trial.n_free:
         raise ValueError("test space must be strictly richer than the trial space (dp >= 1)")
-    (A_vu, C_vu), (A_vv, _) = assemble_nonlocal_forms(
-        test, [(trial, True, True), (test, True, False)], kernel)
-    return SystemParts(trial, test, kernel, A_vu, C_vu,
-                       A_vv[:, test.free_dofs], load_vector(test, forcing))
+    (A_vu, C_vu), (A_vv, _) = assemble_nonlocal_forms(test, [(trial, True), (test, False)],
+                                                      kernel)
+    lift = boundary_lift(trial, problem.boundary)
+    op = eps * A_vu + C_vu
+    F = (load_vector(test, problem.forcing) - op @ lift
+         - boundary_defect_load(test, trial, lift, problem.boundary, eps, kernel))
+    return SystemParts(trial, test, eps, A_vv[:, test.free_dofs], op[:, trial.free_dofs],
+                       F, lift)
 
 
 def check_norm(norm):
@@ -316,12 +320,7 @@ def assemble_gram(test, diffusion_vv, eps, norm):
     return 0.5 * (G + G.T)
 
 
-def mixed_system_from_parts(parts, eps, norm, boundary):
-    """The discrete mixed problem for one test norm, from norm-independent parts."""
-    trial, test = parts.trial, parts.test
-    G = assemble_gram(test, parts.A_vv, eps, norm)
-    lift = boundary_lift(trial, boundary)
-    op = eps * parts.A_vu + parts.C_vu
-    F = (parts.load - op @ lift
-         - boundary_defect_load(test, trial, lift, boundary, eps, parts.kernel))
-    return MixedSystem(G=G, B=op[:, trial.free_dofs], F=F, trial=trial, lift=lift)
+def mixed_system_from_parts(parts, norm):
+    """The discrete mixed problem for one test norm: the parts plus its Gram matrix."""
+    return MixedSystem(G=assemble_gram(parts.test, parts.A_vv, parts.eps, norm),
+                       B=parts.B, F=parts.F, trial=parts.trial, lift=parts.lift)

@@ -54,7 +54,6 @@ def _run_command(args):
     overrides = {key: getattr(args, key) for key in _CONFIG_KEYS
                  if getattr(args, key) is not None}
     cfg = experiments.apply_overrides(cfg, overrides)
-    cfg.validate()
     # the dumps show the state of the run's last solve, kept as it happens
     last = {}
 

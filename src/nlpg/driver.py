@@ -15,7 +15,6 @@ from .space import Space
 class StepResult:
     """Solution of one problem on one mesh, with its error measures."""
 
-    mesh: object
     trial: object
     test: object
     system: object
@@ -38,15 +37,15 @@ def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
     kernel = constant_kernel_pair(mesh.delta)
-    parts = assemble_parts(trial, test, kernel, problem.forcing)
+    parts = assemble_parts(trial, test, kernel, eps, problem)
     out = {}
     for norm in norms:
-        system = mixed_system_from_parts(parts, eps, norm, problem.boundary)
+        system = mixed_system_from_parts(parts, norm)
         solution = solve_mixed(system)
         coeffs = expand_solution(system, solution)
         err, exact = energy_error_norms(trial, coeffs, problem.u_exact, kernel)
         out[norm] = StepResult(
-            mesh=mesh, trial=trial, test=test, system=system, solution=solution,
+            trial=trial, test=test, system=system, solution=solution,
             coeffs=coeffs, err_energy=err / exact,
             err_l2=error_l2(trial, coeffs, problem.u_exact))
     return out

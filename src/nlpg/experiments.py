@@ -216,6 +216,7 @@ def run_sharp_demo(delta=1e-5, eps=0.01, dp=6, out=None):
     Solves with both test norms, reports the overshoot of each, and (when
     ``out`` is given) writes sampled solution curves x,exact,u_app,u_eng.
     """
+    RunConfig(problem="sharp", eps=eps, delta=delta, dp=dp).validate()
     mesh = initial_mesh(delta)
     problem = make_problem("sharp", eps, delta)
     results = solve_problem(mesh, problem, eps=eps, p=1, dp=dp, norms=("app", "eng"))
@@ -233,8 +234,8 @@ def run_sharp_demo(delta=1e-5, eps=0.01, dp=6, out=None):
 
 
 def config_from_file(path):
-    """Parse a flat ``key = value`` config file into a RunConfig."""
-    values = {}
+    """Parse a flat ``key = value`` config file into a RunConfig; later lines win."""
+    cfg = RunConfig()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -243,22 +244,22 @@ def config_from_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return apply_overrides(RunConfig(), values)
+            try:
+                cfg = apply_overrides(cfg, {key.strip(): val.strip()})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return cfg
 
 
 def apply_overrides(cfg, values):
-    """Apply string key/value overrides onto a RunConfig."""
+    """Apply string key/value overrides onto a RunConfig, converted by field type."""
     types = {f.name: f.type for f in fields(RunConfig)}
     converted = {}
     for key, val in values.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        kind = types[key]
-        if kind is int or kind == "int":
-            converted[key] = int(val)
-        elif kind is float or kind == "float":
-            converted[key] = float(val)
-        else:
-            converted[key] = val
+        try:
+            converted[key] = types[key](val)
+        except ValueError:
+            raise ValueError(f"{key}: expected {types[key].__name__}, got {val!r}") from None
     return replace(cfg, **converted)

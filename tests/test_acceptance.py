@@ -239,7 +239,7 @@ def test_criterion_7_property_suite():
     mesh = refine_uniform(initial_mesh(delta))
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
-    (Avv, Cvv), = assemble_nonlocal_forms(test, [(test, True, True)], kernel)
+    (Avv, Cvv), = assemble_nonlocal_forms(test, [(test, True)], kernel)
     Aff, Cff = Avv[:, test.free_dofs], Cvv[:, test.free_dofs]
     anti = np.abs(Cff + Cff.T).max() / np.abs(Cff).max()
     ok &= anti <= 1e-10

@@ -50,7 +50,7 @@ def test_indicator_sum_matches_gram_quadratic_form(norm, delta):
     rng = np.random.default_rng(9)
     psi = rng.standard_normal(test.n_free)
     ind = localize_indicator(psi, test, kernel, 0.01, norm)
-    (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
+    (Avv, _), = assemble_nonlocal_forms(test, [(test, False)], kernel)
     if norm == "app":
         G = assemble_gram(test, Avv[:, test.free_dofs], 0.01, "app")
         target = psi @ G @ psi

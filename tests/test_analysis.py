@@ -169,7 +169,7 @@ def test_optimal_norm_close_to_app_norm():
     mesh = refine_uniform(refine_uniform(initial_mesh(delta)))
     test = Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
-    (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
+    (Avv, _), = assemble_nonlocal_forms(test, [(test, False)], kernel)
     G = assemble_gram(test, Avv[:, test.free_dofs], eps, "app")
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -191,7 +191,7 @@ def test_optimal_norm_shrinks_toward_app_with_delta():
         test = Space(mesh, 2)
         kernel = constant_kernel_pair(delta)
         v = test.interpolate(lambda x: np.sin(2 * np.pi * x) + x * (1 - x))[test.free_dofs]
-        (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
+        (Avv, _), = assemble_nonlocal_forms(test, [(test, False)], kernel)
         G = assemble_gram(test, Avv[:, test.free_dofs], eps, "app")
         app = math.sqrt(v @ G @ v)
         opt = compute_discrete_optimal_norm(v, test, kernel, eps)

@@ -8,6 +8,7 @@ from nlpg.assembly import (assemble_gram, assemble_mass_mean, assemble_nonlocal_
                            assemble_parts, mixed_system_from_parts)
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform
+from nlpg.problems import Problem
 from nlpg.space import Space
 
 
@@ -19,7 +20,7 @@ def setup(request):
     test = Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
     (A, C), (Avv, Cvv) = assemble_nonlocal_forms(
-        test, [(trial, True, True), (test, True, True)], kernel)
+        test, [(trial, True), (test, True)], kernel)
     return mesh, trial, test, kernel, A, C, Avv, Cvv
 
 
@@ -99,7 +100,7 @@ def test_gram_rejects_unknown_norm(setup):
 def test_mismatched_meshes_rejected():
     m1, m2 = initial_mesh(0.1), refine_uniform(initial_mesh(0.1))
     with pytest.raises(ValueError):
-        assemble_nonlocal_forms(Space(m2, 3), [(Space(m1, 1), True, False)],
+        assemble_nonlocal_forms(Space(m2, 3), [(Space(m1, 1), False)],
                                 constant_kernel_pair(0.1))
 
 
@@ -110,7 +111,7 @@ def test_app_gram_hat_against_dense_integration():
     mesh = initial_mesh(delta)
     test = Space(mesh, 1)
     kernel = constant_kernel_pair(delta)
-    (Avv, _), = assemble_nonlocal_forms(test, [(test, True, False)], kernel)
+    (Avv, _), = assemble_nonlocal_forms(test, [(test, False)], kernel)
     G = assemble_gram(test, Avv[:, test.free_dofs], eps, "app")
     idx = 1   # hat at x = 0.4
     e = np.zeros(test.n_free)
@@ -137,8 +138,8 @@ def test_app_gram_hat_against_dense_integration():
 def test_load_zero_data_gives_zero(setup):
     _, trial, test, kernel, _, _, _, _ = setup
     zero = lambda x: np.zeros_like(x)
-    F = mixed_system_from_parts(assemble_parts(trial, test, kernel, zero),
-                                0.01, "app", zero).F
+    F = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01,
+                                               Problem("zero", zero, zero)), "app").F
     np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
 
@@ -147,8 +148,9 @@ def test_load_consistency_linear(setup):
     _, trial, test, kernel, A, C, _, _ = setup
     eps = 0.01
     g = lambda x: np.asarray(x, dtype=float)
-    parts = assemble_parts(trial, test, kernel, lambda x: np.ones_like(x))
-    F = mixed_system_from_parts(parts, eps, "app", g).F
+    parts = assemble_parts(trial, test, kernel, eps,
+                           Problem("linear", g, lambda x: np.ones_like(x)))
+    F = mixed_system_from_parts(parts, "app").F
     coeffs = trial.interpolate(g)
     resid = F - (eps * A + C)[:, trial.free_dofs] @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-11 * max(1.0, np.abs(F).max())
@@ -161,9 +163,9 @@ def test_load_consistency_quintic():
     trial, test = Space(mesh, 5), Space(mesh, 7)
     kernel = constant_kernel_pair(delta)
     g = lambda x: np.asarray(x, dtype=float) ** 5
-    parts = assemble_parts(trial, test, kernel,
-                           lambda x: forcing_smooth_nonlocal(x, eps, delta))
-    system = mixed_system_from_parts(parts, eps, "app", g)
+    forcing = lambda x: forcing_smooth_nonlocal(x, eps, delta)
+    parts = assemble_parts(trial, test, kernel, eps, Problem("quintic", g, forcing))
+    system = mixed_system_from_parts(parts, "app")
     coeffs = trial.interpolate(g)
     resid = system.F - system.B @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(system.F).max())
@@ -173,4 +175,5 @@ def test_enrichment_required():
     mesh = initial_mesh(0.1)
     kernel = constant_kernel_pair(0.1)
     with pytest.raises(ValueError):
-        assemble_parts(Space(mesh, 2), Space(mesh, 2), kernel, lambda x: np.ones_like(x))
+        assemble_parts(Space(mesh, 2), Space(mesh, 2), kernel, 0.01,
+                       Problem("linear", lambda x: x, lambda x: np.ones_like(x)))

@@ -1,6 +1,7 @@
 """Run configuration, CSV output, determinism, presets, CLI."""
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -55,6 +56,22 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.norm == "app"
     with pytest.raises(ValueError, match="unknown config key"):
         apply_overrides(cfg, {"stepz": "3"})
+
+
+def test_override_errors_name_the_key_and_line(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^steps: expected int, got 'abc'$"):
+        apply_overrides(RunConfig(), {"steps": "abc"})
+    with pytest.raises(ValueError, match=r"^delta: expected float, got 'abc'$"):
+        apply_overrides(RunConfig(), {"delta": "abc"})
+    path = tmp_path / "bad.cfg"
+    path.write_text("problem = sharp\nsteps = x\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: steps: expected int, got 'x'")):
+        config_from_file(path)
+    path.write_text("# comment\nstepz = 3\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: unknown config key 'stepz'")):
+        config_from_file(path)
+    assert cli.main(["run", "--steps", "abc"]) == 1
+    assert "error: steps: expected int, got 'abc'" in capsys.readouterr().err
 
 
 def test_csv_schema_and_determinism(tmp_path):
@@ -115,6 +132,15 @@ def test_sharp_demo_writes_samples(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,exact,u_app,u_eng"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("eps", ["-0.01", "0", "nan", "inf"])
+def test_cli_sharp_demo_rejects_bad_eps(tmp_path, capsys, eps):
+    out = tmp_path / "sharp.csv"
+    assert cli.main(["sharp-demo", "--eps", eps, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: eps: must be positive and finite, got {float(eps)}" in err
+    assert not out.exists()
 
 
 def test_cli_run_and_presets(tmp_path):

@@ -1,13 +1,16 @@
 """Mixed saddle-point solves: consistency, uniqueness, norm-scaling invariance."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import nlpg.assembly
 from nlpg.assembly import assemble_parts, mixed_system_from_parts
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
-from nlpg.problems import make_problem
+from nlpg.problems import Problem, make_problem
 from nlpg.solver import IndefiniteGramError, expand_solution, solve_mixed
 from nlpg.space import Space
 
@@ -39,8 +42,8 @@ def test_zero_data_gives_zero_solution():
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, zero),
-                                     0.01, "app", zero)
+    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01,
+                                                    Problem("zero", zero, zero)), "app")
     sol = solve_mixed(system)
     np.testing.assert_allclose(sol.u, 0.0, atol=1e-14)
     np.testing.assert_allclose(sol.psi, 0.0, atol=1e-14)
@@ -51,8 +54,8 @@ def test_solution_invariant_under_gram_scaling():
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
-    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, problem.forcing),
-                                     0.01, "app", problem.boundary)
+    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01, problem),
+                                     "app")
     base = solve_mixed(system)
     system.G = 7.0 * system.G
     scaled = solve_mixed(system)
@@ -75,8 +78,8 @@ def test_indefinite_gram_reported():
     problem = make_problem("linear", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
-    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, problem.forcing),
-                                     0.01, "app", problem.boundary)
+    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01, problem),
+                                     "app")
     system.G = -system.G
     with pytest.raises(IndefiniteGramError):
         solve_mixed(system)
@@ -105,3 +108,30 @@ def test_schur_cond_estimate_tracks_the_1norm_condition(name, delta, n_interior,
     B = res.system.B
     kappa = np.linalg.cond(B.T @ np.linalg.solve(res.system.G, B), 1)
     assert kappa / 10 <= res.solution.schur_cond_estimate <= kappa * (1 + 1e-10)
+
+
+def test_two_norm_step_shares_the_norm_independent_parts():
+    # only the Gram matrix depends on the test norm
+    mesh = initial_mesh(0.1)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    results = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=("app", "eng"))
+    app, eng = results["app"].system, results["eng"].system
+    assert app.B is eng.B and app.F is eng.F and app.lift is eng.lift
+    assert not np.array_equal(app.G, eng.G)
+
+
+def test_two_norm_step_builds_lift_and_load_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("boundary_lift", "load_vector", "boundary_defect_load"):
+        monkeypatch.setattr(nlpg.assembly, name, counted(name, getattr(nlpg.assembly, name)))
+    mesh = initial_mesh(0.1)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=("app", "eng"))
+    assert calls == {"boundary_lift": 1, "load_vector": 1, "boundary_defect_load": 1}
