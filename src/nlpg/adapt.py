@@ -5,12 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import pairwise_energy_contributions, row_dots, step_record
+from .analysis import pair_energies, row_dots, step_record
 from .assembly import check_norm
 from .driver import solve_problem
 from .kernels import constant_kernel_pair
 from .mesh import initial_mesh, refine_marked
-from .quadrature import N_OVER, gauss_legendre
+from .quadrature import N_OVER, gauss_legendre, mesh_pieces
 
 
 @dataclass
@@ -42,14 +42,16 @@ def localize_indicator(psi, test, kernel, eps, norm):
     coeffs = np.zeros(test.n_dofs)
     coeffs[test.free_dofs] = np.asarray(psi, dtype=float)
 
+    pieces = mesh_pieces(mesh)
+    val, = pair_energies(test, [(coeffs, None)], kernel, pieces)
+    i, j = pieces[:2]
+    last = mesh.n_elements - 1
+    target = np.where((i > 0) & (i < last), i, j)
+    inside = (target > 0) & (target < last)
     eta2 = np.zeros(len(interior))
     scale = eps**2 if norm == "app" else 1.0
-    for i, js, (val,) in pairwise_energy_contributions(test, [(coeffs, None)], kernel,
-                                                       interior_only=False):
-        target = np.full(len(js), i) if mesh.is_interior(i) else js
-        inside = (target > 0) & (target < mesh.n_elements - 1)
-        # unbuffered, in piece order: interior element e is entry e - 1
-        np.add.at(eta2, target[inside] - 1, scale * val[inside])
+    # unbuffered, in piece order: interior element e is entry e - 1
+    np.add.at(eta2, target[inside] - 1, scale * val[inside])
 
     if norm == "app":
         nodes = mesh.nodes

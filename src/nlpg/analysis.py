@@ -1,13 +1,12 @@
 """Error norms, convergence rates, and the discrete optimal-norm diagnostic.
 
 The energy-norm errors, the energy seminorm and the indicators of ``adapt``
-share one sweep, ``pairwise_energy_contributions``.  It takes the pieces of
-each outer element from the pair layer (``quadrature.element_pieces``) and
-evaluates them in three array batches, so its cost per element is a fixed
-number of numpy calls rather than one Python iteration per piece.  u_h is
+share one sweep, ``pair_energies``, over the piece table of the pair layer
+(``quadrature.mesh_pieces``); each caller masks the rows it needs.  The rows
+of all elements are evaluated together, in three array batches cut into
+chunks of bounded size, so the sweep has no fixed cost per element.  u_h is
 evaluated by ``Space.values``, whose rows sum as a single element's do; the
-quadrature sums per element (``row_dots``) are dot products for the same
-reason.
+quadrature sums per piece (``row_dots``) are dot products for the same reason.
 """
 
 import math
@@ -17,9 +16,11 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .assembly import assemble_nonlocal_forms
-from .quadrature import (CLIPPED, CONTAINED, N_OVER, element_pieces, gauss_legendre,
-                         inner_points, unit_rule)
+from .quadrature import (CLIPPED, CONTAINED, N_OVER, gauss_legendre, inner_points,
+                         mesh_pieces, unit_rule)
 from .solver import IndefiniteGramError
+
+CHUNK_VALUES = 2**17
 
 
 @dataclass
@@ -74,63 +75,56 @@ def _field_values(space, field, elems, pts):
     return vals
 
 
-def pairwise_energy_contributions(space, fields, kernel, interior_only):
-    """Per outer element, the gamma-weighted squared-difference double integrals.
+def pair_energies(space, fields, kernel, pieces):
+    """The gamma-weighted squared-difference double integral of every piece.
 
-    ``fields`` is a list of (coeffs, exact) pairs defining g = u_h - exact
-    (either part may be None).  Yields (i, js, values) for every outer element
-    K_i in ascending order, where js[k] is the inner element of the k-th piece
-    of ``element_pieces`` and
+    ``pieces`` is the table (i, j, lo, hi, case) of ``quadrature.mesh_pieces``
+    or some of its rows; ``fields`` holds (coeffs, exact) pairs defining
+    g = u_h - exact (either part may be None).  Returns one array per field,
+    aligned with the rows:
 
-        values[f][k] = int_{piece k} int_{K_j ∩ B_delta(x)} gamma_diff (g(y)-g(x))^2 dy dx
+        values[f][k] = int_{lo[k]}^{hi[k]} int_{K_j[k] ∩ B_delta(x)} gamma_diff (g(y)-g(x))^2 dy dx
 
-    for field f, with the same pair layer and nested quadrature as the
-    assembly, so the sums agree with the assembled quadratic forms to roundoff.
-    The pieces of one element are evaluated in three batches (K_j contained in
-    the ball, the self window split at x, and the clipped windows), each with
-    one set of array operations.  ``interior_only`` restricts both elements
-    to the interior, Omega x Omega (the error convention); otherwise both run
-    over all of Omega_delta.
+    with the nested quadrature of the assembly, so the sums agree with the
+    assembled quadratic forms to roundoff.  The rows run in three batches (K_j
+    contained in the ball, the self window split at x, the clipped windows),
+    in chunks of at most ``CHUNK_VALUES`` values (1 MB) per temporary.  No
+    operation mixes rows, so each value equals that of its row alone.
     """
+    i, j, lo, hi, case = pieces
     mesh = space.mesh
-    delta = mesh.delta
     n = space.order + N_OVER
     rule = gauss_legendre(n)
     q_in, w_in = unit_rule(n)
     nodes = mesh.nodes
+    # pieces x outer points x split inner points x basis values of Space.values
+    chunk = max(1, CHUNK_VALUES // (n * 2 * n * (space.order + 1)))
 
     # per-element grids and field values for the contained case
     elem_y, elem_w = rule.map_to(nodes[:-1, None], nodes[1:, None])
-    every = np.arange(mesh.n_elements)
-    elem_vals = [_field_values(space, f, every, elem_y) for f in fields]
+    elem_vals = [_field_values(space, f, np.arange(mesh.n_elements), elem_y) for f in fields]
 
-    for i in mesh.interior_elements if interior_only else every:
-        js, lo, hi, case = element_pieces(mesh, i)
-        if interior_only:
-            interior = (js > 0) & (js < mesh.n_elements - 1)
-            js, lo, hi, case = js[interior], lo[interior], hi[interior], case[interior]
-        xs, wx = rule.map_to(lo[:, None], hi[:, None])
-        fx = [_field_values(space, f, np.full(len(js), i), xs) for f in fields]
-        values = [np.empty(len(js)) for _ in fields]
-        contained, self_window = case == CONTAINED, js == i
-        for batch in (contained, self_window, case == CLIPPED):
-            if not batch.any():
-                continue
-            jb, xb, wb = js[batch], xs[batch], wx[batch]
+    values = [np.empty(len(i)) for _ in fields]
+    contained, self_window = case == CONTAINED, i == j
+    for batch in (contained, self_window, case == CLIPPED):
+        rows = np.flatnonzero(batch)
+        for start in range(0, len(rows), chunk):
+            r = rows[start:start + chunk]
+            ib, jb = i[r], j[r]
+            xb, wb = rule.map_to(lo[r, None], hi[r, None])
             if batch is contained:
                 y, wy = elem_y[jb][:, None, :], elem_w[jb][:, None, :]
                 fy = [v[jb][:, None, :] for v in elem_vals]
             else:
                 # both self cases split the inner interval at x
-                y, wy = inner_points(xb, (nodes[jb, None], nodes[jb + 1, None]), delta,
+                y, wy = inner_points(xb, (nodes[jb, None], nodes[jb + 1, None]), mesh.delta,
                                      q_in, w_in, split=batch is self_window)
                 fy = [_field_values(space, f, jb, y) for f in fields]
             wK = kernel.eval_diffusion(y - xb[..., None]) * wy
-            for v, u, out in zip(fy, fx, values):
-                d = v - u[batch][..., None]
-                inner = (wK * d * d).sum(axis=-1)
-                out[batch] = row_dots(wb, inner)
-        yield i, js, values
+            for f, v, out in zip(fields, fy, values):
+                d = v - _field_values(space, f, ib, xb)[..., None]
+                out[r] = row_dots(wb, (wK * d * d).sum(axis=-1))
+    return values
 
 
 def energy_error_norms(space, coeffs, u_exact, kernel):
@@ -140,14 +134,13 @@ def energy_error_norms(space, coeffs, u_exact, kernel):
     reported on the solution domain, with the volumetric data held exact on
     the interaction collar.
     """
-    err2 = 0.0
-    ex2 = 0.0
-    fields = [(coeffs, u_exact), (None, u_exact)]
-    for _, _, (a, b) in pairwise_energy_contributions(space, fields, kernel,
-                                                        interior_only=True):
-        err2 += a.sum()
-        ex2 += b.sum()
-    return math.sqrt(err2), math.sqrt(ex2)
+    pieces = mesh_pieces(space.mesh)
+    i, j = pieces[:2]
+    last = space.mesh.n_elements - 1
+    interior = (i > 0) & (i < last) & (j > 0) & (j < last)
+    err2, ex2 = pair_energies(space, [(coeffs, u_exact), (None, u_exact)], kernel,
+                              [a[interior] for a in pieces])
+    return math.sqrt(err2.sum()), math.sqrt(ex2.sum())
 
 
 def error_energy(space, coeffs, u_exact, kernel):
@@ -160,9 +153,8 @@ def error_energy(space, coeffs, u_exact, kernel):
 
 def energy_seminorm(space, coeffs, kernel):
     """S_delta seminorm of a discrete function, over the full Omega_delta."""
-    total = sum(v[0].sum() for _, _, v in pairwise_energy_contributions(
-        space, [(coeffs, None)], kernel, interior_only=False))
-    return math.sqrt(total)
+    total, = pair_energies(space, [(coeffs, None)], kernel, mesh_pieces(space.mesh))
+    return math.sqrt(total.sum())
 
 
 def error_l2(space, coeffs, u_exact):

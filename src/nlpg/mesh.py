@@ -44,9 +44,6 @@ class Mesh1d:
     def bounds(self, i):
         return self.nodes[i], self.nodes[i + 1]
 
-    def is_interior(self, i):
-        return 1 <= i <= self.n_elements - 2
-
     @property
     def interior_elements(self):
         return np.arange(1, self.n_elements - 1)
@@ -87,11 +84,28 @@ def refine_marked(mesh, marked):
     return Mesh1d(np.sort(np.concatenate((mesh.nodes, mids))), mesh.delta)
 
 
+def _within_horizon(mesh, i, j):
+    """dist(K_i, K_j) <= delta, elementwise over index arrays that broadcast."""
+    lo, hi = mesh.nodes[:-1], mesh.nodes[1:]
+    dist = np.maximum(np.maximum(lo[j] - hi[i], lo[i] - hi[j]), 0.0)
+    return dist <= mesh.delta * (1.0 + _REL_TOL)
+
+
 def horizon_neighbors(mesh, i):
     """Indices j of all elements with dist(K_i, K_j) <= delta (including i)."""
+    return np.flatnonzero(_within_horizon(mesh, i, np.arange(mesh.n_elements)))
+
+
+def horizon_pairs(mesh):
+    """All pairs (i, j) of ``horizon_neighbors``, ordered by i and then j."""
     lo, hi = mesh.nodes[:-1], mesh.nodes[1:]
-    dist = np.maximum(np.maximum(lo - hi[i], lo[i] - hi), 0.0)
-    return np.flatnonzero(dist <= mesh.delta * (1.0 + _REL_TOL))
+    # the run of candidates within twice the horizon, then the exact rule
+    start = np.searchsorted(hi, lo - 2.0 * mesh.delta)
+    count = np.searchsorted(lo, hi + 2.0 * mesh.delta, side="right") - start
+    i, k = np.nonzero(np.arange(count.max()) < count[:, None])
+    j = start[i] + k
+    near = _within_horizon(mesh, i, j)
+    return i[near], j[near]
 
 
 def write_nodes_csv(mesh, path):

@@ -20,19 +20,17 @@ refinements make this accurate for every delta/h ratio:
 With the built-in kernels every piece integrand is polynomial, so the nested
 values are exact up to roundoff.
 
-The pair layer, ``element_pieces`` and ``inner_points``, is the only place
-that decides the geometry of an element pair: which smooth pieces of K_i it
-has, which case each piece is (self window inside K_i, self window clipped by
-an end of K_i, K_j contained in the ball, or clipped), and where the inner
-nodes sit.  ``element_pieces(mesh, i)`` returns the pieces of K_i against all
-its horizon neighbours as arrays (j, lo, hi, case).  Assembly and the collar
-data functional walk those rows one by one; the energy sweep behind the
-errors, the seminorm and the indicators evaluates all pieces of one element
-in a few array batches.  Every caller keeps only its integrands.
+The pair layer, ``mesh_pieces`` and ``inner_points``, is the only place that
+decides the geometry of an element pair: which smooth pieces of K_i it has,
+which case each piece is (self window inside K_i, self window clipped by an
+end of K_i, K_j contained in the ball, or clipped), and where the inner nodes
+sit.  ``mesh_pieces(mesh)`` returns the pieces of all pairs of the mesh as one
+table of arrays (i, j, lo, hi, case); each caller masks the rows it needs and
+keeps only its integrands.
 
 ``smooth_pieces`` is the same cut rule for one pair.  It stays public, with
 ``mesh.horizon_neighbors``, because the benchmark counts pieces with them, and
-the tests hold ``element_pieces`` to it bit for bit.  ``nested_integrate``
+the tests hold ``mesh_pieces`` to it bit for bit.  ``nested_integrate``
 stays apart as the independent reference.
 """
 
@@ -41,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import horizon_neighbors
+from .mesh import horizon_neighbors, horizon_pairs
 
 # Gauss points added to the polynomial order of the spaces in every rule.
 # The piece integrands of the operators are polynomial, but the forcing, the
@@ -110,36 +108,36 @@ CONTAINED = 2       # K_j inside B_delta(x) at both ends of the piece
 CLIPPED = 3         # every other piece: K_j ∩ B_delta(x) moves with x
 
 
-def element_pieces(mesh, i):
-    """Smooth pieces of K_i against all its horizon neighbours, as arrays.
+def mesh_pieces(mesh):
+    """Smooth pieces of every element against its horizon neighbours, as arrays.
 
-    Returns (j, lo, hi, case): piece k is (lo[k], hi[k]) of K_i paired with
-    K_j[k], ordered by j and then along K_i.  The pieces are those of
-    ``smooth_pieces`` for each pair, evaluated for every neighbour at once;
-    the case is decided with the one tolerance 1e-12 * max(1, delta).
+    Returns (i, j, lo, hi, case): piece k is (lo[k], hi[k]) of K_i[k] paired
+    with K_j[k], ordered by i, then j, then along K_i.  The pieces of each
+    pair are those of ``smooth_pieces``, evaluated for all pairs at once; the
+    case is decided with the one tolerance 1e-12 * max(1, delta).
     """
     delta = mesh.delta
-    ai, bi = mesh.bounds(i)
-    js = horizon_neighbors(mesh, i)
-    aj, bj = mesh.nodes[js], mesh.nodes[js + 1]
+    i, j = horizon_pairs(mesh)
+    ai, bi = mesh.nodes[i], mesh.nodes[i + 1]
+    aj, bj = mesh.nodes[j], mesh.nodes[j + 1]
     lo = np.maximum(ai, aj - delta)
     hi = np.minimum(bi, bj + delta)
-    cut_tol = 1e-12 * max(bi - ai, delta)   # the tolerance of smooth_pieces
+    cut_tol = 1e-12 * np.maximum(bi - ai, delta)   # the tolerance of smooth_pieces
     # the crossings strictly inside (lo, hi) cut the window; the others are
     # moved onto hi, where they only add empty pieces
     cuts = np.stack((aj - delta, aj + delta, bj - delta, bj + delta), axis=1)
     inside = ((lo + cut_tol)[:, None] < cuts) & (cuts < (hi - cut_tol)[:, None])
     edges = np.sort(np.column_stack((lo, np.where(inside, cuts, hi[:, None]), hi)), axis=1)
-    keep = (edges[:, 1:] - edges[:, :-1] > cut_tol) & (hi - lo > cut_tol)[:, None]
+    keep = (edges[:, 1:] - edges[:, :-1] > cut_tol[:, None]) & (hi - lo > cut_tol)[:, None]
     row = np.nonzero(keep)[0]
-    j, lo, hi = js[row], edges[:, :-1][keep], edges[:, 1:][keep]
+    i, j, lo, hi = i[row], j[row], edges[:, :-1][keep], edges[:, 1:][keep]
     aj, bj = aj[row], bj[row]
     tol = 1e-12 * max(1.0, delta)
     self_inside = (lo >= aj + delta - tol) & (hi <= bj - delta + tol)
     contained = (lo >= bj - delta - tol) & (hi <= aj + delta + tol)
     case = np.where(j == i, np.where(self_inside, SELF_INSIDE, SELF_CLIPPED),
                     np.where(contained, CONTAINED, CLIPPED))
-    return j, lo, hi, case
+    return i, j, lo, hi, case
 
 
 @lru_cache(maxsize=None)

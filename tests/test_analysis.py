@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlpg.analysis import (compute_discrete_optimal_norm, energy_error_norms,
+from nlpg.analysis import (CHUNK_VALUES, compute_discrete_optimal_norm, energy_error_norms,
                            energy_seminorm, error_energy, error_l2, loglog_slope,
-                           rate, rate_dof)
+                           pair_energies, rate, rate_dof)
 from nlpg.assembly import assemble_gram, assemble_nonlocal_forms
 from nlpg.kernels import constant_kernel_pair, exact_smooth
 from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
+from nlpg.quadrature import CLIPPED, N_OVER, mesh_pieces
 from nlpg.space import Space
 
 
@@ -90,6 +91,27 @@ def test_exact_energy_norm_against_mpmath(delta):
             _, exact = energy_error_norms(sp, sp.interpolate(exact_smooth), exact_smooth,
                                           kernel)
             assert exact == pytest.approx(oracle, rel=1e-11)
+
+
+@pytest.mark.parametrize("delta", [0.1, 1e-4])
+@pytest.mark.parametrize("p", [1, 7])
+def test_pair_energies_of_a_table_equal_those_of_its_rows_alone(delta, p):
+    # the indicators add these values into eta^2 piece by piece, so a row's
+    # value must not depend on the rows it is evaluated with (its chunk)
+    mesh = uniform_mesh(delta, 20)
+    sp = Space(mesh, p)
+    kernel = constant_kernel_pair(delta)
+    coeffs = np.random.default_rng(3).standard_normal(sp.n_dofs)
+    fields = [(coeffs, np.sin), (coeffs, None)]
+    pieces = mesh_pieces(mesh)
+    n = p + N_OVER
+    if p == 7:   # the clipped batch alone spans several chunks
+        assert (pieces[4] == CLIPPED).sum() > 2 * CHUNK_VALUES // (2 * n * n * (p + 1))
+    whole = pair_energies(sp, fields, kernel, pieces)
+    alone = [pair_energies(sp, fields, kernel, [a[k:k + 1] for a in pieces])
+             for k in range(len(pieces[0]))]
+    for f, values in enumerate(whole):
+        assert np.array_equal(values, [v[f][0] for v in alone])
 
 
 def test_error_energy_triangle_inequality():

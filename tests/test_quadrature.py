@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, initial_mesh, refine_marked, refine_uniform
-from nlpg.quadrature import (CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE,
-                             element_pieces, gauss_legendre, inner_points, intersect,
-                             nested_integrate, smooth_pieces, unit_rule)
+from nlpg.quadrature import (CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
+                             inner_points, intersect, mesh_pieces, nested_integrate,
+                             smooth_pieces, unit_rule)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 24])
@@ -122,21 +122,21 @@ def _pair_layer_meshes(delta):
 
 
 def _pairs(mesh):
+    ii, jj, lo, hi, case = mesh_pieces(mesh)
     for i in range(mesh.n_elements):
-        js, lo, hi, case = element_pieces(mesh, i)
         for j in horizon_neighbors(mesh, i):
-            pair = js == j
+            pair = (ii == i) & (jj == j)
             yield i, j, list(zip(lo[pair], hi[pair], case[pair]))
 
 
 @pytest.mark.parametrize("delta", [0.1, 1e-4])
-def test_element_pieces_match_the_scalar_cut_and_case_rule(delta):
-    # element_pieces evaluates smooth_pieces and the case rule for all
-    # neighbours at once; every value must come out bit for bit
+def test_mesh_pieces_match_the_scalar_cut_and_case_rule(delta):
+    # mesh_pieces evaluates smooth_pieces and the case rule for all pairs of
+    # the mesh at once; every value must come out bit for bit, in this order
     for mesh in _pair_layer_meshes(delta):
         tol = 1e-12 * max(1.0, delta)
+        expected = []
         for i in range(mesh.n_elements):
-            expected = []
             for j in horizon_neighbors(mesh, i):
                 aj, bj = mesh.bounds(j)
                 for lo, hi in smooth_pieces(mesh.bounds(i), (aj, bj), delta):
@@ -147,9 +147,8 @@ def test_element_pieces_match_the_scalar_cut_and_case_rule(delta):
                         case = CONTAINED
                     else:
                         case = CLIPPED
-                    expected.append((j, lo, hi, case))
-            got = list(zip(*element_pieces(mesh, i)))
-            assert got == expected
+                    expected.append((i, j, lo, hi, case))
+        assert list(zip(*mesh_pieces(mesh))) == expected
 
 
 @pytest.mark.parametrize("delta", [0.1, 1e-4])
