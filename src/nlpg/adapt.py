@@ -5,12 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import pair_energies, row_dots, step_record
+from .analysis import pair_energies, step_record
 from .assembly import check_norm
 from .driver import solve_problem
 from .kernels import constant_kernel_pair
 from .mesh import initial_mesh, refine_marked
-from .quadrature import N_OVER, gauss_legendre, mesh_pieces
+from .quadrature import N_OVER, gauss_legendre, mesh_pieces, row_dots
 
 
 @dataclass

@@ -4,9 +4,11 @@ The energy-norm errors, the energy seminorm and the indicators of ``adapt``
 share one sweep, ``pair_energies``, over the piece table of the pair layer
 (``quadrature.mesh_pieces``); each caller masks the rows it needs.  The rows
 of all elements are evaluated together, in three array batches cut into
-chunks of bounded size, so the sweep has no fixed cost per element.  u_h is
-evaluated by ``Space.values``, whose rows sum as a single element's do; the
-quadrature sums per piece (``row_dots``) are dot products for the same reason.
+chunks under the budget that the assembly uses too (``quadrature.chunks``),
+so the sweep has no fixed cost per element.  u_h is evaluated by
+``Space.values``, whose rows sum as a single element's do; the quadrature
+sums per piece (``quadrature.row_dots``) are dot products for the same
+reason.
 """
 
 import math
@@ -16,11 +18,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .assembly import assemble_nonlocal_forms
-from .quadrature import (CLIPPED, CONTAINED, N_OVER, gauss_legendre, inner_points,
-                         mesh_pieces, unit_rule)
+from .quadrature import (CLIPPED, CONTAINED, N_OVER, chunks, gauss_legendre, inner_points,
+                         mesh_pieces, row_dots, unit_rule)
 from .solver import IndefiniteGramError
-
-CHUNK_VALUES = 2**17
 
 
 @dataclass
@@ -61,11 +61,6 @@ def step_record(step, mesh, result, prev, dof_rates=False):
         err_l2=result.err_l2, rate_l2=r_l)
 
 
-def row_dots(w, v):
-    """w[k] @ v[k] for every row k, each as the one dot product of a single element."""
-    return (w[:, None, :] @ v[..., None])[:, 0, 0]
-
-
 def _field_values(space, field, elems, pts):
     """g = u_h - exact at pts, whose row k lies in element elems[k]."""
     coeffs, exact = field
@@ -97,8 +92,6 @@ def pair_energies(space, fields, kernel, pieces):
     rule = gauss_legendre(n)
     q_in, w_in = unit_rule(n)
     nodes = mesh.nodes
-    # pieces x outer points x split inner points x basis values of Space.values
-    chunk = max(1, CHUNK_VALUES // (n * 2 * n * (space.order + 1)))
 
     # per-element grids and field values for the contained case
     elem_y, elem_w = rule.map_to(nodes[:-1, None], nodes[1:, None])
@@ -107,9 +100,8 @@ def pair_energies(space, fields, kernel, pieces):
     values = [np.empty(len(i)) for _ in fields]
     contained, self_window = case == CONTAINED, i == j
     for batch in (contained, self_window, case == CLIPPED):
-        rows = np.flatnonzero(batch)
-        for start in range(0, len(rows), chunk):
-            r = rows[start:start + chunk]
+        # pieces x outer points x split inner points x basis values of Space.values
+        for r in chunks(np.flatnonzero(batch), n * 2 * n * (space.order + 1)):
             ib, jb = i[r], j[r]
             xb, wb = rule.map_to(lo[r, None], hi[r, None])
             if batch is contained:

@@ -16,12 +16,17 @@ inner nodes) comes from the pair layer in ``quadrature``, the only place that
 holds the case logic.  This module keeps the integrands.  Both nonlocal forms,
 (-L_delta u, v) and (G_delta u, v), read factor * int v(x) int (u(y) - u(x))
 K(y - x) dy dx with their own factor and kernel K; the two-entry table
-``FORMS`` holds them.  So each integrand case (the Taylor and the mirrored self
-window, the clipped self window, and the off-diagonal pair with its
-per-element tables for the contained case and its shared-vertex shift) is
-written once, yields local blocks (columns, block) for every wanted form, and
-one statement adds them into the matrices.  ``boundary_defect_load`` builds
-its density from the same table.
+``FORMS`` holds them.  The assembly walks the piece table in chunks of
+consecutive rows (``quadrature.chunks``).  Within a chunk each integrand case
+(the Taylor and the mirrored self window, the clipped self window, K_j
+contained in the ball, and the clipped pair with its shared-vertex shift)
+evaluates all of its rows at once with stacked ``@``, and fills the two local
+blocks of every piece and wanted form: the j block, then the i block.  One
+unbuffered ``np.add.at`` per chunk and matrix adds them in table order, so
+every entry receives its additions one by one in the order of the table, as a
+loop over the pieces would add them, whatever the chunk size.
+``boundary_defect_load`` walks the collar rows of the same table the same way
+and builds its density from the same form table.
 
 One path builds the discrete problem, in two stages.  ``assemble_parts``
 builds all but the Gram matrix once per mesh (the lift, B and F, freeing the
@@ -29,14 +34,15 @@ trial-column operators), and ``mixed_system_from_parts`` adds one test norm's
 Gram matrix, so the systems of several norms share B, F and the lift.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .kernels import KernelPair
-from .quadrature import (CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
-                         inner_points, mesh_pieces, unit_rule)
+from .quadrature import (CLIPPED, CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, chunks,
+                         gauss_legendre, inner_points, mesh_pieces, row_dots, unit_rule)
 from .space import boundary_lift
 
 
@@ -45,15 +51,11 @@ def _check_meshes(trial, test):
         raise ValueError("trial and test spaces must share one mesh")
 
 
-def _free_row_data(space):
-    rowmap = np.full(space.n_dofs, -1, dtype=int)
-    rowmap[space.free_dofs] = np.arange(space.n_free)
-    per_element = []
-    for e in range(space.mesh.n_elements):
-        rows = rowmap[space.element_dofs(e)]
-        keep = rows >= 0
-        per_element.append((rows[keep], keep))
-    return per_element
+def _row_map(space):
+    """Row of every DOF among the free DOFs, -1 for a constrained one."""
+    rows = np.full(space.n_dofs, -1)
+    rows[space.free_dofs] = np.arange(space.n_free)
+    return rows
 
 
 class _Form(NamedTuple):
@@ -71,16 +73,10 @@ FORMS = (_Form(-2.0, KernelPair.eval_diffusion, KernelPair.eval_diffusion, 0),
          _Form(1.0, KernelPair.eval_convection_signed, KernelPair.eval_convection, 1))
 
 
-def _taylor_matrix(space, wK_t, tau, parity):
-    # finite Taylor expansion of L(xi +- tau) around xi: exact for polynomials
-    # and free of the eps-level evaluation noise that the kernel would amplify
-    M = np.zeros((space.order + 1, space.order + 1))
-    fact = 1.0
-    for m in range(1, space.order + 1):
-        fact *= m
-        if m % 2 == parity:
-            M += 2.0 * (wK_t @ (tau**m)) / fact * space.diff_powers[m]
-    return M
+def _signed_weights(kernel, xs, y, wy):
+    """Kernel weights of every form at inner nodes y of the outer nodes xs."""
+    s = y - xs[..., None]
+    return [form.factor * form.signed(kernel, s) * wy for form in FORMS]
 
 
 def assemble_nonlocal_forms(test, columns, kernel):
@@ -96,123 +92,126 @@ def assemble_nonlocal_forms(test, columns, kernel):
     for space, _ in columns:
         _check_meshes(space, test)
 
-    n_out = test.order + N_OVER
-    n_in = max(test.order, max(s.order for s, _ in columns)) + N_OVER
+    order = max(test.order, max(s.order for s, _ in columns))
+    n_out, n_in = test.order + N_OVER, order + N_OVER
     rule_out = gauss_legendre(n_out)
-    rule_in = gauss_legendre(n_in)
     q_in, w_in = unit_rule(n_in)
+    elem_y, elem_w = gauss_legendre(n_in).map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    # unclipped self window: pair mirrored points y = x -+ t so the
+    # O(delta^-3) kernel multiplies symmetric differences of the basis
+    # instead of two huge cancelling half-integrals
+    t = delta * q_in
+    wK_in = [form.factor * form.mirrored(kernel, t) * (delta * w_in) for form in FORMS]
 
     # indices into FORMS wanted by each column space: diffusion, then convection
     wants = [range(1 + conv) for _, conv in columns]
-
-    # per-element inner grids and, per column space, basis tables for the
-    # fully-contained case
-    every = np.arange(mesh.n_elements)
-    elem_y, elem_w = rule_in.map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
-    tables = [space.local_basis(every[:, None], elem_y) for space, _ in columns]
-
-    rows_of = _free_row_data(test)
     mats = [(np.zeros((test.n_free, s.n_dofs)),
              np.zeros((test.n_free, s.n_dofs)) if conv else None) for s, conv in columns]
+    row_map = _row_map(test)
 
-    pieces = mesh_pieces(mesh)
-    interior = (pieces[0] > 0) & (pieces[0] < mesh.n_elements - 1)
-    for i, j, lo, hi, case in zip(*(a[interior] for a in pieces)):
-        rows, keep = rows_of[i]
-        bj = mesh.bounds(j)
-        xs, wx = rule_out.map_to(lo, hi)
-        Btx = test.local_basis(i, xs)
-        wBtx = Btx * wx[:, None]
-        contained = case == CONTAINED
-        if case == SELF_INSIDE:
-            # unclipped self window: pair mirrored points y = x -+ t so the
-            # O(delta^-3) kernel multiplies symmetric differences of the basis
-            # instead of two huge cancelling half-integrals
-            t = delta * q_in
-            wK = [form.factor * form.mirrored(kernel, t) * (delta * w_in) for form in FORMS]
-            tau = 2.0 * t / (bj[1] - bj[0])
-            taylor = tau[-1] <= 0.1
-            yp, ym = xs[:, None] + t, xs[:, None] - t
-        else:
-            if contained:
-                y, wy = elem_y[j], elem_w[j]
-            else:
-                y, wy = inner_points(xs, bj, delta, q_in, w_in,
-                                     split=case == SELF_CLIPPED)
-            s = (y[None, :] if contained else y) - xs[:, None]
-            wK = [form.factor * form.signed(kernel, s) * wy for form in FORMS]
-            sK = [w.sum(axis=-1) for w in wK]
+    i, j, lo, hi, case = mesh_pieces(mesh)
+    interior = np.flatnonzero((i > 0) & (i < mesh.n_elements - 1))
+    # pieces x outer points x split inner points x basis values
+    for r in chunks(interior, n_out * 2 * n_in * (order + 1)):
+        ib, jb, cb = i[r], j[r], case[r]
+        xs, wx = rule_out.map_to(lo[r, None], hi[r, None])
+        wBtx = test.local_basis(ib[:, None], xs) * wx[..., None]
+        bj = (mesh.nodes[jb, None], mesh.nodes[jb + 1, None])
+        tau = 2.0 * t / (bj[1] - bj[0])
+        # the row sets of the chunk: the self window inside K_i by a finite
+        # Taylor expansion (exact for polynomials and free of the eps-level
+        # evaluation noise that the kernel would amplify) or mirrored, the
+        # clipped self window, K_j contained in the ball and clipped by it
+        taylor = (cb == SELF_INSIDE) & (tau[:, -1] <= 0.1)
+        mirror = (cb == SELF_INSIDE) & ~taylor
+        sc, co, cl = cb == SELF_CLIPPED, cb == CONTAINED, cb == CLIPPED
+        y_sc, wy_sc = inner_points(xs[sc], (bj[0][sc], bj[1][sc]), delta, q_in, w_in, split=True)
+        y_cl, wy_cl = inner_points(xs[cl], (bj[0][cl], bj[1][cl]), delta, q_in, w_in, split=False)
+        wK_sc = _signed_weights(kernel, xs[sc], y_sc, wy_sc)
+        wK_co = _signed_weights(kernel, xs[co], elem_y[jb[co], None], elem_w[jb[co], None])
+        wK_cl = _signed_weights(kernel, xs[cl], y_cl, wy_cl)
+        y_mirror = xs[mirror, :, None] + t, xs[mirror, :, None] - t
+        # the j block of a self piece and the constrained rows are not added
+        rows = row_map[test.element_dofs(ib)]
+        keep = (((jb != ib)[:, None] | [False, True])[:, :, None, None]
+                & (rows >= 0)[:, None, :, None])
+        # the i block of a self piece carries all of its integral; that of a
+        # pair is -(wBtx * sK)^T @ Bx with sK the row sums of the weights
+        sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
-        for (space, _), table, forms, mat in zip(columns, tables, wants, mats):
-            Bx = Btx if space is test else space.local_basis(i, xs)
-            cols_i = space.element_dofs(i)
-            if case == SELF_INSIDE and not taylor:
-                Byp = space.local_basis(i, yp)
-                Bym = space.local_basis(i, ym)
-            elif case != SELF_INSIDE:
-                By = table[j] if contained else space.local_basis(j, y)
-                if j == i:
-                    # same column block: difference the basis values before
-                    # applying the O(delta^-3) kernel weights, so the huge
-                    # x-part/y-part cancellation never reaches the matrix
-                    D = By - Bx[:, None, :]
-                elif not contained and abs(j - i) == 1:
-                    # adjacent window: shift both sides by the shared-vertex
-                    # cardinal (exactly 1 at the shared node, so the two
-                    # shifts cancel analytically); keeps the summands at the
-                    # size of the continuous difference for delta << h
-                    By = By.copy()
-                    Bx = Bx.copy()
-                    By[..., 0 if j > i else -1] -= 1.0
-                    Bx[:, -1 if j > i else 0] -= 1.0
+        for (space, _), forms, mat in zip(columns, wants, mats):
+            Bx = space.local_basis(ib[:, None], xs)
+            Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
+            # same column block: difference the basis values before applying
+            # the O(delta^-3) kernel weights, so the huge x-part/y-part
+            # cancellation never reaches the matrix
+            D = space.local_basis(jb[sc, None, None], y_sc) - Bx[sc, :, None]
+            By_co = space.local_basis(jb[co, None], elem_y[jb[co]])
+            By_cl = space.local_basis(jb[cl, None, None], y_cl)
+            # adjacent clipped window: shift both sides by the shared-vertex
+            # cardinal (exactly 1 at the shared node, so the two shifts cancel
+            # analytically); keeps the summands at the size of the continuous
+            # difference for delta << h
+            right, left = cl & (jb == ib + 1), cl & (jb == ib - 1)
+            By_cl[right[cl], ..., 0] -= 1.0
+            By_cl[left[cl], ..., -1] -= 1.0
+            Bx[right, :, -1] -= 1.0
+            Bx[left, :, 0] -= 1.0
+            cols = np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)
+            R, C, K = np.broadcast_arrays(rows[:, None, :, None], cols[:, :, None, :], keep)
 
-            # local blocks (columns, block) of each wanted form
             for f in forms:
-                parity, wKf = FORMS[f].parity, wK[f]
-                if case == SELF_INSIDE and taylor:
-                    M = _taylor_matrix(space, wKf, tau, parity)
-                    blocks = [(cols_i, wBtx.T @ (Bx @ M))]
-                elif case == SELF_INSIDE:
-                    # even part of the basis shift for an even kernel,
-                    # odd part for an odd one
-                    sym = Byp + Bym - 2.0 * Bx[:, None, :] if parity == 0 else Byp - Bym
-                    blocks = [(cols_i, wBtx.T @ (wKf[None, :, None] * sym).sum(axis=1))]
-                elif j == i:
-                    blocks = [(cols_i, wBtx.T @ (wKf[:, :, None] * D).sum(axis=1))]
-                else:
-                    Z = wKf @ By if contained else (wKf[:, :, None] * By).sum(axis=1)
-                    blocks = [(space.element_dofs(j), wBtx.T @ Z),
-                              (cols_i, -((wBtx * sK[f][:, None]).T @ Bx))]
-                for cols, block in blocks:
-                    mat[f][rows[:, None], cols[None, :]] += block[keep]
+                parity = FORMS[f].parity
+                M = np.zeros((taylor.sum(), space.order + 1, space.order + 1))
+                wt = np.broadcast_to(wK_in[f], tau[taylor].shape)
+                for m in range(2 - parity, space.order + 1, 2):
+                    M += ((2.0 * row_dots(wt, tau[taylor]**m) / math.factorial(m))[:, None, None]
+                          * space.diff_powers[m])
+                # even part of the mirrored basis shift for an even kernel,
+                # odd part for an odd one
+                sym = Byp + Bym - 2.0 * Bx[mirror, :, None] if parity == 0 else Byp - Bym
+                Zi, Zj, sK = Bx.copy(), np.zeros_like(Bx), np.ones(xs.shape)
+                Zi[taylor] = Bx[taylor] @ M
+                Zi[mirror] = (wK_in[f][:, None] * sym).sum(axis=2)
+                Zi[sc] = (wK_sc[f][..., None] * D).sum(axis=2)
+                Zj[co] = wK_co[f] @ By_co
+                Zj[cl] = (wK_cl[f][..., None] * By_cl).sum(axis=2)
+                sK[co], sK[cl] = wK_co[f].sum(axis=-1), wK_cl[f].sum(axis=-1)
+                wBt, wBs = (np.swapaxes(w, 1, 2) for w in (wBtx, wBtx * sK[..., None]))
+                blocks = np.stack((wBt @ Zj, sign * (wBs @ Zi)), axis=1)
+                # unbuffered and in table order: every entry receives the
+                # additions of its pieces one by one, in the order of the table
+                np.add.at(mat[f], (R[K], C[K]), blocks[K])
     return mats
 
 
 def assemble_mass_mean(test):
     """L2(Omega) mass matrix and mean vector on the free test DOFs."""
     rule = gauss_legendre(test.order + 1)
-    rows_of = _free_row_data(test)
+    row_map = _row_map(test)
     M = np.zeros((test.n_free, test.n_free))
     m = np.zeros(test.n_free)
     for e in test.mesh.interior_elements:
         xs, ws = rule.map_to(*test.mesh.bounds(e))
-        rows, keep = rows_of[e]
+        rows = row_map[test.element_dofs(e)]
+        keep = rows >= 0
         Bk = test.local_basis(e, xs)[:, keep]
-        M[np.ix_(rows, rows)] += Bk.T @ (Bk * ws[:, None])
-        m[rows] += Bk.T @ ws
+        M[np.ix_(rows[keep], rows[keep])] += Bk.T @ (Bk * ws[:, None])
+        m[rows[keep]] += Bk.T @ ws
     return M, m
 
 
 def load_vector(test, forcing):
     """(f, v) for all free test functions; f is evaluated on (0, 1) only."""
     rule = gauss_legendre(test.order + N_OVER)
-    rows_of = _free_row_data(test)
+    row_map = _row_map(test)
     F = np.zeros(test.n_free)
     for e in test.mesh.interior_elements:
         xs, ws = rule.map_to(*test.mesh.bounds(e))
-        rows, keep = rows_of[e]
+        rows = row_map[test.element_dofs(e)]
+        keep = rows >= 0
         f = np.asarray(forcing(xs), dtype=float)
-        F[rows] += test.local_basis(e, xs)[:, keep].T @ (ws * f)
+        F[rows[keep]] += test.local_basis(e, xs)[:, keep].T @ (ws * f)
     return F
 
 
@@ -226,29 +225,32 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
     the never-refined exterior elements caps the attainable accuracy.
     """
     mesh = test.mesh
-    delta = mesh.delta
-    rule_out = gauss_legendre(test.order + N_OVER)
+    n_out = test.order + N_OVER
+    rule_out = gauss_legendre(n_out)
     q_in, w_in = unit_rule(max(test.order, trial.order) + N_OVER)
-    rows_of = _free_row_data(test)
+    row_map = _row_map(test)
     last = mesh.n_elements - 1
     i, j, lo, hi, _ = mesh_pieces(mesh)
-    collar = (i > 0) & (i < last) & ((j == 0) | (j == last))
+    collar = np.flatnonzero((i > 0) & (i < last) & ((j == 0) | (j == last)))
 
     F = np.zeros(test.n_free)
-    for i, j, lo, hi in zip(i[collar], j[collar], lo[collar], hi[collar]):
-        rows, keep = rows_of[i]
-        bj = mesh.bounds(j)
+    # pieces x outer points x inner points x trial basis values
+    for r in chunks(collar, n_out * len(q_in) * (trial.order + 1)):
         # the defect is integrated on the clipped window in every case
-        xs, wx = rule_out.map_to(lo, hi)
-        wBtx = test.local_basis(i, xs) * wx[:, None]
-        y, wy = inner_points(xs, bj, delta, q_in, w_in, split=False)
-        s = y - xs[:, None]
+        xs, wx = rule_out.map_to(lo[r, None], hi[r, None])
+        wBtx = test.local_basis(i[r, None], xs) * wx[..., None]
+        y, wy = inner_points(xs, (mesh.nodes[j[r], None], mesh.nodes[j[r] + 1, None]),
+                             mesh.delta, q_in, w_in, split=False)
+        s = y - xs[..., None]
         defect = (np.asarray(boundary(y.ravel()), dtype=float).reshape(y.shape)
-                  - trial.values(lift, np.full(len(y), j), y))
+                  - trial.values(lift, np.repeat(j[r], n_out), y.reshape(-1, len(q_in)))
+                  .reshape(y.shape))
         # b(w, v) = eps (-L_delta w, v) + (G_delta w, v) by the form table
         dens = sum(form.factor * weight * form.signed(kernel, s)
                    for form, weight in zip(FORMS, (eps, 1.0))) * wy * defect
-        F[rows] += (wBtx.T @ dens.sum(axis=1))[keep]
+        rows = row_map[test.element_dofs(i[r])]
+        np.add.at(F, rows[rows >= 0],
+                  (np.swapaxes(wBtx, 1, 2) @ dens.sum(axis=-1)[..., None])[rows >= 0, 0])
     return F
 
 
@@ -279,8 +281,8 @@ class MixedSystem:
 def assemble_parts(trial, test, kernel, eps, problem):
     """The norm-independent parts: A_vv, the lift, B = op on the free trial
     columns and F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu."""
-    if test.n_free <= trial.n_free:
-        raise ValueError("test space must be strictly richer than the trial space (dp >= 1)")
+    if not 0 < trial.n_free < test.n_free:
+        raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
     (A_vu, C_vu), (A_vv, _) = assemble_nonlocal_forms(test, [(trial, True), (test, False)],
                                                       kernel)
     lift = boundary_lift(trial, problem.boundary)

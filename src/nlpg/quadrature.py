@@ -26,7 +26,10 @@ which case each piece is (self window inside K_i, self window clipped by an
 end of K_i, K_j contained in the ball, or clipped), and where the inner nodes
 sit.  ``mesh_pieces(mesh)`` returns the pieces of all pairs of the mesh as one
 table of arrays (i, j, lo, hi, case); each caller masks the rows it needs and
-keeps only its integrands.
+keeps only its integrands.  Every sweep over the table (the assembly, the
+collar data functional and the energy sweep) walks its rows in the runs of
+``chunks``, whose temporaries stay within one budget, ``CHUNK_VALUES``, and
+sums each row's quadrature with ``row_dots``.
 
 ``smooth_pieces`` is the same cut rule for one pair.  It stays public, with
 ``mesh.horizon_neighbors``, because the benchmark counts pieces with them, and
@@ -46,6 +49,9 @@ from .mesh import horizon_neighbors, horizon_pairs
 # exact solutions and the boundary data are not, and every reported number
 # depends on this value.
 N_OVER = 13
+
+# values per temporary (1 MB) of every sweep over the piece table
+CHUNK_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,17 @@ def mesh_pieces(mesh):
     case = np.where(j == i, np.where(self_inside, SELF_INSIDE, SELF_CLIPPED),
                     np.where(contained, CONTAINED, CLIPPED))
     return i, j, lo, hi, case
+
+
+def chunks(rows, values_per_row):
+    """Consecutive runs of ``rows`` whose temporaries hold <= CHUNK_VALUES values."""
+    size = max(1, CHUNK_VALUES // values_per_row)
+    return [rows[k:k + size] for k in range(0, len(rows), size)]
+
+
+def row_dots(w, v):
+    """w[k] @ v[k] for every row k, each as the one dot product of a single element."""
+    return (w[:, None, :] @ v[..., None])[:, 0, 0]
 
 
 @lru_cache(maxsize=None)

@@ -119,7 +119,7 @@ class Space:
         a, b = self.mesh.bounds(e)
         xi = (2.0 * np.asarray(x, dtype=float) - a - b) / (b - a)
         return lagrange_basis(self.ref_nodes, self._bary, xi.ravel()).reshape(
-            xi.shape + (-1,) if xi.ndim else (1, -1))
+            (xi.shape if xi.ndim else (1,)) + (self.order + 1,))
 
     def interpolate(self, f):
         """Coefficients matching f at the interpolation nodes."""
@@ -139,7 +139,8 @@ class Space:
         x = np.asarray(x, dtype=float)
         basis = self.local_basis(elems.reshape((-1,) + (1,) * (x.ndim - 1)), x)
         local = np.asarray(coeffs, dtype=float)[self._element_dofs[elems]][:, :, None]
-        return (basis.reshape(len(elems), -1, basis.shape[-1]) @ local).reshape(x.shape)
+        rows = basis.reshape(len(elems), np.prod(x.shape[1:], dtype=int), self.order + 1)
+        return (rows @ local).reshape(x.shape)
 
     def evaluate(self, coeffs, x):
         """Evaluate the piecewise polynomial with these coefficients at x."""

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlpg.analysis import (CHUNK_VALUES, compute_discrete_optimal_norm, energy_error_norms,
-                           energy_seminorm, error_energy, error_l2, loglog_slope,
-                           pair_energies, rate, rate_dof)
+from nlpg.analysis import (compute_discrete_optimal_norm, energy_error_norms, energy_seminorm,
+                           error_energy, error_l2, loglog_slope, pair_energies, rate,
+                           rate_dof)
 from nlpg.assembly import assemble_gram, assemble_nonlocal_forms
 from nlpg.kernels import constant_kernel_pair, exact_smooth
 from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
-from nlpg.quadrature import CLIPPED, N_OVER, mesh_pieces
+from nlpg.quadrature import CHUNK_VALUES, CLIPPED, N_OVER, mesh_pieces
 from nlpg.space import Space
 
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nlpg import quadrature
 from nlpg.assembly import (assemble_gram, assemble_mass_mean, assemble_nonlocal_forms,
-                           assemble_parts, mixed_system_from_parts)
+                           assemble_parts, boundary_defect_load, mixed_system_from_parts)
+from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
-from nlpg.mesh import initial_mesh, refine_uniform
-from nlpg.problems import Problem
-from nlpg.space import Space
+from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
+from nlpg.problems import Problem, make_problem
+from nlpg.quadrature import N_OVER, nested_integrate
+from nlpg.space import Space, boundary_lift
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.02, 1e-4])
@@ -22,6 +25,57 @@ def setup(request):
     (A, C), (Avv, Cvv) = assemble_nonlocal_forms(
         test, [(trial, True), (test, True)], kernel)
     return mesh, trial, test, kernel, A, C, Avv, Cvv
+
+
+@pytest.mark.parametrize("mesh", [*(refine_uniform(initial_mesh(d)) for d in (0.1, 0.02, 1e-4)),
+                                  uniform_mesh(0.1, 40)],
+                         ids=["0.1", "0.02", "0.0001", "0.1-contained"])
+def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
+    # one piece per chunk adds the pieces in the order of a loop over the
+    # table; every chunking must give each entry the same additions in the
+    # same order, so the bits must not change.  The first three meshes hold
+    # the mirrored and the Taylor self windows and adjacent clipped windows,
+    # the last (h < delta) K_j contained in the ball and several chunks.
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    kernel = constant_kernel_pair(mesh.delta)
+    g = lambda x: np.asarray(x) ** 5 + 1.0
+    lift = boundary_lift(trial, g)
+
+    def assemble():
+        (A, C), (Avv, Cvv) = assemble_nonlocal_forms(test, [(trial, True), (test, True)], kernel)
+        return A, C, Avv, Cvv, boundary_defect_load(test, trial, lift, g, 0.01, kernel)
+
+    whole = assemble()
+    monkeypatch.setattr(quadrature, "CHUNK_VALUES", 1)
+    for new, old in zip(assemble(), whole):
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.02])
+def test_boundary_defect_load_against_nested_integration(delta):
+    # b(w, v) = int v(x) int (-2 eps K_A + K_C)(y - x) w(y) dy dx for the
+    # collar defect w = g - I_h g, by the scalar reference driver element by
+    # element (delta = 1e-4 is left out: there the reference loses digits)
+    eps = 0.01
+    mesh = refine_uniform(initial_mesh(delta))
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    kernel = constant_kernel_pair(delta)
+    g = lambda x: np.asarray(x, dtype=float) ** 5 + 1.0
+    F = boundary_defect_load(test, trial, boundary_lift(trial, g), g, eps, kernel)
+
+    nodes, last = mesh.nodes, mesh.n_elements - 1
+    collar = lambda y: (y < nodes[1]) | (y > nodes[-2])
+    w = lambda y: np.where(collar(y), g(y) - np.interp(y, nodes, g(nodes)), 0.0)
+    density = lambda x, ys: (-2.0 * eps * kernel.eval_diffusion(ys - x)
+                             + kernel.eval_convection_signed(ys - x)) * w(ys)
+    ref = np.zeros(test.n_dofs)
+    for e in range(1, last):
+        ref[test.element_dofs(e)] += nested_integrate(
+            mesh, e, density, lambda x, v: test.local_basis(e, x)[0] * v,
+            n_out=test.order + N_OVER, n_in=test.order + N_OVER)
+    ref = ref[test.free_dofs]
+    assert np.abs(ref).max() > 0.0
+    assert np.abs(F - ref).max() <= 1e-12 * np.abs(F).max()
 
 
 def test_diffusion_annihilates_constants(setup):
@@ -169,6 +223,14 @@ def test_load_consistency_quintic():
     coeffs = trial.interpolate(g)
     resid = system.F - system.B @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(system.F).max())
+
+
+def test_trial_space_without_free_dofs_rejected():
+    # one interior element: no free p = 1 vertex; the solve used to die in
+    # the Schur complement with a ZeroDivisionError
+    with pytest.raises(ValueError, match="got 0, 2"):
+        solve_problem(uniform_mesh(0.1, 1), make_problem("smooth-nonlocal", 0.01, 0.1),
+                      eps=0.01, p=1, dp=2)
 
 
 def test_enrichment_required():

@@ -93,6 +93,13 @@ def test_values_match_per_element_products(make_mesh, p):
         assert np.array_equal(sp.values(coeffs, elems, x), np.reshape(ref, x.shape))
 
 
+def test_values_of_an_empty_point_set():
+    # a chunk of the piece table may hold no row of some case
+    sp = Space(initial_mesh(0.1), 3)
+    assert sp.local_basis(np.empty((0, 1), int), np.empty((0, 4))).shape == (0, 4, 4)
+    assert sp.values(np.ones(sp.n_dofs), np.empty(0, int), np.empty((0, 4))).shape == (0, 4)
+
+
 def test_evaluate_outside_domain_raises():
     sp = Space(initial_mesh(0.1), 1)
     with pytest.raises(ValueError):
