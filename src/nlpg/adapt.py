@@ -107,5 +107,7 @@ def adaptive_loop(problem, config, on_step=None):
         marked = dorfler_mark(indicators, config.theta)
         if marked.size == 0:
             break
+        # free this step's G and B before the next step assembles
+        del result
         mesh = refine_marked(mesh, marked)
     return records

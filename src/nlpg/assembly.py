@@ -28,15 +28,33 @@ loop over the pieces would add them, whatever the chunk size.
 ``boundary_defect_load`` walks the collar rows of the same table the same way
 and builds its density from the same form table.
 
+The mass matrix, the mean vector and the load are summed the same way: the
+products of all interior elements at once, then one unbuffered ``np.add.at``
+in element order.
+
 One path builds the discrete problem, in two stages.  ``assemble_parts``
-builds all but the Gram matrix once per mesh (the lift, B and F, freeing the
-trial-column operators), and ``mixed_system_from_parts`` adds one test norm's
-Gram matrix, so the systems of several norms share B, F and the lift.
+builds all but the Gram matrix once per mesh (the lift, B and F, forming
+op = eps A_vu + C_vu in the storage of A_vu), and ``mixed_system_from_parts``
+adds one test norm's Gram matrix, so the systems of several norms share B, F
+and the lift.  The Gram matrix is built in place, in the storage of the
+diffusion block A_vv, which the system takes over (``assemble_gram`` works on
+a copy of its argument), so the build holds one n_test x n_test array, plus
+the mass matrix for 'app'.  Its steps, each entry getting the same IEEE
+operations as in G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|:
+
+1. 'app' only: G *= eps^2, then G += M.  Most pages of M are never
+   written, as only the entries of element neighbours are nonzero.
+2. 'app' only: for each band of ``GRAM_BAND`` rows,
+   G[band] -= outer(m[band], m) / |Omega|.
+3. For each band of rows r:r+b, S = 0.5 (G[r:r+b, r:] + G[r:, r:r+b]^T) is
+   written to G[r:r+b, r:] and its transpose to G[r:, r:r+b].  No earlier
+   band has touched these entries, and a + b == b + a in IEEE arithmetic, so
+   each pair of mirror entries gets the bits of 0.5 (X + X^T).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +62,8 @@ from .kernels import KernelPair
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, chunks,
                          gauss_legendre, inner_points, mesh_pieces, row_dots, unit_rule)
 from .space import boundary_lift
+
+GRAM_BAND = 256   # rows per pass of the in-place Gram build
 
 
 def _check_meshes(trial, test):
@@ -185,33 +205,55 @@ def assemble_nonlocal_forms(test, columns, kernel):
     return mats
 
 
+def _interior_products(test, n_points, weights):
+    """Bk^T (Bk w) and Bk^T w of every interior element, on its free DOFs.
+
+    Bk holds the element's test basis values at its n_points Gauss points,
+    w = (quadrature weight) * weights(points).  Returns the free row of each
+    element DOF (-1 for a constrained one) and both products, zero at the
+    constrained DOFs (elements x DOFs x DOFs and elements x DOFs).  BLAS sums
+    a product in an order that depends on its shape and layout, so the
+    elements are taken in groups with the same free DOFs, and each group's
+    stacked products see one element's ``local_basis(e, x)[:, free]`` in the
+    layout that this indexing gives it: they keep the per-element bits.
+    """
+    interior = test.mesh.interior_elements
+    nodes = test.mesh.nodes
+    xs, ws = gauss_legendre(n_points).map_to(nodes[interior, None], nodes[interior + 1, None])
+    w = ws * np.asarray(weights(xs), dtype=float)
+    B = test.local_basis(interior[:, None], xs)
+    rows = _row_map(test)[test.element_dofs(interior)]
+    keep = rows >= 0
+    mass, vec = np.zeros(rows.shape + rows.shape[-1:]), np.zeros(rows.shape)
+    for free in np.unique(keep, axis=0):
+        sel = np.flatnonzero((keep == free).all(axis=1))
+        # elements x free DOFs x points, each block C-contiguous
+        Bt = np.ascontiguousarray(np.swapaxes(B[sel][:, :, free], 1, 2))
+        mass[np.ix_(sel, free, free)] = Bt @ np.swapaxes(Bt * w[sel, None, :], 1, 2)
+        vec[np.ix_(sel, free)] = (Bt @ w[sel, :, None])[..., 0]
+    return rows, mass, vec
+
+
 def assemble_mass_mean(test):
     """L2(Omega) mass matrix and mean vector on the free test DOFs."""
-    rule = gauss_legendre(test.order + 1)
-    row_map = _row_map(test)
+    rows, mass, vec = _interior_products(test, test.order + 1, np.ones_like)
+    keep = rows >= 0
+    both = keep[:, :, None] & keep[:, None, :]
+    R, C = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
+    # np.zeros leaves the pages of M that no element touches unwritten
     M = np.zeros((test.n_free, test.n_free))
     m = np.zeros(test.n_free)
-    for e in test.mesh.interior_elements:
-        xs, ws = rule.map_to(*test.mesh.bounds(e))
-        rows = row_map[test.element_dofs(e)]
-        keep = rows >= 0
-        Bk = test.local_basis(e, xs)[:, keep]
-        M[np.ix_(rows[keep], rows[keep])] += Bk.T @ (Bk * ws[:, None])
-        m[rows[keep]] += Bk.T @ ws
+    # unbuffered and in element order, as a loop over the elements adds them
+    np.add.at(M, (R[both], C[both]), mass[both])
+    np.add.at(m, rows[keep], vec[keep])
     return M, m
 
 
 def load_vector(test, forcing):
     """(f, v) for all free test functions; f is evaluated on (0, 1) only."""
-    rule = gauss_legendre(test.order + N_OVER)
-    row_map = _row_map(test)
+    rows, _, vec = _interior_products(test, test.order + N_OVER, forcing)
     F = np.zeros(test.n_free)
-    for e in test.mesh.interior_elements:
-        xs, ws = rule.map_to(*test.mesh.bounds(e))
-        rows = row_map[test.element_dofs(e)]
-        keep = rows >= 0
-        f = np.asarray(forcing(xs), dtype=float)
-        F[rows[keep]] += test.local_basis(e, xs)[:, keep].T @ (ws * f)
+    np.add.at(F, rows[rows >= 0], vec[rows >= 0])
     return F
 
 
@@ -261,7 +303,7 @@ class SystemParts:
     trial: object
     test: object
     eps: float
-    A_vv: np.ndarray
+    A_vv: Optional[np.ndarray]   # None once a system has taken it over
     B: np.ndarray
     F: np.ndarray
     lift: np.ndarray
@@ -283,10 +325,13 @@ def assemble_parts(trial, test, kernel, eps, problem):
     columns and F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu."""
     if not 0 < trial.n_free < test.n_free:
         raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
-    (A_vu, C_vu), (A_vv, _) = assemble_nonlocal_forms(test, [(trial, True), (test, False)],
-                                                      kernel)
+    (op, C_vu), (A_vv, _) = assemble_nonlocal_forms(test, [(trial, True), (test, False)],
+                                                    kernel)
     lift = boundary_lift(trial, problem.boundary)
-    op = eps * A_vu + C_vu
+    # op = eps A_vu + C_vu, in the storage of A_vu
+    op *= eps
+    op += C_vu
+    del C_vu
     F = (load_vector(test, problem.forcing) - op @ lift
          - boundary_defect_load(test, trial, lift, problem.boundary, eps, kernel))
     return SystemParts(trial, test, eps, A_vv[:, test.free_dofs], op[:, trial.free_dofs],
@@ -299,24 +344,54 @@ def check_norm(norm):
         raise ValueError(f"unknown test norm {norm!r}, expected 'app' or 'eng'")
 
 
+def _gram_in_place(test, G, eps, norm):
+    """Turn the free diffusion block G into the norm's Gram matrix in its own
+    storage and return it; the order of the steps is in the module docstring."""
+    n = len(G)
+    if norm == "app":
+        G *= eps**2
+        M, m = assemble_mass_mean(test)
+        G += M
+        del M
+        omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
+        for r in range(0, n, GRAM_BAND):
+            band = np.outer(m[r:r + GRAM_BAND], m)
+            band /= omega
+            G[r:r + GRAM_BAND] -= band
+            del band   # before the next band is allocated
+    for r in range(0, n, GRAM_BAND):
+        # rows r:r+b right of the diagonal and their mirror, both still as built
+        S = G[r:r + GRAM_BAND, r:] + G[r:, r:r + GRAM_BAND].T
+        S *= 0.5
+        G[r:r + GRAM_BAND, r:] = S
+        G[r:, r:r + GRAM_BAND] = S.T
+        del S
+    return G
+
+
 def assemble_gram(test, diffusion_vv, eps, norm):
     """Gram matrix of the chosen test-space norm on the free test DOFs.
 
     ``diffusion_vv`` is the free-column block of the test-space diffusion
-    matrix.  'eng' is the nonlocal energy inner product; 'app' is
-    eps^2 * energy + mean-free L2, the computable optimal-norm surrogate.
+    matrix; it is left as it is.  'eng' is the nonlocal energy inner product;
+    'app' is eps^2 * energy + mean-free L2, the computable optimal-norm
+    surrogate.
     """
     check_norm(norm)
-    if norm == "eng":
-        G = diffusion_vv
-    else:
-        M, m = assemble_mass_mean(test)
-        omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
-        G = eps**2 * diffusion_vv + M - np.outer(m, m) / omega
-    return 0.5 * (G + G.T)
+    return _gram_in_place(test, np.array(diffusion_vv, dtype=float), eps, norm)
 
 
 def mixed_system_from_parts(parts, norm):
-    """The discrete mixed problem for one test norm: the parts plus its Gram matrix."""
-    return MixedSystem(G=assemble_gram(parts.test, parts.A_vv, parts.eps, norm),
+    """The discrete mixed problem for one test norm: the parts plus its Gram matrix.
+
+    The Gram matrix is built in the storage of ``parts.A_vv``, which the
+    system takes over: ``parts.A_vv`` is None afterwards.  To build several
+    norms' systems from one set of parts, pass all but the last a copy,
+    ``dataclasses.replace(parts, A_vv=parts.A_vv.copy())``.
+    """
+    check_norm(norm)
+    if parts.A_vv is None:
+        raise ValueError("parts.A_vv has been taken over by an earlier system")
+    G, parts.A_vv = parts.A_vv, None
+    return MixedSystem(G=_gram_in_place(parts.test, G, parts.eps, norm),
                        B=parts.B, F=parts.F, trial=parts.trial, lift=parts.lift)

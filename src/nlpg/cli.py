@@ -58,7 +58,9 @@ def _run_command(args):
     last = {}
 
     def keep_last(step, mesh, result, indicators):
-        last.update(mesh=mesh, system=result.system)
+        # the system only if it is dumped: it holds this step's Gram matrix
+        # through the next step's solve
+        last.update(mesh=mesh, system=result.system if args.dump_matrices else None)
 
     dumps = args.mesh_out or args.dump_matrices
     records = experiments.run(cfg, on_step=keep_last if dumps else None)

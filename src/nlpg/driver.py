@@ -1,6 +1,7 @@
 """Single-mesh solve pipeline shared by the refinement studies."""
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,15 +33,51 @@ class StepResult:
         return self.test.n_free
 
 
+def _memory_limit():
+    """Bytes of memory this process may use: the physical memory, or the
+    cgroup v2 ``memory.max`` of its cgroup where that is readable and smaller."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open("/proc/self/cgroup") as fh:
+            path = next((line[3:].strip() for line in fh if line.startswith("0::")), None)
+        if path is None:
+            return limit
+        with open(f"/sys/fs/cgroup{path.rstrip('/')}/memory.max") as fh:
+            value = fh.read().strip()
+    except OSError:
+        return limit
+    return min(limit, int(value)) if value.isdigit() else limit
+
+
+def _check_memory(n_test, n_trial):
+    """Raise MemoryError if the dense arrays of the solve cannot fit.
+
+    The solve holds G, its Cholesky factor, B and G^-1 B in float64.
+    """
+    need = 8 * (2 * n_test**2 + 2 * n_test * n_trial)
+    limit = _memory_limit()
+    if need > limit:
+        raise MemoryError(
+            f"the dense solve needs about {need / 2**30:.2f} GiB (n_test = {n_test}, "
+            f"n_trial = {n_trial}), more than the {limit / 2**30:.2f} GiB of memory available")
+
+
 def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
     """Assemble once, solve for each requested test norm; returns {norm: StepResult}."""
+    norms = tuple(norms)
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
+    _check_memory(test.n_free, trial.n_free)
     kernel = constant_kernel_pair(mesh.delta)
     parts = assemble_parts(trial, test, kernel, eps, problem)
+    # every Gram matrix but the last is built in a copy of A_vv, the last in
+    # A_vv itself, so no n_test x n_test array but the Gram matrices is left
+    # when the solves start
+    systems = {norm: mixed_system_from_parts(
+        parts if k == len(norms) - 1 else replace(parts, A_vv=parts.A_vv.copy()), norm)
+        for k, norm in enumerate(norms)}
     out = {}
-    for norm in norms:
-        system = mixed_system_from_parts(parts, norm)
+    for norm, system in systems.items():
         solution = solve_mixed(system)
         coeffs = expand_solution(system, solution)
         err, exact = energy_error_norms(trial, coeffs, problem.u_exact, kernel)

@@ -93,6 +93,8 @@ def _study(cfg, norms, steps, on_step, dof_rates=False):
             out[n].append(step_record(step, mesh, results[n], prev, dof_rates))
         if on_step is not None:
             on_step(step, mesh, results[cfg.norm], None)
+        # free this step's G and B before the next step assembles
+        del results
     return out
 
 

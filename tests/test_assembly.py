@@ -1,17 +1,20 @@
 """Discrete operator matrices: annihilation, symmetry, SPD, load consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from nlpg import quadrature
-from nlpg.assembly import (assemble_gram, assemble_mass_mean, assemble_nonlocal_forms,
-                           assemble_parts, boundary_defect_load, mixed_system_from_parts)
+from nlpg.assembly import (GRAM_BAND, assemble_gram, assemble_mass_mean,
+                           assemble_nonlocal_forms, assemble_parts, boundary_defect_load,
+                           load_vector, mixed_system_from_parts)
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
-from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
+from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
-from nlpg.quadrature import N_OVER, nested_integrate
+from nlpg.quadrature import N_OVER, gauss_legendre, nested_integrate
 from nlpg.space import Space, boundary_lift
 
 
@@ -149,6 +152,99 @@ def test_gram_rejects_unknown_norm(setup):
     _, _, test, kernel, _, _, Avv, _ = setup
     with pytest.raises(ValueError):
         assemble_gram(test, Avv[:, test.free_dofs], 0.01, "opt")
+
+
+@pytest.mark.parametrize("norm", ["app", "eng"])
+def test_gram_equals_the_plain_expression(norm):
+    # 599 free DOFs: two full row bands of the in-place build and a partial
+    # third.  A random, unsymmetric block checks every entry of the banded
+    # symmetrization, and the block must come back unchanged.
+    eps = 0.01
+    test = Space(uniform_mesh(1e-4, 200), 3)
+    assert test.n_free > 2 * GRAM_BAND and test.n_free % GRAM_BAND
+    A = np.random.default_rng(3).standard_normal((test.n_free, test.n_free))
+    given = A.copy()
+    G = assemble_gram(test, A, eps, norm)
+    X = A
+    if norm == "app":
+        M, m = assemble_mass_mean(test)
+        omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
+        X = eps**2 * A + M - np.outer(m, m) / omega
+    assert np.array_equal(G, 0.5 * (X + X.T))
+    assert np.array_equal(A, given)
+
+
+@pytest.mark.parametrize("norm, arrays", [("app", 2.2), ("eng", 1.2)])
+def test_gram_build_allocates_one_dense_array(norm, arrays):
+    # G itself, plus for 'app' the mass matrix (allocated by np.zeros, whose
+    # pages off the band are never written) and one row band at a time
+    test = Space(uniform_mesh(1e-4, 640), 3)
+    n = test.n_free
+    A = np.random.default_rng(5).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        assemble_gram(test, A, 0.01, norm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n * n
+
+
+def test_system_takes_the_diffusion_block_over():
+    mesh = initial_mesh(0.1)
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    parts = assemble_parts(trial, test, constant_kernel_pair(0.1), 0.01,
+                           make_problem("smooth-nonlocal", 0.01, 0.1))
+    A_vv = parts.A_vv
+    with pytest.raises(ValueError, match="unknown test norm"):
+        mixed_system_from_parts(parts, "opt")
+    assert parts.A_vv is A_vv
+    system = mixed_system_from_parts(parts, "eng")
+    assert system.G is A_vv and parts.A_vv is None
+    with pytest.raises(ValueError, match="taken over"):
+        mixed_system_from_parts(parts, "app")
+
+
+def _mass_mean_load_by_elements(test, forcing):
+    """M, m and F by the loop over the interior elements that the batched
+    assembly replaced: the reference for its bits."""
+    rows_of = np.full(test.n_dofs, -1)
+    rows_of[test.free_dofs] = np.arange(test.n_free)
+    M, m, F = np.zeros((test.n_free, test.n_free)), np.zeros(test.n_free), np.zeros(test.n_free)
+    for e in test.mesh.interior_elements:
+        rows = rows_of[test.element_dofs(e)]
+        keep = rows >= 0
+        xs, ws = gauss_legendre(test.order + 1).map_to(*test.mesh.bounds(e))
+        Bk = test.local_basis(e, xs)[:, keep]
+        M[np.ix_(rows[keep], rows[keep])] += Bk.T @ (Bk * ws[:, None])
+        m[rows[keep]] += Bk.T @ ws
+        xs, ws = gauss_legendre(test.order + N_OVER).map_to(*test.mesh.bounds(e))
+        f = np.asarray(forcing(xs), dtype=float)
+        F[rows[keep]] += test.local_basis(e, xs)[:, keep].T @ (ws * f)
+    return M, m, F
+
+
+def _graded_mesh(delta):
+    mesh = uniform_mesh(delta, 10)
+    for _ in range(3):
+        mesh = refine_marked(mesh, [mesh.n_elements - 2])
+    return mesh
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 10), _graded_mesh(0.01),
+                                  uniform_mesh(1e-4, 37), uniform_mesh(0.1, 1)],
+                         ids=["uniform", "graded", "small-horizon", "one-element"])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_mass_mean_and_load_equal_the_element_loop(mesh, order):
+    # the two elements next to the boundary have a constrained vertex DOF
+    # and so fewer free DOFs; the batched products must match theirs too
+    test = Space(mesh, order)
+    for name in ("smooth-nonlocal", "sharp"):
+        forcing = make_problem(name, 0.01, mesh.delta).forcing
+        M, m, F = _mass_mean_load_by_elements(test, forcing)
+        assert np.array_equal(load_vector(test, forcing), F)
+    Mb, mb = assemble_mass_mean(test)
+    assert np.array_equal(Mb, M) and np.array_equal(mb, m)
 
 
 def test_mismatched_meshes_rejected():

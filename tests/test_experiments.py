@@ -13,7 +13,7 @@ from nlpg import cli
 from nlpg.experiments import (CSV_HEADER, RunConfig, apply_overrides,
                               config_from_file, coupling_delta, overshoot_metric,
                               records_to_csv, run, run_sharp_demo)
-from nlpg.mesh import initial_mesh
+from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.space import Space
 
 
@@ -177,6 +177,16 @@ def test_cli_run_flag_for_every_config_key(tmp_path, monkeypatch):
         argv += [f"--{key}", str(val)]
     assert cli.main(argv) == 0
     assert seen == [RunConfig(**values)]
+
+
+def test_cli_mesh_dump_alone(tmp_path):
+    # without --dump_matrices only the mesh of the last solve is kept
+    mesh_csv = tmp_path / "mesh.csv"
+    assert cli.main(["run", "--problem", "linear", "--delta", "0.1", "--steps", "2",
+                     "--output", str(tmp_path / "r.csv"), "--mesh_out", str(mesh_csv)]) == 0
+    nodes = [float(v) for v in mesh_csv.read_text().split()]
+    np.testing.assert_allclose(nodes, refine_uniform(initial_mesh(0.1)).nodes)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["mesh.csv", "r.csv"]
 
 
 def test_cli_mesh_and_matrix_dump(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nlpg.assembly
+import nlpg.driver
 from nlpg.assembly import assemble_parts, mixed_system_from_parts
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair
@@ -135,3 +136,40 @@ def test_two_norm_step_builds_lift_and_load_once(monkeypatch):
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=("app", "eng"))
     assert calls == {"boundary_lift": 1, "load_vector": 1, "boundary_defect_load": 1}
+
+
+@pytest.mark.parametrize("norms", [("app", "eng"), ("eng", "app")])
+def test_two_norm_step_equals_two_one_norm_steps(norms):
+    # the last norm's Gram matrix is built in the storage of A_vv, the other
+    # in a copy of it; neither may see the other's build
+    mesh = refine_uniform(initial_mesh(0.1))
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    both = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
+    for norm in norms:
+        one = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=(norm,))[norm]
+        for name in ("G", "B", "F"):
+            assert np.array_equal(getattr(both[norm].system, name), getattr(one.system, name))
+        assert both[norm].err_energy == one.err_energy
+
+
+def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
+    # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4, so the solve's
+    # dense arrays take 8 (2 * 14**2 + 2 * 14 * 4) = 4032 bytes
+    mesh = initial_mesh(0.1)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    assemble_parts = nlpg.driver.assemble_parts
+
+    def not_reached(*args):
+        raise AssertionError("assembled before the memory check")
+
+    monkeypatch.setattr(nlpg.driver, "assemble_parts", not_reached)
+    monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: 4031)
+    with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
+        solve_problem(mesh, problem, eps=0.01, p=1, dp=2)
+    monkeypatch.setattr(nlpg.driver, "assemble_parts", assemble_parts)
+    monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: 4032)
+    assert solve_problem(mesh, problem, eps=0.01, p=1, dp=2)["app"].n_test == 14
+
+
+def test_memory_limit_is_a_plausible_size():
+    assert 2**27 <= nlpg.driver._memory_limit() < 2**50

@@ -6,9 +6,14 @@ Extracts ``src/`` at the revision REV (``git archive``, no network) into a
 temporary directory and runs the same grid on that tree and on this
 checkout's ``src/``, each in its own process:
 
-    delta in {0.1, 0.01, 1e-4, 1e-5} x uniform and graded meshes
+    (delta in {0.1, 0.01, 1e-4, 1e-5} x uniform and graded 10-element
+    meshes, plus the wide-horizon uniform 80-element mesh at delta = 0.1)
     x problems smooth-nonlocal and sharp x (p, dp) in {(1, 2), (2, 3), (1, 6)}
-    x test norms app and eng                                   (96 cases)
+    x test norms app and eng                                  (108 cases)
+
+The 80-element mesh has delta/h = 8, so most of its pieces are of the
+CONTAINED case, and at (p, dp) = (1, 6) its 559 test DOFs span three row
+bands of the in-place Gram build.
 
 For each case it keeps G, B and F of the mixed system, the relative energy
 and L2 errors, the squared indicators eta^2, and the energy seminorm of the
@@ -38,6 +43,7 @@ BOUND = 1e-12
 EPS = 0.01
 DELTAS = (0.1, 0.01, 1e-4, 1e-5)
 MESHES = ("uniform", "graded")
+WIDE = (0.1, "uniform-80")   # (delta, kind) of the wide-horizon mesh
 PROBLEMS = ("smooth-nonlocal", "sharp")
 ORDERS = ((1, 2), (2, 3), (1, 6))
 NORMS = ("app", "eng")
@@ -57,7 +63,7 @@ CLI_RUNS = (
 def _mesh(kind, delta):
     from nlpg.mesh import refine_marked, uniform_mesh
 
-    mesh = uniform_mesh(delta, 10)
+    mesh = uniform_mesh(delta, 80 if kind == "uniform-80" else 10)
     if kind == "graded":
         # bisect the element at x = 1 three times: widths 0.1 down to 0.0125
         for _ in range(3):
@@ -74,26 +80,24 @@ def dump(path):
     from nlpg.problems import make_problem
 
     out = {}
-    for delta in DELTAS:
+    for delta, kind in [(d, k) for d in DELTAS for k in MESHES] + [WIDE]:
         kernel = constant_kernel_pair(delta)
-        for kind in MESHES:
-            mesh = _mesh(kind, delta)
-            for name in PROBLEMS:
-                problem = make_problem(name, EPS, delta)
-                for p, dp in ORDERS:
-                    results = solve_problem(mesh, problem, eps=EPS, p=p, dp=dp,
-                                            norms=NORMS)
-                    for norm, res in results.items():
-                        case = f"delta={delta:g} {kind} {name} p={p} dp={dp} {norm}"
-                        psi = res.solution.psi
-                        eta2 = localize_indicator(psi, res.test, kernel, EPS, norm).eta2
-                        coeffs = np.zeros(res.test.n_dofs)
-                        coeffs[res.test.free_dofs] = psi
-                        values = (res.system.G, res.system.B, res.system.F,
-                                  res.err_energy, res.err_l2, eta2,
-                                  energy_seminorm(res.test, coeffs, kernel))
-                        for q, v in zip(QUANTITIES, values):
-                            out[f"{case}|{q}"] = np.asarray(v, dtype=float)
+        mesh = _mesh(kind, delta)
+        for name in PROBLEMS:
+            problem = make_problem(name, EPS, delta)
+            for p, dp in ORDERS:
+                results = solve_problem(mesh, problem, eps=EPS, p=p, dp=dp, norms=NORMS)
+                for norm, res in results.items():
+                    case = f"delta={delta:g} {kind} {name} p={p} dp={dp} {norm}"
+                    psi = res.solution.psi
+                    eta2 = localize_indicator(psi, res.test, kernel, EPS, norm).eta2
+                    coeffs = np.zeros(res.test.n_dofs)
+                    coeffs[res.test.free_dofs] = psi
+                    values = (res.system.G, res.system.B, res.system.F,
+                              res.err_energy, res.err_l2, eta2,
+                              energy_seminorm(res.test, coeffs, kernel))
+                    for q, v in zip(QUANTITIES, values):
+                        out[f"{case}|{q}"] = np.asarray(v, dtype=float)
     np.savez(path, **out)
 
 
