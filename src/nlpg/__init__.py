@@ -7,11 +7,9 @@ inputs, so concurrent read-only use is safe.
 """
 
 from .adapt import IndicatorSet, adaptive_loop, dorfler_mark, localize_indicator
-from .analysis import (ExperimentRecord, compute_discrete_optimal_norm,
-                       energy_seminorm, error_energy, error_l2, loglog_slope,
-                       rate, rate_dof)
-from .assembly import (MixedSystem, assemble_gram, assemble_mass_mean,
-                       assemble_nonlocal_forms, assemble_parts, mixed_system_from_parts)
+from .analysis import ExperimentRecord, energy_seminorm, error_l2, rate, rate_dof
+from .assembly import (MixedSystem, assemble_mass_mean, assemble_nonlocal_forms,
+                       assemble_parts, mixed_system_from_parts)
 from .driver import solve_problem
 from .kernels import (KernelPair, constant_kernel_pair, exact_sharp,
                       exact_smooth, forcing_sharp, forcing_smooth_local,
@@ -19,7 +17,7 @@ from .kernels import (KernelPair, constant_kernel_pair, exact_sharp,
 from .mesh import (Mesh1d, horizon_neighbors, initial_mesh, refine_marked,
                    refine_uniform, uniform_mesh, write_nodes_csv)
 from .problems import Problem, make_problem
-from .quadrature import QuadRule, gauss_legendre, intersect, nested_integrate
+from .quadrature import QuadRule, gauss_legendre
 from .solver import (IndefiniteGramError, InfSupError, MixedSolution,
                      expand_solution, solve_mixed)
 from .space import Space, boundary_lift

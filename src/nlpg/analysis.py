@@ -1,4 +1,4 @@
-"""Error norms, convergence rates, and the discrete optimal-norm diagnostic.
+"""Error norms, convergence rates and the records of a refinement study.
 
 The energy-norm errors, the energy seminorm and the indicators of ``adapt``
 share one sweep, ``pair_energies``, over the piece table of the pair layer
@@ -15,12 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .assembly import assemble_nonlocal_forms
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, chunks, gauss_legendre, inner_points,
                          mesh_pieces, row_dots, unit_rule)
-from .solver import IndefiniteGramError
 
 
 @dataclass
@@ -135,14 +132,6 @@ def energy_error_norms(space, coeffs, u_exact, kernel):
     return math.sqrt(err2.sum()), math.sqrt(ex2.sum())
 
 
-def error_energy(space, coeffs, u_exact, kernel):
-    """Relative error in the nonlocal energy norm (see energy_error_norms)."""
-    err, ex = energy_error_norms(space, coeffs, u_exact, kernel)
-    if ex == 0.0:
-        raise ValueError("exact solution has zero energy norm")
-    return err / ex
-
-
 def energy_seminorm(space, coeffs, kernel):
     """S_delta seminorm of a discrete function, over the full Omega_delta."""
     total, = pair_energies(space, [(coeffs, None)], kernel, mesh_pieces(space.mesh))
@@ -176,28 +165,3 @@ def rate_dof(e_prev, e_next, n_prev, n_next):
     if e_prev <= 0.0 or e_next <= 0.0 or n_next <= n_prev:
         return math.nan
     return math.log(e_prev / e_next) / math.log(n_next / n_prev)
-
-
-def loglog_slope(ns, errs):
-    """Least-squares slope of log(err) against log(n)."""
-    return float(np.polyfit(np.log(np.asarray(ns, dtype=float)),
-                            np.log(np.asarray(errs, dtype=float)), 1)[0])
-
-
-def compute_discrete_optimal_norm(v, test, kernel, eps):
-    """Discrete optimal test norm of a free test-space vector.
-
-    Evaluates eps^2 * energy + (w, A^{-1} w) with w the Galerkin image of the
-    nonlocal gradient of v; an offline diagnostic, not a solver norm.
-    """
-    v = np.asarray(v, dtype=float)
-    (A, C), = assemble_nonlocal_forms(test, [(test, True)], kernel)
-    Aff = A[:, test.free_dofs]
-    Aff = 0.5 * (Aff + Aff.T)
-    w = C[:, test.free_dofs] @ v
-    try:
-        fac = cho_factor(Aff, lower=True)
-    except LinAlgError as exc:
-        raise IndefiniteGramError("diffusion Gram failed to factorize") from exc
-    z = cho_solve(fac, w)
-    return float(math.sqrt(eps**2 * (v @ Aff @ v) + w @ z))

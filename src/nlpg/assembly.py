@@ -1,7 +1,7 @@
 """Assembly of the discrete nonlocal operators and the mixed system.
 
-The bilinear form is assembled in operator form, following the nested
-integration driver: rows are (free) test functions integrated over the
+The bilinear form is assembled in operator form, by the nested integration
+of ``quadrature``: rows are (free) test functions integrated over the
 interior domain, columns are trial basis functions fed through the nonlocal
 diffusion/convection operators.  Since every test function vanishes on the
 exterior elements, this operator form coincides with the symmetric
@@ -36,11 +36,11 @@ One path builds the discrete problem, in two stages.  ``assemble_parts``
 builds all but the Gram matrix once per mesh (the lift, B and F, forming
 op = eps A_vu + C_vu in the storage of A_vu), and ``mixed_system_from_parts``
 adds one test norm's Gram matrix, so the systems of several norms share B, F
-and the lift.  The Gram matrix is built in place, in the storage of the
-diffusion block A_vv, which the system takes over (``assemble_gram`` works on
-a copy of its argument), so the build holds one n_test x n_test array, plus
-the mass matrix for 'app'.  Its steps, each entry getting the same IEEE
-operations as in G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|:
+and the lift.  It is the only Gram path: the Gram matrix is built in place,
+in the storage of the diffusion block A_vv, which the system takes over, so
+the build holds one n_test x n_test array, plus the mass matrix for 'app'.
+Its steps, each entry getting the same IEEE operations as in
+G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega| ('eng': X = A_vv):
 
 1. 'app' only: G *= eps^2, then G += M.  Most pages of M are never
    written, as only the entries of element neighbours are nonzero.
@@ -66,11 +66,6 @@ from .space import boundary_lift
 GRAM_BAND = 256   # rows per pass of the in-place Gram build
 
 
-def _check_meshes(trial, test):
-    if trial.mesh is not test.mesh and not np.array_equal(trial.mesh.nodes, test.mesh.nodes):
-        raise ValueError("trial and test spaces must share one mesh")
-
-
 def _row_map(space):
     """Row of every DOF among the free DOFs, -1 for a constrained one."""
     rows = np.full(space.n_dofs, -1)
@@ -83,14 +78,13 @@ class _Form(NamedTuple):
 
     factor: float       # -2 or 1, folded into the kernel weights (an exact scaling)
     signed: Callable    # K on signed separations y - x
-    mirrored: Callable  # K(|t|) for the mirrored self window y = x -+ t
     parity: int         # 0 for an even K, 1 for an odd one: the surviving Taylor powers
 
 
 # diffusion (-L_delta u, v) and convection (G_delta u, v), in the order of the
-# (A, C) pairs of assemble_nonlocal_forms
-FORMS = (_Form(-2.0, KernelPair.eval_diffusion, KernelPair.eval_diffusion, 0),
-         _Form(1.0, KernelPair.eval_convection_signed, KernelPair.eval_convection, 1))
+# matrices of assemble_nonlocal_forms
+FORMS = (_Form(-2.0, KernelPair.eval_diffusion, 0),
+         _Form(1.0, KernelPair.eval_convection_signed, 1))
 
 
 def _signed_weights(kernel, xs, y, wy):
@@ -99,34 +93,35 @@ def _signed_weights(kernel, xs, y, wy):
     return [form.factor * form.signed(kernel, s) * wy for form in FORMS]
 
 
-def assemble_nonlocal_forms(test, columns, kernel):
-    """Assemble (-L_delta u, v) and (b.G_delta u, v) matrices in one sweep.
+def assemble_nonlocal_forms(test, trial, kernel):
+    """Assemble the operator matrices of the mixed system in one sweep.
 
-    ``columns`` is a sequence of (space, with_convection) pairs sharing the
-    test space's mesh; the returned list holds one (A, C) pair per entry, C
-    None where convection is not requested.  Rows are free test DOFs, columns
-    all DOFs of the respective column space.
+    Returns (A_vu, C_vu, A_vv): (-L_delta u, v) and (b.G_delta u, v) for u in
+    the trial space, and (-L_delta w, v) for w in the test space.  Rows are
+    free test DOFs, columns all DOFs of the respective column space.
     """
     mesh = test.mesh
     delta = mesh.delta
-    for space, _ in columns:
-        _check_meshes(space, test)
+    if trial.mesh is not mesh and not np.array_equal(trial.mesh.nodes, mesh.nodes):
+        raise ValueError("trial and test spaces must share one mesh")
 
-    order = max(test.order, max(s.order for s, _ in columns))
+    order = max(test.order, trial.order)
     n_out, n_in = test.order + N_OVER, order + N_OVER
     rule_out = gauss_legendre(n_out)
     q_in, w_in = unit_rule(n_in)
     elem_y, elem_w = gauss_legendre(n_in).map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
     # unclipped self window: pair mirrored points y = x -+ t so the
     # O(delta^-3) kernel multiplies symmetric differences of the basis
-    # instead of two huge cancelling half-integrals
+    # instead of two huge cancelling half-integrals; t > 0, so the signed
+    # kernels give K(|t|) here
     t = delta * q_in
-    wK_in = [form.factor * form.mirrored(kernel, t) * (delta * w_in) for form in FORMS]
+    wK_in = [form.factor * form.signed(kernel, t) * (delta * w_in) for form in FORMS]
 
-    # indices into FORMS wanted by each column space: diffusion, then convection
-    wants = [range(1 + conv) for _, conv in columns]
-    mats = [(np.zeros((test.n_free, s.n_dofs)),
-             np.zeros((test.n_free, s.n_dofs)) if conv else None) for s, conv in columns]
+    # each column space with its matrices, in the order of FORMS: the trial
+    # space gets both forms, the test space the diffusion form only
+    A_vu, C_vu = (np.zeros((test.n_free, trial.n_dofs)) for _ in FORMS)
+    A_vv = np.zeros((test.n_free, test.n_dofs))
+    columns = ((trial, (A_vu, C_vu)), (test, (A_vv,)))
     row_map = _row_map(test)
 
     i, j, lo, hi, case = mesh_pieces(mesh)
@@ -159,7 +154,7 @@ def assemble_nonlocal_forms(test, columns, kernel):
         # pair is -(wBtx * sK)^T @ Bx with sK the row sums of the weights
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
-        for (space, _), forms, mat in zip(columns, wants, mats):
+        for space, mats in columns:
             Bx = space.local_basis(ib[:, None], xs)
             Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
             # same column block: difference the basis values before applying
@@ -180,7 +175,7 @@ def assemble_nonlocal_forms(test, columns, kernel):
             cols = np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)
             R, C, K = np.broadcast_arrays(rows[:, None, :, None], cols[:, :, None, :], keep)
 
-            for f in forms:
+            for f, mat in enumerate(mats):
                 parity = FORMS[f].parity
                 M = np.zeros((taylor.sum(), space.order + 1, space.order + 1))
                 wt = np.broadcast_to(wK_in[f], tau[taylor].shape)
@@ -201,8 +196,8 @@ def assemble_nonlocal_forms(test, columns, kernel):
                 blocks = np.stack((wBt @ Zj, sign * (wBs @ Zi)), axis=1)
                 # unbuffered and in table order: every entry receives the
                 # additions of its pieces one by one, in the order of the table
-                np.add.at(mat[f], (R[K], C[K]), blocks[K])
-    return mats
+                np.add.at(mat, (R[K], C[K]), blocks[K])
+    return A_vu, C_vu, A_vv
 
 
 def _interior_products(test, n_points, weights):
@@ -325,8 +320,7 @@ def assemble_parts(trial, test, kernel, eps, problem):
     columns and F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu."""
     if not 0 < trial.n_free < test.n_free:
         raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
-    (op, C_vu), (A_vv, _) = assemble_nonlocal_forms(test, [(trial, True), (test, False)],
-                                                    kernel)
+    op, C_vu, A_vv = assemble_nonlocal_forms(test, trial, kernel)
     lift = boundary_lift(trial, problem.boundary)
     # op = eps A_vu + C_vu, in the storage of A_vu
     op *= eps
@@ -367,18 +361,6 @@ def _gram_in_place(test, G, eps, norm):
         G[r:, r:r + GRAM_BAND] = S.T
         del S
     return G
-
-
-def assemble_gram(test, diffusion_vv, eps, norm):
-    """Gram matrix of the chosen test-space norm on the free test DOFs.
-
-    ``diffusion_vv`` is the free-column block of the test-space diffusion
-    matrix; it is left as it is.  'eng' is the nonlocal energy inner product;
-    'app' is eps^2 * energy + mean-free L2, the computable optimal-norm
-    surrogate.
-    """
-    check_norm(norm)
-    return _gram_in_place(test, np.array(diffusion_vv, dtype=float), eps, norm)
 
 
 def mixed_system_from_parts(parts, norm):

@@ -85,6 +85,8 @@ def coupling_delta(coupling, h):
 def _study(cfg, norms, steps, on_step, dof_rates=False):
     """Solve every (mesh, problem, p) of ``steps`` for the test norms; {norm: [records]}."""
     norms = tuple(norms) if norms else (cfg.norm,)
+    if on_step is not None and cfg.norm not in norms:
+        raise ValueError(f"on_step gets the result of norm {cfg.norm!r}, not among {norms}")
     out = {n: [] for n in norms}
     for step, (mesh, problem, p) in enumerate(steps):
         results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp, norms=norms)

@@ -1,4 +1,4 @@
-"""Gauss rules and the nested driver for horizon-restricted double integrals.
+"""Gauss rules and the pair layer for horizon-restricted double integrals.
 
 Integrals of the form
 
@@ -33,8 +33,9 @@ sums each row's quadrature with ``row_dots``.
 
 ``smooth_pieces`` is the same cut rule for one pair.  It stays public, with
 ``mesh.horizon_neighbors``, because the benchmark counts pieces with them, and
-the tests hold ``mesh_pieces`` to it bit for bit.  ``nested_integrate``
-stays apart as the independent reference.
+the tests hold ``mesh_pieces`` to it bit for bit.  The independent scalar
+reference of the nested integration, one quadrature point at a time, lives
+with the tests (``tests/reference.py``).
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import horizon_neighbors, horizon_pairs
+from .mesh import horizon_pairs
 
 # Gauss points added to the polynomial order of the spaces in every rule.
 # The piece integrands of the operators are polynomial, but the forcing, the
@@ -76,16 +77,6 @@ def gauss_legendre(n):
     pts.flags.writeable = False
     wts.flags.writeable = False
     return QuadRule(pts, wts, n)
-
-
-def intersect(element, center, delta):
-    """Intersection of an element interval with B_delta(center); None if empty."""
-    a, b = element
-    lo = max(a, center - delta)
-    hi = min(b, center + delta)
-    if hi - lo <= 0.0:
-        return None
-    return lo, hi
 
 
 def smooth_pieces(outer, inner, delta):
@@ -185,50 +176,3 @@ def inner_points(xs, bj, delta, q_in, w_in, split):
                              (u - xs)[..., None] * w_in), axis=-1)
         return y, wy
     return l[..., None] + (u - l)[..., None] * q_in, (u - l)[..., None] * w_in
-
-
-def _union_pieces(mesh, i, neighbors):
-    """Pieces of K_i delimited by every neighbor's intersection-pattern crossings."""
-    ai, bi = mesh.bounds(i)
-    tol = 1e-12 * max(bi - ai, mesh.delta)
-    cuts = set()
-    for j in neighbors:
-        aj, bj = mesh.bounds(j)
-        for c in (aj - mesh.delta, aj + mesh.delta, bj - mesh.delta, bj + mesh.delta):
-            if ai + tol < c < bi - tol:
-                cuts.add(c)
-    edges = [ai, *sorted(cuts), bi]
-    return [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)
-            if edges[k + 1] - edges[k] > tol]
-
-
-def nested_integrate(mesh, i, inner_kernel, outer_weight, *, n_out, n_in):
-    """Reference nested integral over element i (see module docstring).
-
-    ``inner_kernel(x, y_array)`` returns G(x, y) values; ``outer_weight(x, v)``
-    maps the accumulated inner value v at x to the outer integrand.
-    """
-    delta = mesh.delta
-    neighbors = horizon_neighbors(mesh, i)
-    rule_out = gauss_legendre(n_out)
-    rule_in = gauss_legendre(n_in)
-    bounds = [mesh.bounds(j) for j in neighbors]
-
-    total = 0.0
-    for lo, hi in _union_pieces(mesh, i, neighbors):
-        xs, ws = rule_out.map_to(lo, hi)
-        for x_p, w_p in zip(xs, ws):
-            inner = 0.0
-            for seg_bounds in bounds:
-                seg = intersect(seg_bounds, x_p, delta)
-                if seg is None:
-                    continue
-                a, b = seg
-                parts = ((a, x_p), (x_p, b)) if a < x_p < b else ((a, b),)
-                for pa, pb in parts:
-                    if pb - pa <= 0.0:
-                        continue
-                    ys, wy = rule_in.map_to(pa, pb)
-                    inner += wy @ np.asarray(inner_kernel(x_p, ys), dtype=float)
-            total += w_p * outer_weight(x_p, inner)
-    return total

@@ -1,0 +1,115 @@
+"""Independent references that only the tests use.
+
+None of them is on the program's path, and each is written for clarity, not
+speed: a scalar nested integration over one element at a time, the Gram
+matrix as the plain expression that the in-place build reproduces, the
+discrete optimal test norm, and a least-squares log-log slope.
+
+Import with ``from reference import ...``; pytest puts this directory on the
+path of the test modules beside it.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from nlpg.assembly import assemble_mass_mean, assemble_nonlocal_forms
+from nlpg.mesh import horizon_neighbors
+from nlpg.quadrature import gauss_legendre
+
+
+def intersect(element, center, delta):
+    """Intersection of an element interval with B_delta(center); None if empty."""
+    a, b = element
+    lo = max(a, center - delta)
+    hi = min(b, center + delta)
+    if hi - lo <= 0.0:
+        return None
+    return lo, hi
+
+
+def _union_pieces(mesh, i, neighbors):
+    """Pieces of K_i delimited by every neighbor's intersection-pattern crossings."""
+    ai, bi = mesh.bounds(i)
+    tol = 1e-12 * max(bi - ai, mesh.delta)
+    cuts = set()
+    for j in neighbors:
+        aj, bj = mesh.bounds(j)
+        for c in (aj - mesh.delta, aj + mesh.delta, bj - mesh.delta, bj + mesh.delta):
+            if ai + tol < c < bi - tol:
+                cuts.add(c)
+    edges = [ai, *sorted(cuts), bi]
+    return [(edges[k], edges[k + 1]) for k in range(len(edges) - 1)
+            if edges[k + 1] - edges[k] > tol]
+
+
+def nested_integrate(mesh, i, inner_kernel, outer_weight, *, n_out, n_in):
+    """int_{K_i} outer_weight(x, sum_j int_{K_j ∩ B_delta(x)} inner_kernel(x, y) dy) dx.
+
+    Gauss rules on both levels, one outer point at a time: the outer rule per
+    smooth piece of K_i, and every inner interval that holds x strictly
+    inside split at x.  ``inner_kernel(x, y_array)`` returns the inner values;
+    ``outer_weight(x, v)`` maps the accumulated inner value v at x to the
+    outer integrand.
+    """
+    delta = mesh.delta
+    neighbors = horizon_neighbors(mesh, i)
+    rule_out = gauss_legendre(n_out)
+    rule_in = gauss_legendre(n_in)
+    bounds = [mesh.bounds(j) for j in neighbors]
+
+    total = 0.0
+    for lo, hi in _union_pieces(mesh, i, neighbors):
+        xs, ws = rule_out.map_to(lo, hi)
+        for x_p, w_p in zip(xs, ws):
+            inner = 0.0
+            for seg_bounds in bounds:
+                seg = intersect(seg_bounds, x_p, delta)
+                if seg is None:
+                    continue
+                a, b = seg
+                parts = ((a, x_p), (x_p, b)) if a < x_p < b else ((a, b),)
+                for pa, pb in parts:
+                    if pb - pa <= 0.0:
+                        continue
+                    ys, wy = rule_in.map_to(pa, pb)
+                    inner += wy @ np.asarray(inner_kernel(x_p, ys), dtype=float)
+            total += w_p * outer_weight(x_p, inner)
+    return total
+
+
+def gram(test, diffusion_vv, eps, norm):
+    """Gram matrix of the test norm as the plain expression 0.5 (X + X^T).
+
+    X = eps^2 A + M - m m^T / |Omega| for 'app', X = A for 'eng', with A the
+    free-column block ``diffusion_vv`` of the test-space diffusion matrix and
+    M, m the mass matrix and mean vector.  ``diffusion_vv`` is left as it is.
+    """
+    X = diffusion_vv
+    if norm == "app":
+        M, m = assemble_mass_mean(test)
+        omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
+        X = eps**2 * diffusion_vv + M - np.outer(m, m) / omega
+    return 0.5 * (X + X.T)
+
+
+def compute_discrete_optimal_norm(v, test, kernel, eps):
+    """Discrete optimal test norm of a free test-space vector.
+
+    Evaluates eps^2 * energy + (w, A^{-1} w) with w the Galerkin image of the
+    nonlocal gradient of v; an offline diagnostic, not a solver norm.
+    """
+    v = np.asarray(v, dtype=float)
+    A, C, _ = assemble_nonlocal_forms(test, test, kernel)
+    Aff = A[:, test.free_dofs]
+    Aff = 0.5 * (Aff + Aff.T)
+    w = C[:, test.free_dofs] @ v
+    z = cho_solve(cho_factor(Aff, lower=True), w)
+    return float(math.sqrt(eps**2 * (v @ Aff @ v) + w @ z))
+
+
+def loglog_slope(ns, errs):
+    """Least-squares slope of log(err) against log(n)."""
+    return float(np.polyfit(np.log(np.asarray(ns, dtype=float)),
+                            np.log(np.asarray(errs, dtype=float)), 1)[0])

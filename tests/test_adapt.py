@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from nlpg.adapt import IndicatorSet, adaptive_loop, dorfler_mark, localize_indicator
-from nlpg.assembly import assemble_gram, assemble_nonlocal_forms
+from nlpg.assembly import assemble_nonlocal_forms
 from nlpg.driver import solve_problem
 from nlpg.experiments import RunConfig
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.problems import make_problem
 from nlpg.space import Space
+from reference import gram
 
 
 def test_zero_field_zero_indicators():
@@ -50,13 +51,8 @@ def test_indicator_sum_matches_gram_quadratic_form(norm, delta):
     rng = np.random.default_rng(9)
     psi = rng.standard_normal(test.n_free)
     ind = localize_indicator(psi, test, kernel, 0.01, norm)
-    (Avv, _), = assemble_nonlocal_forms(test, [(test, False)], kernel)
-    if norm == "app":
-        G = assemble_gram(test, Avv[:, test.free_dofs], 0.01, "app")
-        target = psi @ G @ psi
-    else:
-        ff = Avv[:, test.free_dofs]
-        target = psi @ (0.5 * (ff + ff.T)) @ psi
+    _, _, Avv = assemble_nonlocal_forms(test, test, kernel)
+    target = psi @ gram(test, Avv[:, test.free_dofs], 0.01, norm) @ psi
     assert ind.eta2.sum() == pytest.approx(target, rel=1e-10)
 
 

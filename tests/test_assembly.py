@@ -7,15 +7,16 @@ import pytest
 from scipy.integrate import quad
 
 from nlpg import quadrature
-from nlpg.assembly import (GRAM_BAND, assemble_gram, assemble_mass_mean,
+from nlpg.assembly import (GRAM_BAND, SystemParts, _gram_in_place, assemble_mass_mean,
                            assemble_nonlocal_forms, assemble_parts, boundary_defect_load,
                            load_vector, mixed_system_from_parts)
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
-from nlpg.quadrature import N_OVER, gauss_legendre, nested_integrate
+from nlpg.quadrature import N_OVER, gauss_legendre
 from nlpg.space import Space, boundary_lift
+from reference import gram, nested_integrate
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.02, 1e-4])
@@ -25,33 +26,49 @@ def setup(request):
     trial = Space(mesh, 1)
     test = Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
-    (A, C), (Avv, Cvv) = assemble_nonlocal_forms(
-        test, [(trial, True), (test, True)], kernel)
+    A, C, _ = assemble_nonlocal_forms(test, trial, kernel)
+    Avv, Cvv, _ = assemble_nonlocal_forms(test, test, kernel)
     return mesh, trial, test, kernel, A, C, Avv, Cvv
 
 
-@pytest.mark.parametrize("mesh", [*(refine_uniform(initial_mesh(d)) for d in (0.1, 0.02, 1e-4)),
-                                  uniform_mesh(0.1, 40)],
-                         ids=["0.1", "0.02", "0.0001", "0.1-contained"])
+# the first three hold the mirrored and the Taylor self windows and adjacent
+# clipped windows, the last (h < delta) K_j contained in the ball and several
+# chunks
+SWEEP_MESHES = pytest.mark.parametrize(
+    "mesh", [*(refine_uniform(initial_mesh(d)) for d in (0.1, 0.02, 1e-4)),
+             uniform_mesh(0.1, 40)], ids=["0.1", "0.02", "0.0001", "0.1-contained"])
+
+
+@SWEEP_MESHES
 def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
     # one piece per chunk adds the pieces in the order of a loop over the
     # table; every chunking must give each entry the same additions in the
-    # same order, so the bits must not change.  The first three meshes hold
-    # the mirrored and the Taylor self windows and adjacent clipped windows,
-    # the last (h < delta) K_j contained in the ball and several chunks.
+    # same order, so the bits must not change
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(mesh.delta)
     g = lambda x: np.asarray(x) ** 5 + 1.0
     lift = boundary_lift(trial, g)
 
     def assemble():
-        (A, C), (Avv, Cvv) = assemble_nonlocal_forms(test, [(trial, True), (test, True)], kernel)
-        return A, C, Avv, Cvv, boundary_defect_load(test, trial, lift, g, 0.01, kernel)
+        return (*assemble_nonlocal_forms(test, trial, kernel),
+                *assemble_nonlocal_forms(test, test, kernel)[1:],
+                boundary_defect_load(test, trial, lift, g, 0.01, kernel))
 
     whole = assemble()
     monkeypatch.setattr(quadrature, "CHUNK_VALUES", 1)
     for new, old in zip(assemble(), whole):
         assert np.array_equal(new, old)
+
+
+@SWEEP_MESHES
+def test_test_space_as_trial_space_gives_the_diffusion_block(mesh):
+    # the tests that need C_vv assemble with trial = test; the A_vu they get
+    # must be the A_vv that the program builds beside its trial columns
+    kernel = constant_kernel_pair(mesh.delta)
+    for p, dp in ((1, 2), (2, 3)):
+        trial, test = Space(mesh, p), Space(mesh, p + dp)
+        A_vv = assemble_nonlocal_forms(test, trial, kernel)[2]
+        assert np.array_equal(assemble_nonlocal_forms(test, test, kernel)[0], A_vv)
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.02])
@@ -137,53 +154,50 @@ def test_bilinear_form_definite_on_random_vectors(setup):
 
 def test_gram_app_eps_zero_is_spd(setup):
     _, _, test, kernel, _, _, Avv, _ = setup
-    G = assemble_gram(test, Avv[:, test.free_dofs], 0.0, "app")
+    G = _gram_in_place(test, Avv[:, test.free_dofs], 0.0, "app")
     assert np.linalg.eigvalsh(G).min() > 0.0
 
 
 def test_gram_eng_equals_diffusion_block(setup):
     _, _, test, kernel, _, _, Avv, _ = setup
     ff = Avv[:, test.free_dofs]
-    G = assemble_gram(test, ff, 0.01, "eng")
+    G = _gram_in_place(test, ff.copy(), 0.01, "eng")
     np.testing.assert_allclose(G, 0.5 * (ff + ff.T))
 
 
 def test_gram_rejects_unknown_norm(setup):
-    _, _, test, kernel, _, _, Avv, _ = setup
-    with pytest.raises(ValueError):
-        assemble_gram(test, Avv[:, test.free_dofs], 0.01, "opt")
+    # the rejection comes before the system takes the diffusion block over
+    _, trial, test, kernel, _, _, Avv, _ = setup
+    A_vv = Avv[:, test.free_dofs]
+    parts = SystemParts(trial, test, 0.01, A_vv, None, None, None)
+    with pytest.raises(ValueError, match="unknown test norm"):
+        mixed_system_from_parts(parts, "opt")
+    assert parts.A_vv is A_vv
 
 
 @pytest.mark.parametrize("norm", ["app", "eng"])
 def test_gram_equals_the_plain_expression(norm):
     # 599 free DOFs: two full row bands of the in-place build and a partial
     # third.  A random, unsymmetric block checks every entry of the banded
-    # symmetrization, and the block must come back unchanged.
-    eps = 0.01
+    # symmetrization.
     test = Space(uniform_mesh(1e-4, 200), 3)
     assert test.n_free > 2 * GRAM_BAND and test.n_free % GRAM_BAND
     A = np.random.default_rng(3).standard_normal((test.n_free, test.n_free))
-    given = A.copy()
-    G = assemble_gram(test, A, eps, norm)
-    X = A
-    if norm == "app":
-        M, m = assemble_mass_mean(test)
-        omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
-        X = eps**2 * A + M - np.outer(m, m) / omega
-    assert np.array_equal(G, 0.5 * (X + X.T))
-    assert np.array_equal(A, given)
+    expected = gram(test, A, 0.01, norm)
+    assert np.array_equal(_gram_in_place(test, A, 0.01, norm), expected)
 
 
-@pytest.mark.parametrize("norm, arrays", [("app", 2.2), ("eng", 1.2)])
+@pytest.mark.parametrize("norm, arrays", [("app", 1.1), ("eng", 0.14)])
 def test_gram_build_allocates_one_dense_array(norm, arrays):
-    # G itself, plus for 'app' the mass matrix (allocated by np.zeros, whose
-    # pages off the band are never written) and one row band at a time
+    # G is built in the given storage: for 'app' the mass matrix (allocated
+    # by np.zeros, whose pages off the band are never written) and one row
+    # band at a time, for 'eng' one row band at a time
     test = Space(uniform_mesh(1e-4, 640), 3)
     n = test.n_free
     A = np.random.default_rng(5).standard_normal((n, n))
     tracemalloc.start()
     try:
-        assemble_gram(test, A, 0.01, norm)
+        _gram_in_place(test, A, 0.01, norm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,8 +264,7 @@ def test_mass_mean_and_load_equal_the_element_loop(mesh, order):
 def test_mismatched_meshes_rejected():
     m1, m2 = initial_mesh(0.1), refine_uniform(initial_mesh(0.1))
     with pytest.raises(ValueError):
-        assemble_nonlocal_forms(Space(m2, 3), [(Space(m1, 1), False)],
-                                constant_kernel_pair(0.1))
+        assemble_nonlocal_forms(Space(m2, 3), Space(m1, 1), constant_kernel_pair(0.1))
 
 
 def test_app_gram_hat_against_dense_integration():
@@ -261,8 +274,8 @@ def test_app_gram_hat_against_dense_integration():
     mesh = initial_mesh(delta)
     test = Space(mesh, 1)
     kernel = constant_kernel_pair(delta)
-    (Avv, _), = assemble_nonlocal_forms(test, [(test, False)], kernel)
-    G = assemble_gram(test, Avv[:, test.free_dofs], eps, "app")
+    _, _, Avv = assemble_nonlocal_forms(test, test, kernel)
+    G = _gram_in_place(test, Avv[:, test.free_dofs], eps, "app")
     idx = 1   # hat at x = 0.4
     e = np.zeros(test.n_free)
     e[idx] = 1.0

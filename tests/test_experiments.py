@@ -9,10 +9,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from nlpg import cli
+from nlpg import cli, experiments
 from nlpg.experiments import (CSV_HEADER, RunConfig, apply_overrides,
                               config_from_file, coupling_delta, overshoot_metric,
-                              records_to_csv, run, run_sharp_demo)
+                              records_to_csv, run, run_sharp_demo, uniform_h_study)
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.space import Space
 
@@ -92,6 +92,17 @@ def test_uniform_p_reports_free_dof_counts():
     recs = run(cfg)
     assert [r.n_trial for r in recs] == [4, 9, 14, 19]
     assert all(r.n_test > r.n_trial for r in recs)
+
+
+def test_step_callback_needs_its_norm_among_the_solved_ones(monkeypatch):
+    # on_step gets the result of cfg.norm: a study that does not solve that
+    # norm is rejected before its first solve, naming both
+    solves = []
+    monkeypatch.setattr(experiments, "solve_problem", lambda *args, **kw: solves.append(args))
+    with pytest.raises(ValueError, match=r"'app', not among \('eng',\)"):
+        uniform_h_study(RunConfig(norm="app", steps=2), norms=("eng",),
+                        on_step=lambda *args: None)
+    assert solves == []
 
 
 def test_steps_zero_single_solve():

@@ -1,4 +1,4 @@
-"""Gauss rules and the nested horizon-restricted integration driver."""
+"""Gauss rules, the pair layer and the reference nested integration driver."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, initial_mesh, refine_marked, refine_uniform
 from nlpg.quadrature import (CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
-                             inner_points, intersect, mesh_pieces, nested_integrate,
-                             smooth_pieces, unit_rule)
+                             inner_points, mesh_pieces, smooth_pieces, unit_rule)
+from reference import intersect, nested_integrate
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 24])

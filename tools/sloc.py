@@ -1,11 +1,13 @@
-"""Code lines of the package ``src/nlpg``.
+"""Code lines of the package ``src/nlpg`` and of its tests ``tests/``.
 
     python tools/sloc.py [REV]
 
-Counts the lines of every ``src/nlpg/*.py`` that hold code: blank lines,
-comment-only lines and the docstrings of modules, classes and functions are
-left out.  It counts this checkout's working tree and, with REV, also ``src/``
-at the git revision REV, which it extracts with ``git archive`` (no network).
+Counts the lines of every ``src/nlpg/*.py`` and every ``tests/*.py`` that hold
+code: blank lines, comment-only lines and the docstrings of modules, classes
+and functions are left out.  The two counts are printed apart, so that code
+moved from the package to the tests shows as such.  It counts this checkout's
+working tree and, with REV, also ``src/`` and ``tests/`` at the git revision
+REV, which it extracts with ``git archive`` (no network).
 """
 
 import ast
@@ -19,6 +21,7 @@ import tempfile
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIRS = ("src/nlpg", "tests")   # counted apart, each without its subdirectories
 
 
 def _docstring_lines(tree):
@@ -44,13 +47,18 @@ def code_lines(source):
     return len(lines - skip)
 
 
-def count(src):
-    """Code lines of every module of the package under ``src``."""
+def count(directory):
+    """Code lines of every module directly under ``directory``."""
     total = 0
-    for path in sorted(glob.glob(os.path.join(src, "nlpg", "*.py"))):
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             total += code_lines(fh.read())
     return total
+
+
+def report(label, root):
+    for d in DIRS:
+        print(f"{label}: {count(os.path.join(root, d))} code lines in {d}")
 
 
 def main(argv):
@@ -58,7 +66,7 @@ def main(argv):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     if argv:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", argv[0], "src"],
+        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", argv[0], *DIRS],
                                  capture_output=True)
         if archive.returncode != 0:
             print(archive.stderr.decode().strip(), file=sys.stderr)
@@ -66,8 +74,8 @@ def main(argv):
         with tempfile.TemporaryDirectory() as tmp:
             with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
                 tar.extractall(tmp)
-            print(f"{argv[0]}: {count(os.path.join(tmp, 'src'))} code lines in src/nlpg")
-    print(f"working tree: {count(os.path.join(ROOT, 'src'))} code lines in src/nlpg")
+            report(argv[0], tmp)
+    report("working tree", ROOT)
     return 0
 
 
