@@ -2,8 +2,9 @@
 
 Mixed formulation with an enriched test space; the test-space norm is either
 the nonlocal energy norm ('eng') or the computable approximation of the
-optimal test norm ('app').  All operators are pure functions of immutable
-inputs, so concurrent read-only use is safe.
+optimal test norm ('app').  The operators are pure functions of immutable
+inputs, except that ``mixed_system_from_parts`` takes the diffusion block of
+its parts over and builds a Gram matrix in it.
 """
 
 from .adapt import IndicatorSet, adaptive_loop, dorfler_mark, localize_indicator
@@ -18,8 +19,7 @@ from .mesh import (Mesh1d, horizon_neighbors, initial_mesh, refine_marked,
                    refine_uniform, uniform_mesh, write_nodes_csv)
 from .problems import Problem, make_problem
 from .quadrature import QuadRule, gauss_legendre
-from .solver import (IndefiniteGramError, InfSupError, MixedSolution,
-                     expand_solution, solve_mixed)
+from .solver import IndefiniteGramError, InfSupError, MixedSolution, solve_mixed
 from .space import Space, boundary_lift
 from .experiments import (RunConfig, overshoot_metric, records_to_csv, run,
                           run_sharp_demo, run_table1, run_table3, run_table7,

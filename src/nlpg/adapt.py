@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import pair_energies, step_record
-from .assembly import check_norm
+from .assembly import check_norms
 from .driver import solve_problem
 from .kernels import constant_kernel_pair
 from .mesh import initial_mesh, refine_marked
@@ -36,7 +36,7 @@ def localize_indicator(psi, test, kernel, eps, norm):
     norm is the plain seminorm density (no eps^2 factor - constant scalings
     do not change the marked set).  Any other norm raises ValueError.
     """
-    check_norm(norm)
+    check_norms((norm,))
     mesh = test.mesh
     interior = mesh.interior_elements
     coeffs = np.zeros(test.n_dofs)

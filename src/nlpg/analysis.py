@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, chunks, gauss_legendre, inner_points,
-                         mesh_pieces, row_dots, unit_rule)
+                         mesh_pieces, row_dots)
 
 
 @dataclass
@@ -26,7 +26,6 @@ class ExperimentRecord:
 
     step: int
     h_min: float
-    h_max: float
     delta: float
     n_trial: int
     n_test: int
@@ -51,8 +50,7 @@ def step_record(step, mesh, result, prev, dof_rates=False):
             r_e = rate(prev.err_energy, result.err_energy)
             r_l = rate(prev.err_l2, result.err_l2)
     return ExperimentRecord(
-        step=step, h_min=float(mesh.interior_widths.min()),
-        h_max=float(mesh.interior_widths.max()), delta=mesh.delta,
+        step=step, h_min=float(mesh.interior_widths.min()), delta=mesh.delta,
         n_trial=result.n_trial, n_test=result.n_test,
         err_energy=result.err_energy, rate_energy=r_e,
         err_l2=result.err_l2, rate_l2=r_l)
@@ -87,7 +85,7 @@ def pair_energies(space, fields, kernel, pieces):
     mesh = space.mesh
     n = space.order + N_OVER
     rule = gauss_legendre(n)
-    q_in, w_in = unit_rule(n)
+    q_in, w_in = rule.map_to(0.0, 1.0)
     nodes = mesh.nodes
 
     # per-element grids and field values for the contained case

@@ -33,14 +33,16 @@ products of all interior elements at once, then one unbuffered ``np.add.at``
 in element order.
 
 One path builds the discrete problem, in two stages.  ``assemble_parts``
-builds all but the Gram matrix once per mesh (the lift, B and F, forming
+builds all but the Gram matrices once per mesh (the lift, B and F, forming
 op = eps A_vu + C_vu in the storage of A_vu), and ``mixed_system_from_parts``
-adds one test norm's Gram matrix, so the systems of several norms share B, F
-and the lift.  It is the only Gram path: the Gram matrix is built in place,
-in the storage of the diffusion block A_vv, which the system takes over, so
-the build holds one n_test x n_test array, plus the mass matrix for 'app'.
-Its steps, each entry getting the same IEEE operations as in
-G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega| ('eng': X = A_vv):
+adds the Gram matrix of each test norm of the step, so the systems of the
+norms share B and F.  It checks the norm list (``check_norms``) before it
+takes the diffusion block A_vv over.  It is the only Gram path: each Gram
+matrix is built in place, the last norm's in the storage of A_vv and the
+others' in copies of it, so a build holds one n_test x n_test array, plus the
+mass matrix for 'app'.  Its steps, each entry getting the same IEEE
+operations as in G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
+('eng': X = A_vv):
 
 1. 'app' only: G *= eps^2, then G += M.  Most pages of M are never
    written, as only the entries of element neighbours are nonzero.
@@ -60,7 +62,7 @@ import numpy as np
 
 from .kernels import KernelPair
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, chunks,
-                         gauss_legendre, inner_points, mesh_pieces, row_dots, unit_rule)
+                         gauss_legendre, inner_points, mesh_pieces, row_dots)
 from .space import boundary_lift
 
 GRAM_BAND = 256   # rows per pass of the in-place Gram build
@@ -108,7 +110,7 @@ def assemble_nonlocal_forms(test, trial, kernel):
     order = max(test.order, trial.order)
     n_out, n_in = test.order + N_OVER, order + N_OVER
     rule_out = gauss_legendre(n_out)
-    q_in, w_in = unit_rule(n_in)
+    q_in, w_in = gauss_legendre(n_in).map_to(0.0, 1.0)
     elem_y, elem_w = gauss_legendre(n_in).map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
     # unclipped self window: pair mirrored points y = x -+ t so the
     # O(delta^-3) kernel multiplies symmetric differences of the basis
@@ -264,7 +266,7 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
     mesh = test.mesh
     n_out = test.order + N_OVER
     rule_out = gauss_legendre(n_out)
-    q_in, w_in = unit_rule(max(test.order, trial.order) + N_OVER)
+    q_in, w_in = gauss_legendre(max(test.order, trial.order) + N_OVER).map_to(0.0, 1.0)
     row_map = _row_map(test)
     last = mesh.n_elements - 1
     i, j, lo, hi, _ = mesh_pieces(mesh)
@@ -293,12 +295,11 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
 
 @dataclass
 class SystemParts:
-    """All of the discrete problem on one mesh but the norm's Gram matrix."""
+    """All of the discrete problem on one mesh but the norms' Gram matrices."""
 
-    trial: object
     test: object
     eps: float
-    A_vv: Optional[np.ndarray]   # None once a system has taken it over
+    A_vv: Optional[np.ndarray]   # None once the systems have taken it over
     B: np.ndarray
     F: np.ndarray
     lift: np.ndarray
@@ -311,8 +312,6 @@ class MixedSystem:
     G: np.ndarray
     B: np.ndarray
     F: np.ndarray
-    trial: object
-    lift: np.ndarray
 
 
 def assemble_parts(trial, test, kernel, eps, problem):
@@ -328,14 +327,22 @@ def assemble_parts(trial, test, kernel, eps, problem):
     del C_vu
     F = (load_vector(test, problem.forcing) - op @ lift
          - boundary_defect_load(test, trial, lift, problem.boundary, eps, kernel))
-    return SystemParts(trial, test, eps, A_vv[:, test.free_dofs], op[:, trial.free_dofs],
-                       F, lift)
+    return SystemParts(test, eps, A_vv[:, test.free_dofs], op[:, trial.free_dofs], F, lift)
 
 
-def check_norm(norm):
-    """Raise ValueError unless ``norm`` names a test norm, 'app' or 'eng'."""
-    if norm not in ("app", "eng"):
-        raise ValueError(f"unknown test norm {norm!r}, expected 'app' or 'eng'")
+NORMS = ("app", "eng")
+
+
+def check_norms(norms):
+    """The test norms as a tuple; ValueError unless they are distinct names
+    of NORMS, at least one."""
+    norms = tuple(norms)
+    for norm in norms:
+        if norm not in NORMS:
+            raise ValueError(f"unknown test norm {norm!r}, expected one of {NORMS}")
+    if not norms or len(set(norms)) < len(norms):
+        raise ValueError(f"need distinct test norms, at least one, got {norms}")
+    return norms
 
 
 def _gram_in_place(test, G, eps, norm):
@@ -363,17 +370,19 @@ def _gram_in_place(test, G, eps, norm):
     return G
 
 
-def mixed_system_from_parts(parts, norm):
-    """The discrete mixed problem for one test norm: the parts plus its Gram matrix.
+def mixed_system_from_parts(parts, norms):
+    """The discrete mixed problem of every test norm: {norm: MixedSystem}.
 
-    The Gram matrix is built in the storage of ``parts.A_vv``, which the
-    system takes over: ``parts.A_vv`` is None afterwards.  To build several
-    norms' systems from one set of parts, pass all but the last a copy,
-    ``dataclasses.replace(parts, A_vv=parts.A_vv.copy())``.
+    The systems share B and F.  Each Gram matrix is built in place, all but
+    the last in a copy of ``parts.A_vv`` and the last in ``parts.A_vv``
+    itself, which the systems take over: ``parts.A_vv`` is None afterwards.
+    The norms are checked before that.
     """
-    check_norm(norm)
+    norms = check_norms(norms)
     if parts.A_vv is None:
-        raise ValueError("parts.A_vv has been taken over by an earlier system")
-    G, parts.A_vv = parts.A_vv, None
-    return MixedSystem(G=_gram_in_place(parts.test, G, parts.eps, norm),
-                       B=parts.B, F=parts.F, trial=parts.trial, lift=parts.lift)
+        raise ValueError("parts.A_vv has been taken over by an earlier call")
+    A_vv, parts.A_vv = parts.A_vv, None
+    return {norm: MixedSystem(_gram_in_place(parts.test, A_vv if norm == norms[-1]
+                                             else A_vv.copy(), parts.eps, norm),
+                              parts.B, parts.F)
+            for norm in norms}

@@ -1,14 +1,14 @@
 """Single-mesh solve pipeline shared by the refinement studies."""
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import energy_error_norms, error_l2
-from .assembly import assemble_parts, mixed_system_from_parts
+from .assembly import assemble_parts, check_norms, mixed_system_from_parts
 from .kernels import constant_kernel_pair
-from .solver import expand_solution, solve_mixed
+from .solver import solve_mixed
 from .space import Space
 
 
@@ -49,12 +49,13 @@ def _memory_limit():
     return min(limit, int(value)) if value.isdigit() else limit
 
 
-def _check_memory(n_test, n_trial):
-    """Raise MemoryError if the dense arrays of the solve cannot fit.
+def _check_memory(n_test, n_trial, n_norms):
+    """Raise MemoryError if the dense arrays of the solves cannot fit.
 
-    The solve holds G, its Cholesky factor, B and G^-1 B in float64.
+    The solves hold every norm's G, one Cholesky factor, B and G^-1 B in
+    float64: each norm's G stays alive, as its StepResult keeps it.
     """
-    need = 8 * (2 * n_test**2 + 2 * n_test * n_trial)
+    need = 8 * ((n_norms + 1) * n_test**2 + 2 * n_test * n_trial)
     limit = _memory_limit()
     if need > limit:
         raise MemoryError(
@@ -64,23 +65,21 @@ def _check_memory(n_test, n_trial):
 
 def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
     """Assemble once, solve for each requested test norm; returns {norm: StepResult}."""
-    norms = tuple(norms)
+    norms = check_norms(norms)
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
-    _check_memory(test.n_free, trial.n_free)
+    _check_memory(test.n_free, trial.n_free, len(norms))
     kernel = constant_kernel_pair(mesh.delta)
     parts = assemble_parts(trial, test, kernel, eps, problem)
-    # every Gram matrix but the last is built in a copy of A_vv, the last in
-    # A_vv itself, so no n_test x n_test array but the Gram matrices is left
-    # when the solves start
-    systems = {norm: mixed_system_from_parts(
-        parts if k == len(norms) - 1 else replace(parts, A_vv=parts.A_vv.copy()), norm)
-        for k, norm in enumerate(norms)}
     out = {}
-    for norm, system in systems.items():
+    for norm, system in mixed_system_from_parts(parts, norms).items():
         solution = solve_mixed(system)
-        coeffs = expand_solution(system, solution)
+        # full trial coefficients: the boundary lift plus the free solution
+        coeffs = parts.lift.copy()
+        coeffs[trial.free_dofs] = solution.u
         err, exact = energy_error_norms(trial, coeffs, problem.u_exact, kernel)
+        if exact == 0.0:
+            raise ValueError("exact solution has zero energy norm")
         out[norm] = StepResult(
             trial=trial, test=test, system=system, solution=solution,
             coeffs=coeffs, err_energy=err / exact,

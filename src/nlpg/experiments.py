@@ -7,12 +7,12 @@ import numpy as np
 
 from .adapt import adaptive_loop
 from .analysis import step_record
+from .assembly import NORMS
 from .driver import solve_problem
 from .mesh import initial_mesh, refine_uniform, uniform_mesh
 from .problems import PROBLEM_NAMES, make_problem
 
 COUPLINGS = ("fixed", "h", "2h", "h^2", "sqrt(h)")
-NORMS = ("app", "eng")
 REFINEMENTS = ("uniform-h", "uniform-p", "adaptive")
 
 # CSV cells of a record, (attribute, format): the energy pair that the wide
@@ -84,7 +84,7 @@ def coupling_delta(coupling, h):
 
 def _study(cfg, norms, steps, on_step, dof_rates=False):
     """Solve every (mesh, problem, p) of ``steps`` for the test norms; {norm: [records]}."""
-    norms = tuple(norms) if norms else (cfg.norm,)
+    norms = (cfg.norm,) if norms is None else tuple(norms)
     if on_step is not None and cfg.norm not in norms:
         raise ValueError(f"on_step gets the result of norm {cfg.norm!r}, not among {norms}")
     out = {n: [] for n in norms}
@@ -223,15 +223,14 @@ def run_sharp_demo(delta=1e-5, eps=0.01, dp=6, out=None):
     RunConfig(problem="sharp", eps=eps, delta=delta, dp=dp).validate()
     mesh = initial_mesh(delta)
     problem = make_problem("sharp", eps, delta)
-    results = solve_problem(mesh, problem, eps=eps, p=1, dp=dp, norms=("app", "eng"))
-    overshoot = {n: overshoot_metric(results[n].trial, results[n].coeffs)
-                 for n in ("app", "eng")}
+    results = solve_problem(mesh, problem, eps=eps, p=1, dp=dp, norms=NORMS)
+    overshoot = {n: overshoot_metric(results[n].trial, results[n].coeffs) for n in NORMS}
     if out:
         interior = mesh.interior_elements
         xs = np.append(np.linspace(mesh.nodes[interior], mesh.nodes[interior + 1], 201,
                                    axis=1)[:, :-1], 1.0)
-        curves = [results[n].trial.evaluate(results[n].coeffs, xs) for n in ("app", "eng")]
-        _write_csv(["x", "exact", "u_app", "u_eng"],
+        curves = [results[n].trial.evaluate(results[n].coeffs, xs) for n in NORMS]
+        _write_csv(["x", "exact", *(f"u_{n}" for n in NORMS)],
                    [[format(v, ".8e") for v in row]
                     for row in zip(xs, problem.u_exact(xs), *curves)], out)
     return results, overshoot

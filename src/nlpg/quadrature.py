@@ -61,7 +61,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    n: int
 
     def map_to(self, a, b):
         """Points and weights mapped onto (a, b)."""
@@ -76,7 +75,7 @@ def gauss_legendre(n):
     pts, wts = np.polynomial.legendre.leggauss(n)
     pts.flags.writeable = False
     wts.flags.writeable = False
-    return QuadRule(pts, wts, n)
+    return QuadRule(pts, wts)
 
 
 def smooth_pieces(outer, inner, delta):
@@ -148,23 +147,12 @@ def row_dots(w, v):
     return (w[:, None, :] @ v[..., None])[:, 0, 0]
 
 
-@lru_cache(maxsize=None)
-def unit_rule(n):
-    """Gauss-Legendre points and weights of order n on [0, 1]."""
-    rule = gauss_legendre(n)
-    q = 0.5 * (rule.points + 1.0)
-    w = 0.5 * rule.weights
-    q.flags.writeable = False
-    w.flags.writeable = False
-    return q, w
-
-
 def inner_points(xs, bj, delta, q_in, w_in, split):
     """Inner nodes and weights on K_j ∩ B_delta(x) for every outer node x.
 
-    ``q_in``, ``w_in`` is a rule on [0, 1] (``unit_rule``); with ``split`` the
-    interval is split at x.  ``bj`` holds the bounds of K_j, scalars or arrays
-    that broadcast against ``xs``.  Returns arrays of shape xs.shape + (n,)
+    ``q_in``, ``w_in`` is a rule on [0, 1] (``QuadRule.map_to(0.0, 1.0)``);
+    with ``split`` the interval is split at x.  ``bj`` holds the bounds of
+    K_j, scalars or arrays that broadcast against ``xs``.  Returns arrays of shape xs.shape + (n,)
     with n the rule order, or twice that when split.
     """
     l = np.maximum(bj[0], xs - delta)

@@ -58,9 +58,3 @@ def solve_mixed(system):
     return MixedSolution(u=u, psi=psi, residual_primal=float(res1),
                          residual_orthogonality=float(res2), schur_cond_estimate=cond)
 
-
-def expand_solution(system, solution):
-    """Full trial coefficient vector: boundary lift plus the free solution."""
-    full = system.lift.copy()
-    full[system.trial.free_dofs] = solution.u
-    return full

@@ -169,9 +169,9 @@ def test_gram_rejects_unknown_norm(setup):
     # the rejection comes before the system takes the diffusion block over
     _, trial, test, kernel, _, _, Avv, _ = setup
     A_vv = Avv[:, test.free_dofs]
-    parts = SystemParts(trial, test, 0.01, A_vv, None, None, None)
+    parts = SystemParts(test, 0.01, A_vv, None, None, None)
     with pytest.raises(ValueError, match="unknown test norm"):
-        mixed_system_from_parts(parts, "opt")
+        mixed_system_from_parts(parts, ("opt",))
     assert parts.A_vv is A_vv
 
 
@@ -205,18 +205,25 @@ def test_gram_build_allocates_one_dense_array(norm, arrays):
 
 
 def test_system_takes_the_diffusion_block_over():
+    # every norm is checked first; then the last norm's Gram matrix is built
+    # in A_vv itself and the other in a copy
     mesh = initial_mesh(0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
-    parts = assemble_parts(trial, test, constant_kernel_pair(0.1), 0.01,
-                           make_problem("smooth-nonlocal", 0.01, 0.1))
-    A_vv = parts.A_vv
-    with pytest.raises(ValueError, match="unknown test norm"):
-        mixed_system_from_parts(parts, "opt")
-    assert parts.A_vv is A_vv
-    system = mixed_system_from_parts(parts, "eng")
-    assert system.G is A_vv and parts.A_vv is None
-    with pytest.raises(ValueError, match="taken over"):
-        mixed_system_from_parts(parts, "app")
+    for norms in (("app", "eng"), ("eng", "app")):
+        parts = assemble_parts(trial, test, constant_kernel_pair(0.1), 0.01,
+                               make_problem("smooth-nonlocal", 0.01, 0.1))
+        A_vv = parts.A_vv
+        for bad in (("opt",), norms + ("opt",), norms + norms[:1], ()):
+            with pytest.raises(ValueError, match="unknown test norm|distinct"):
+                mixed_system_from_parts(parts, bad)
+            assert parts.A_vv is A_vv
+        systems = mixed_system_from_parts(parts, norms)
+        assert list(systems) == list(norms) and parts.A_vv is None
+        first, last = (systems[n].G for n in norms)
+        assert last is A_vv and first is not A_vv
+        assert all(s.B is parts.B and s.F is parts.F for s in systems.values())
+        with pytest.raises(ValueError, match="taken over"):
+            mixed_system_from_parts(parts, ("app",))
 
 
 def _mass_mean_load_by_elements(test, forcing):
@@ -301,8 +308,7 @@ def test_app_gram_hat_against_dense_integration():
 def test_load_zero_data_gives_zero(setup):
     _, trial, test, kernel, _, _, _, _ = setup
     zero = lambda x: np.zeros_like(x)
-    F = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01,
-                                               Problem("zero", zero, zero)), "app").F
+    F = assemble_parts(trial, test, kernel, 0.01, Problem("zero", zero, zero)).F
     np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
 
@@ -313,7 +319,7 @@ def test_load_consistency_linear(setup):
     g = lambda x: np.asarray(x, dtype=float)
     parts = assemble_parts(trial, test, kernel, eps,
                            Problem("linear", g, lambda x: np.ones_like(x)))
-    F = mixed_system_from_parts(parts, "app").F
+    F = parts.F
     coeffs = trial.interpolate(g)
     resid = F - (eps * A + C)[:, trial.free_dofs] @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-11 * max(1.0, np.abs(F).max())
@@ -328,10 +334,9 @@ def test_load_consistency_quintic():
     g = lambda x: np.asarray(x, dtype=float) ** 5
     forcing = lambda x: forcing_smooth_nonlocal(x, eps, delta)
     parts = assemble_parts(trial, test, kernel, eps, Problem("quintic", g, forcing))
-    system = mixed_system_from_parts(parts, "app")
     coeffs = trial.interpolate(g)
-    resid = system.F - system.B @ coeffs[trial.free_dofs]
-    assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(system.F).max())
+    resid = parts.F - parts.B @ coeffs[trial.free_dofs]
+    assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(parts.F).max())
 
 
 def test_trial_space_without_free_dofs_rejected():

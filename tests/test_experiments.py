@@ -1,10 +1,12 @@
 """Run configuration, CSV output, determinism, presets, CLI."""
 
+import importlib
 import math
 import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,25 @@ def test_step_callback_needs_its_norm_among_the_solved_ones(monkeypatch):
         uniform_h_study(RunConfig(norm="app", steps=2), norms=("eng",),
                         on_step=lambda *args: None)
     assert solves == []
+
+
+def test_study_rejects_a_bad_norm_list():
+    # a repeated norm used to be solved and recorded twice per step, the
+    # second record with zero rates; an empty list used to solve cfg.norm
+    for norms in (("app", "app"), ()):
+        with pytest.raises(ValueError, match="distinct test norms, at least one"):
+            uniform_h_study(RunConfig(problem="linear", steps=2), norms=norms)
+
+
+def test_every_benchmark_layer_exists(monkeypatch):
+    # the benchmark wraps each layer at the module attribute the program
+    # calls it by: a renamed function would drop its span or its observer
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    workloads = importlib.import_module("workloads")
+    missing = {f"{module.__name__}.{attr}" for module, attr, _ in workloads.LAYERS
+               if not hasattr(module, attr)}
+    # a known stale entry of the benchmark: the mass matrix moved to assembly
+    assert missing <= {"nlpg.adapt.assemble_mass_mean"}
 
 
 def test_steps_zero_single_solve():

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, initial_mesh, refine_marked, refine_uniform
 from nlpg.quadrature import (CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
-                             inner_points, mesh_pieces, smooth_pieces, unit_rule)
+                             inner_points, mesh_pieces, smooth_pieces)
 from reference import intersect, nested_integrate
 
 
@@ -191,7 +191,7 @@ def test_pair_piece_cases(delta):
 @pytest.mark.parametrize("delta", [0.1, 1e-4])
 def test_inner_weights_measure_the_intersection(delta):
     rule = gauss_legendre(8)
-    q, w = unit_rule(10)
+    q, w = gauss_legendre(10).map_to(0.0, 1.0)
     for mesh in _pair_layer_meshes(delta):
         for i, j, pieces in _pairs(mesh):
             aj, bj = mesh.bounds(j)

@@ -12,7 +12,7 @@ from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
-from nlpg.solver import IndefiniteGramError, expand_solution, solve_mixed
+from nlpg.solver import IndefiniteGramError, solve_mixed
 from nlpg.space import Space
 
 
@@ -33,8 +33,7 @@ def test_quintic_solution_reproduced_at_p5():
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     res = solve_problem(mesh, problem, eps=0.01, p=5, dp=2)["app"]
     expected = res.trial.interpolate(problem.u_exact)
-    full = expand_solution(res.system, res.solution)
-    assert np.abs(full - expected).max() <= 1e-8
+    assert np.abs(res.coeffs - expected).max() <= 1e-8
     assert res.err_energy <= 1e-8
 
 
@@ -43,8 +42,8 @@ def test_zero_data_gives_zero_solution():
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01,
-                                                    Problem("zero", zero, zero)), "app")
+    parts = assemble_parts(trial, test, kernel, 0.01, Problem("zero", zero, zero))
+    system = mixed_system_from_parts(parts, ("app",))["app"]
     sol = solve_mixed(system)
     np.testing.assert_allclose(sol.u, 0.0, atol=1e-14)
     np.testing.assert_allclose(sol.psi, 0.0, atol=1e-14)
@@ -56,7 +55,7 @@ def test_solution_invariant_under_gram_scaling():
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
     system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01, problem),
-                                     "app")
+                                     ("app",))["app"]
     base = solve_mixed(system)
     system.G = 7.0 * system.G
     scaled = solve_mixed(system)
@@ -80,7 +79,7 @@ def test_indefinite_gram_reported():
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(0.1)
     system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01, problem),
-                                     "app")
+                                     ("app",))["app"]
     system.G = -system.G
     with pytest.raises(IndefiniteGramError):
         solve_mixed(system)
@@ -117,7 +116,7 @@ def test_two_norm_step_shares_the_norm_independent_parts():
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     results = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=("app", "eng"))
     app, eng = results["app"].system, results["eng"].system
-    assert app.B is eng.B and app.F is eng.F and app.lift is eng.lift
+    assert app.B is eng.B and app.F is eng.F
     assert not np.array_equal(app.G, eng.G)
 
 
@@ -153,8 +152,10 @@ def test_two_norm_step_equals_two_one_norm_steps(norms):
 
 
 def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
-    # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4, so the solve's
-    # dense arrays take 8 (2 * 14**2 + 2 * 14 * 4) = 4032 bytes
+    # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4.  The solves
+    # hold every norm's G, one Cholesky factor, B and G^-1 B, so the dense
+    # arrays take 8 ((k + 1) * 14**2 + 2 * 14 * 4) bytes for k norms: 4032
+    # for one norm, 5600 for two
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     assemble_parts = nlpg.driver.assemble_parts
@@ -162,13 +163,42 @@ def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     def not_reached(*args):
         raise AssertionError("assembled before the memory check")
 
-    monkeypatch.setattr(nlpg.driver, "assemble_parts", not_reached)
-    monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: 4031)
-    with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
-        solve_problem(mesh, problem, eps=0.01, p=1, dp=2)
-    monkeypatch.setattr(nlpg.driver, "assemble_parts", assemble_parts)
-    monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: 4032)
-    assert solve_problem(mesh, problem, eps=0.01, p=1, dp=2)["app"].n_test == 14
+    for norms, need in ((("app",), 4032), (("app", "eng"), 5600)):
+        monkeypatch.setattr(nlpg.driver, "assemble_parts", not_reached)
+        monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need - 1)
+        with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
+            solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
+        monkeypatch.setattr(nlpg.driver, "assemble_parts", assemble_parts)
+        monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need)
+        results = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
+        assert [r.n_test for r in results.values()] == [14] * len(norms)
+
+
+@pytest.mark.parametrize("norms, message", [
+    (("opt",), "unknown test norm 'opt'"),
+    (("app", "app"), "distinct"),
+    ((), "at least one"),
+])
+def test_norm_list_rejected_before_anything_is_built(monkeypatch, norms, message):
+    # an unknown norm used to fail only after the assembly, a repeated one
+    # was solved twice, and no norm at all assembled and returned {}
+    def not_reached(*args):
+        raise AssertionError("reached with a bad norm list")
+
+    for name in ("Space", "_check_memory", "assemble_parts"):
+        monkeypatch.setattr(nlpg.driver, name, not_reached)
+    with pytest.raises(ValueError, match=message):
+        solve_problem(uniform_mesh(0.1, 160), make_problem("smooth-nonlocal", 0.01, 0.1),
+                      eps=0.01, p=1, dp=2, norms=norms)
+
+
+def test_zero_exact_energy_norm_rejected():
+    # a constant exact solution has zero energy norm; the relative energy
+    # error used to die with a bare ZeroDivisionError
+    ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    zeros = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    with pytest.raises(ValueError, match="exact solution has zero energy norm"):
+        solve_problem(initial_mesh(0.1), Problem("const", ones, zeros), eps=0.01, p=1, dp=2)
 
 
 def test_memory_limit_is_a_plausible_size():
