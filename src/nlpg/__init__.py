@@ -23,6 +23,6 @@ from .solver import IndefiniteGramError, InfSupError, MixedSolution, solve_mixed
 from .space import Space, boundary_lift
 from .experiments import (RunConfig, overshoot_metric, records_to_csv, run,
                           run_sharp_demo, run_table1, run_table3, run_table7,
-                          uniform_h_study, uniform_p_study)
+                          uniform_h_study)
 
 __version__ = "0.1.0"

@@ -336,6 +336,8 @@ NORMS = ("app", "eng")
 def check_norms(norms):
     """The test norms as a tuple; ValueError unless they are distinct names
     of NORMS, at least one."""
+    if isinstance(norms, str):   # a string would be split into its letters
+        raise ValueError(f"test norms must be a tuple of names, got the string {norms!r}")
     norms = tuple(norms)
     for norm in norms:
         if norm not in NORMS:

@@ -1,6 +1,7 @@
 """Command-line entry point: configured runs plus the benchmark presets."""
 
 import argparse
+import inspect
 import sys
 from dataclasses import fields
 
@@ -11,6 +12,15 @@ from .assembly import NORMS
 from .mesh import write_nodes_csv
 
 _CONFIG_KEYS = tuple(f.name for f in fields(experiments.RunConfig))
+
+# preset command -> (library function, help); the function's parameters are
+# the command's flags and keep their defaults
+PRESETS = {
+    "table1": (experiments.run_table1, "smooth solution, uniform h, four horizons"),
+    "table3": (experiments.run_table3, "smooth solution, uniform p, four horizons"),
+    "table7": (experiments.run_table7, "local-limit couplings, uniform h"),
+    "sharp-demo": (experiments.run_sharp_demo, "test-norm stability comparison"),
+}
 
 
 def _add_config_flags(parser):
@@ -23,6 +33,17 @@ def _add_config_flags(parser):
                         help="debug: dump final G/B/F as dense row-major text")
 
 
+def _add_preset_flags(parser, name, func):
+    # a flag per parameter but ``out``, typed by its default; a flag that is
+    # not given is not passed on, so the function's default holds
+    for param in inspect.signature(func).parameters.values():
+        if param.name != "out":
+            parser.add_argument(f"--{param.name}", type=type(param.default),
+                                choices=NORMS if param.name == "norm" else None,
+                                default=argparse.SUPPRESS)
+    parser.add_argument("--out", default=name.replace("-", "_") + ".csv")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="nlpg",
                                      description=__doc__.splitlines()[0])
@@ -31,21 +52,8 @@ def build_parser():
     run = sub.add_parser("run", help="execute one configured study")
     _add_config_flags(run)
 
-    for name, doc in (("table1", "smooth solution, uniform h, four horizons"),
-                      ("table3", "smooth solution, uniform p, four horizons"),
-                      ("table7", "local-limit couplings, uniform h")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--norm", default="app", choices=NORMS)
-        p.add_argument("--steps", type=int, default=9 if name != "table3" else 4)
-        p.add_argument("--out", default=f"{name}.csv")
-        if name == "table3":
-            p.add_argument("--dp", type=int, default=2)
-
-    sharp = sub.add_parser("sharp-demo", help="test-norm stability comparison")
-    sharp.add_argument("--delta", type=float, default=1e-5)
-    sharp.add_argument("--eps", type=float, default=0.01)
-    sharp.add_argument("--dp", type=int, default=6)
-    sharp.add_argument("--out", default="sharp_demo.csv")
+    for name, (func, doc) in PRESETS.items():
+        _add_preset_flags(sub.add_parser(name, help=doc), name, func)
     return parser
 
 
@@ -88,17 +96,10 @@ def main(argv=None):
     try:
         if args.command == "run":
             return _run_command(args)
-        if args.command == "table1":
-            experiments.run_table1(norm=args.norm, steps=args.steps, out=args.out)
-        elif args.command == "table3":
-            experiments.run_table3(norm=args.norm, dp=args.dp, steps=args.steps,
-                                   out=args.out)
-        elif args.command == "table7":
-            experiments.run_table7(norm=args.norm, steps=args.steps, out=args.out)
-        elif args.command == "sharp-demo":
-            _, overshoot = experiments.run_sharp_demo(delta=args.delta, eps=args.eps,
-                                                      dp=args.dp, out=args.out)
-            for norm, value in overshoot.items():
+        kwargs = {key: val for key, val in vars(args).items() if key != "command"}
+        result = PRESETS[args.command][0](**kwargs)
+        if args.command == "sharp-demo":
+            for norm, value in result[1].items():
                 print(f"overshoot[{norm}] = {value:.6f}")
         print(f"wrote {args.out}")
         return 0

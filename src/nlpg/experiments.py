@@ -1,4 +1,4 @@
-"""Benchmark harness: refinement studies, CSV output, CLI presets."""
+"""Refinement studies, their CSV output and the presets of the paper's tables."""
 
 import math
 from dataclasses import dataclass, fields, replace
@@ -7,12 +7,15 @@ import numpy as np
 
 from .adapt import adaptive_loop
 from .analysis import step_record
-from .assembly import NORMS
+from .assembly import NORMS, check_norms
 from .driver import solve_problem
 from .mesh import initial_mesh, refine_uniform, uniform_mesh
 from .problems import PROBLEM_NAMES, make_problem
 
-COUPLINGS = ("fixed", "h", "2h", "h^2", "sqrt(h)")
+# horizon of each local-limit coupling as a function of the interior width h
+COUPLING_DELTA = {"h": lambda h: h, "2h": lambda h: 2.0 * h, "h^2": lambda h: h * h,
+                  "sqrt(h)": math.sqrt}
+COUPLINGS = ("fixed", *COUPLING_DELTA)
 REFINEMENTS = ("uniform-h", "uniform-p", "adaptive")
 
 # CSV cells of a record, (attribute, format): the energy pair that the wide
@@ -70,21 +73,9 @@ class RunConfig:
             raise ValueError(f"theta: must lie in (0, 1], got {self.theta}")
 
 
-def coupling_delta(coupling, h):
-    if coupling == "h":
-        return h
-    if coupling == "2h":
-        return 2.0 * h
-    if coupling == "h^2":
-        return h * h
-    if coupling == "sqrt(h)":
-        return math.sqrt(h)
-    raise ValueError(f"coupling: unknown value {coupling!r}")
-
-
 def _study(cfg, norms, steps, on_step, dof_rates=False):
     """Solve every (mesh, problem, p) of ``steps`` for the test norms; {norm: [records]}."""
-    norms = (cfg.norm,) if norms is None else tuple(norms)
+    norms = check_norms((cfg.norm,) if norms is None else norms)
     if on_step is not None and cfg.norm not in norms:
         raise ValueError(f"on_step gets the result of norm {cfg.norm!r}, not among {norms}")
     out = {n: [] for n in norms}
@@ -108,29 +99,19 @@ def uniform_h_study(cfg, norms=None, on_step=None):
     solve, as in ``adaptive_loop``; result is that of ``cfg.norm``, which
     must then be among ``norms``.
     """
+    cfg.validate()
+
     def steps():
         mesh = None
         for step in range(max(1, cfg.steps)):
             if cfg.coupling != "fixed":
-                mesh = uniform_mesh(coupling_delta(cfg.coupling, _INITIAL_H / 2**step),
+                mesh = uniform_mesh(COUPLING_DELTA[cfg.coupling](_INITIAL_H / 2**step),
                                     5 * 2**step)
             else:
                 mesh = initial_mesh(cfg.delta) if mesh is None else refine_uniform(mesh)
             yield mesh, make_problem(cfg.problem, cfg.eps, mesh.delta), cfg.p
 
     return _study(cfg, norms, steps(), on_step)
-
-
-def uniform_p_study(cfg, on_step=None):
-    """Uniform p-refinement on the fixed initial mesh, trial orders 1..steps.
-
-    ``on_step`` is called as in ``uniform_h_study``.  Rates are taken against
-    DOF growth, which matches halving rates only asymptotically.
-    """
-    mesh = initial_mesh(cfg.delta)
-    problem = make_problem(cfg.problem, cfg.eps, cfg.delta)
-    steps = ((mesh, problem, step + 1) for step in range(max(1, cfg.steps)))
-    return _study(cfg, None, steps, on_step, dof_rates=True)
 
 
 def run(cfg, on_step=None):
@@ -140,12 +121,16 @@ def run(cfg, on_step=None):
     each solve; indicators is None except in adaptive runs.
     """
     cfg.validate()
+    if cfg.refinement == "uniform-h":
+        return uniform_h_study(cfg, on_step=on_step)[cfg.norm]
+    problem = make_problem(cfg.problem, cfg.eps, cfg.delta)
     if cfg.refinement == "adaptive":
-        problem = make_problem(cfg.problem, cfg.eps, cfg.delta)
         return adaptive_loop(problem, cfg, on_step)
-    if cfg.refinement == "uniform-p":
-        return uniform_p_study(cfg, on_step=on_step)[cfg.norm]
-    return uniform_h_study(cfg, on_step=on_step)[cfg.norm]
+    # uniform p on the fixed initial mesh, trial orders 1..steps; rates are
+    # taken against DOF growth, which matches halving rates only asymptotically
+    mesh = initial_mesh(cfg.delta)
+    steps = ((mesh, problem, p) for p in range(1, max(1, cfg.steps) + 1))
+    return _study(cfg, None, steps, on_step, dof_rates=True)[cfg.norm]
 
 
 def overshoot_metric(space, coeffs):

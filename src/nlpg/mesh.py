@@ -73,9 +73,11 @@ def refine_uniform(mesh):
 
 def refine_marked(mesh, marked):
     """Bisect the marked interior elements at their midpoints."""
-    marked = np.unique(np.asarray(marked, dtype=int))
-    if marked.size == 0:
+    marked = np.unique(np.asarray(marked))
+    if marked.size == 0:   # checked first: an empty list is float64
         return Mesh1d(mesh.nodes.copy(), mesh.delta)
+    if marked.dtype.kind not in "iu":
+        raise ValueError(f"element indices must be integers, got {marked}")
     if marked[0] < 0 or marked[-1] >= mesh.n_elements:
         raise ValueError(f"element index out of range: {marked}")
     if marked[0] == 0 or marked[-1] == mesh.n_elements - 1:
@@ -84,28 +86,11 @@ def refine_marked(mesh, marked):
     return Mesh1d(np.sort(np.concatenate((mesh.nodes, mids))), mesh.delta)
 
 
-def _within_horizon(mesh, i, j):
-    """dist(K_i, K_j) <= delta, elementwise over index arrays that broadcast."""
-    lo, hi = mesh.nodes[:-1], mesh.nodes[1:]
-    dist = np.maximum(np.maximum(lo[j] - hi[i], lo[i] - hi[j]), 0.0)
-    return dist <= mesh.delta * (1.0 + _REL_TOL)
-
-
 def horizon_neighbors(mesh, i):
     """Indices j of all elements with dist(K_i, K_j) <= delta (including i)."""
-    return np.flatnonzero(_within_horizon(mesh, i, np.arange(mesh.n_elements)))
-
-
-def horizon_pairs(mesh):
-    """All pairs (i, j) of ``horizon_neighbors``, ordered by i and then j."""
     lo, hi = mesh.nodes[:-1], mesh.nodes[1:]
-    # the run of candidates within twice the horizon, then the exact rule
-    start = np.searchsorted(hi, lo - 2.0 * mesh.delta)
-    count = np.searchsorted(lo, hi + 2.0 * mesh.delta, side="right") - start
-    i, k = np.nonzero(np.arange(count.max()) < count[:, None])
-    j = start[i] + k
-    near = _within_horizon(mesh, i, j)
-    return i[near], j[near]
+    dist = np.maximum(np.maximum(lo - hi[i], lo[i] - hi), 0.0)
+    return np.flatnonzero(dist <= mesh.delta * (1.0 + _REL_TOL))
 
 
 def write_nodes_csv(mesh, path):

@@ -21,7 +21,8 @@ With the built-in kernels every piece integrand is polynomial, so the nested
 values are exact up to roundoff.
 
 The pair layer, ``mesh_pieces`` and ``inner_points``, is the only place that
-decides the geometry of an element pair: which smooth pieces of K_i it has,
+decides the geometry of element pairs: which pairs interact (those with a
+piece), which smooth pieces of K_i each has,
 which case each piece is (self window inside K_i, self window clipped by an
 end of K_i, K_j contained in the ball, or clipped), and where the inner nodes
 sit.  ``mesh_pieces(mesh)`` returns the pieces of all pairs of the mesh as one
@@ -31,19 +32,18 @@ collar data functional and the energy sweep) walks its rows in the runs of
 ``chunks``, whose temporaries stay within one budget, ``CHUNK_VALUES``, and
 sums each row's quadrature with ``row_dots``.
 
-``smooth_pieces`` is the same cut rule for one pair.  It stays public, with
-``mesh.horizon_neighbors``, because the benchmark counts pieces with them, and
-the tests hold ``mesh_pieces`` to it bit for bit.  The independent scalar
-reference of the nested integration, one quadrature point at a time, lives
-with the tests (``tests/reference.py``).
+``smooth_pieces`` is the same cut rule for one pair, and
+``mesh.horizon_neighbors`` a distance rule for the pairs of one element.  The
+program uses neither: they stay public because the benchmark counts pairs and
+pieces with them, and the tests hold ``mesh_pieces`` to them bit for bit.
+The independent scalar reference of the nested integration, one quadrature
+point at a time, lives with the tests (``tests/reference.py``).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .mesh import horizon_pairs
 
 # Gauss points added to the polynomial order of the spaces in every rule.
 # The piece integrands of the operators are polynomial, but the forcing, the
@@ -113,9 +113,14 @@ def mesh_pieces(mesh):
     case is decided with the one tolerance 1e-12 * max(1, delta).
     """
     delta = mesh.delta
-    i, j = horizon_pairs(mesh)
-    ai, bi = mesh.nodes[i], mesh.nodes[i + 1]
-    aj, bj = mesh.nodes[j], mesh.nodes[j + 1]
+    # the candidate pairs: for each i the run of j whose window below can be
+    # nonempty, a_j - delta < b_i and b_j + delta > a_i
+    a, b = mesh.nodes[:-1], mesh.nodes[1:]
+    start = np.searchsorted(b + delta, a, side="right")
+    count = np.searchsorted(a - delta, b) - start
+    i, k = np.nonzero(np.arange(count.max()) < count[:, None])
+    j = start[i] + k
+    ai, bi, aj, bj = a[i], b[i], a[j], b[j]
     lo = np.maximum(ai, aj - delta)
     hi = np.minimum(bi, bj + delta)
     cut_tol = 1e-12 * np.maximum(bi - ai, delta)   # the tolerance of smooth_pieces

@@ -1,5 +1,6 @@
 """Run configuration, CSV output, determinism, presets, CLI."""
 
+import functools
 import importlib
 import math
 import re
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from nlpg import cli, experiments
-from nlpg.experiments import (CSV_HEADER, RunConfig, apply_overrides,
-                              config_from_file, coupling_delta, overshoot_metric,
+from nlpg.assembly import check_norms
+from nlpg.experiments import (COUPLING_DELTA, COUPLINGS, CSV_HEADER, RunConfig,
+                              apply_overrides, config_from_file, overshoot_metric,
                               records_to_csv, run, run_sharp_demo, uniform_h_study)
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.space import Space
@@ -42,10 +44,11 @@ def test_config_validation_messages():
 
 
 def test_coupling_delta_values():
-    assert coupling_delta("h", 0.2) == 0.2
-    assert coupling_delta("2h", 0.2) == 0.4
-    assert coupling_delta("h^2", 0.2) == pytest.approx(0.04)
-    assert coupling_delta("sqrt(h)", 0.04) == pytest.approx(0.2)
+    assert COUPLINGS == ("fixed", "h", "2h", "h^2", "sqrt(h)")
+    assert COUPLING_DELTA["h"](0.2) == 0.2
+    assert COUPLING_DELTA["2h"](0.2) == 0.4
+    assert COUPLING_DELTA["h^2"](0.2) == pytest.approx(0.04)
+    assert COUPLING_DELTA["sqrt(h)"](0.04) == pytest.approx(0.2)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -113,6 +116,25 @@ def test_study_rejects_a_bad_norm_list():
     for norms in (("app", "app"), ()):
         with pytest.raises(ValueError, match="distinct test norms, at least one"):
             uniform_h_study(RunConfig(problem="linear", steps=2), norms=norms)
+
+
+def test_uniform_h_study_rejects_bad_input_before_any_solve(monkeypatch):
+    # the study validates its config as run does; a norm string used to be
+    # split into its letters ("unknown test norm 'a'", or with on_step
+    # "'app', not among ('a', 'p', 'p')")
+    solves = []
+    monkeypatch.setattr(experiments, "solve_problem", lambda *args, **kw: solves.append(args))
+    for cfg, message in ((RunConfig(coupling="3h"), "coupling: unknown value '3h'"),
+                         (RunConfig(eps=math.nan), "eps: must be positive and finite")):
+        with pytest.raises(ValueError, match=message):
+            uniform_h_study(cfg)
+    message = "test norms must be a tuple of names, got the string 'app'"
+    with pytest.raises(ValueError, match=message):
+        check_norms("app")
+    for on_step in (None, lambda *args: None):
+        with pytest.raises(ValueError, match=message):
+            uniform_h_study(RunConfig(steps=2), norms="app", on_step=on_step)
+    assert solves == []
 
 
 def test_every_benchmark_layer_exists(monkeypatch):
@@ -187,6 +209,34 @@ def test_cli_run_and_presets(tmp_path):
                          capture_output=True, text=True)
     assert bad.returncode != 0
     assert "error:" in bad.stderr
+
+
+def test_cli_presets_pass_on_only_the_flags_given(monkeypatch, capsys):
+    # the preset defaults are those of the library functions: the CLI passes
+    # on the flags given, typed by the defaults, and its own --out name
+    calls = []
+    typed = lambda kwargs: {key: (type(val), val) for key, val in kwargs.items()}
+    for name, (func, doc) in list(cli.PRESETS.items()):
+        record = functools.wraps(func)(lambda **kw: calls.append(kw) or (None, {}))
+        monkeypatch.setitem(cli.PRESETS, name, (record, doc))
+    for argv, passed in ((["table3"], {"out": "table3.csv"}),
+                         (["table3", "--dp", "3", "--steps", "2"],
+                          {"dp": 3, "steps": 2, "out": "table3.csv"}),
+                         (["sharp-demo", "--eps", "0.02"], {"eps": 0.02, "out": "sharp_demo.csv"})):
+        assert cli.main(argv) == 0
+        assert typed(calls.pop()) == typed(passed), argv
+    # each command keeps its flags
+    for name, flags in (("table1", {"--norm", "--steps", "--out"}),
+                        ("table3", {"--norm", "--steps", "--dp", "--out"}),
+                        ("table7", {"--norm", "--steps", "--out"}),
+                        ("sharp-demo", {"--delta", "--eps", "--dp", "--out"})):
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.main([name, "--help"])
+        assert set(re.findall(r"^  (--\w+)", capsys.readouterr().out, re.M)) == flags, name
+    with pytest.raises(SystemExit):
+        cli.main(["table1", "--norm", "opt"])
+    assert "invalid choice: 'opt'" in capsys.readouterr().err
 
 
 def test_cli_run_flag_for_every_config_key(tmp_path, monkeypatch):

@@ -62,6 +62,15 @@ def test_refine_marked_rejects_exterior():
         refine_marked(m, [99])
 
 
+def test_refine_marked_rejects_non_integer_indices():
+    # a float index used to be truncated: 2.7 bisected element 2
+    m = initial_mesh(0.1)
+    for marked in ([2.7], [2.0], np.array([1, 2.5]), [True]):
+        with pytest.raises(ValueError, match="element indices must be integers"):
+            refine_marked(m, marked)
+    assert refine_marked(m, np.array([2], dtype=np.uint8)).n_elements == 8
+
+
 def test_interior_tiles_unit_interval_after_refinements():
     rng = np.random.default_rng(3)
     m = initial_mesh(0.02)

@@ -178,6 +178,7 @@ def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     (("opt",), "unknown test norm 'opt'"),
     (("app", "app"), "distinct"),
     ((), "at least one"),
+    ("app", "a tuple of names, got the string 'app'"),
 ])
 def test_norm_list_rejected_before_anything_is_built(monkeypatch, norms, message):
     # an unknown norm used to fail only after the assembly, a repeated one

@@ -24,7 +24,8 @@ over the grid and the number of cases that are not bit-identical.
 It then writes the study CSVs of the CLI with both trees (``nlpg run`` with
 each of this checkout's ``configs/*.cfg``, a uniform-p run, a delta = h
 local-limit run, the three table presets, and the sampled solution curves
-of ``sharp-demo``) and lists every CSV that is not byte-identical.  It exits
+of ``sharp-demo``, each preset once with its defaults and once with every
+flag set) and lists every CSV that is not byte-identical.  It exits
 1 if any drift exceeds 1e-12 (a shape change counts as infinite drift) or if
 any CSV differs.
 """
@@ -57,6 +58,11 @@ CLI_RUNS = (
                      "--steps", "7"]),
     *((f"{t}.csv", [t, "--steps", "3"]) for t in ("table1", "table3", "table7")),
     ("sharp_demo.csv", ["sharp-demo"]),
+    # a value other than the default for every flag of each preset
+    ("table1_flags.csv", ["table1", "--steps", "3", "--norm", "eng"]),
+    ("table3_flags.csv", ["table3", "--steps", "3", "--dp", "3"]),
+    ("table7_flags.csv", ["table7", "--steps", "3", "--norm", "eng"]),
+    ("sharp_demo_flags.csv", ["sharp-demo", "--delta", "1e-4", "--eps", "0.02", "--dp", "5"]),
 )
 
 
