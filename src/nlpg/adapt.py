@@ -10,6 +10,7 @@ from .assembly import check_norms
 from .driver import solve_problem
 from .kernels import constant_kernel_pair
 from .mesh import initial_mesh, refine_marked
+from .problems import make_problem
 from .quadrature import N_OVER, gauss_legendre, mesh_pieces, row_dots
 
 
@@ -81,15 +82,17 @@ def dorfler_mark(indicators, theta):
     return np.sort(indicators.elements[order[:k]])
 
 
-def adaptive_loop(problem, config, on_step=None):
+def adaptive_loop(config, on_step=None):
     """Drive {assemble, solve, record, localize, mark, refine} for config.steps solves.
 
-    ``config`` needs attributes delta, eps, p, dp, norm, steps and theta.
-    The loop stops early when every indicator is zero.  ``on_step`` (optional)
-    receives (step, mesh, result, indicators) after each solve.
+    ``config`` needs attributes problem, delta, eps, p, dp, norm, steps and
+    theta; the problem is built from it.  The loop stops early when every
+    indicator is zero.  ``on_step`` (optional) receives (step, mesh, result,
+    indicators) after each solve.
     """
     mesh = initial_mesh(config.delta)
-    kernel = constant_kernel_pair(config.delta)
+    kernel = constant_kernel_pair(mesh.delta)
+    problem = make_problem(config.problem, config.eps, mesh.delta)
     records = []
     for step in range(max(1, config.steps)):
         result = solve_problem(mesh, problem, eps=config.eps, p=config.p,

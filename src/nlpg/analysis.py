@@ -83,6 +83,8 @@ def pair_energies(space, fields, kernel, pieces):
     """
     i, j, lo, hi, case = pieces
     mesh = space.mesh
+    if kernel.delta != mesh.delta:
+        raise ValueError(f"kernel horizon {kernel.delta} is not the mesh's {mesh.delta}")
     n = space.order + N_OVER
     rule = gauss_legendre(n)
     q_in, w_in = rule.map_to(0.0, 1.0)

@@ -68,13 +68,6 @@ from .space import boundary_lift
 GRAM_BAND = 256   # rows per pass of the in-place Gram build
 
 
-def _row_map(space):
-    """Row of every DOF among the free DOFs, -1 for a constrained one."""
-    rows = np.full(space.n_dofs, -1)
-    rows[space.free_dofs] = np.arange(space.n_free)
-    return rows
-
-
 class _Form(NamedTuple):
     """One nonlocal form: factor * int v(x) int (u(y) - u(x)) K(y - x) dy dx."""
 
@@ -104,6 +97,8 @@ def assemble_nonlocal_forms(test, trial, kernel):
     """
     mesh = test.mesh
     delta = mesh.delta
+    if kernel.delta != mesh.delta:
+        raise ValueError(f"kernel horizon {kernel.delta} is not the mesh's {mesh.delta}")
     if trial.mesh is not mesh and not np.array_equal(trial.mesh.nodes, mesh.nodes):
         raise ValueError("trial and test spaces must share one mesh")
 
@@ -124,7 +119,6 @@ def assemble_nonlocal_forms(test, trial, kernel):
     A_vu, C_vu = (np.zeros((test.n_free, trial.n_dofs)) for _ in FORMS)
     A_vv = np.zeros((test.n_free, test.n_dofs))
     columns = ((trial, (A_vu, C_vu)), (test, (A_vv,)))
-    row_map = _row_map(test)
 
     i, j, lo, hi, case = mesh_pieces(mesh)
     interior = np.flatnonzero((i > 0) & (i < mesh.n_elements - 1))
@@ -149,7 +143,7 @@ def assemble_nonlocal_forms(test, trial, kernel):
         wK_cl = _signed_weights(kernel, xs[cl], y_cl, wy_cl)
         y_mirror = xs[mirror, :, None] + t, xs[mirror, :, None] - t
         # the j block of a self piece and the constrained rows are not added
-        rows = row_map[test.element_dofs(ib)]
+        rows = test.free_row[test.element_dofs(ib)]
         keep = (((jb != ib)[:, None] | [False, True])[:, :, None, None]
                 & (rows >= 0)[:, None, :, None])
         # the i block of a self piece carries all of its integral; that of a
@@ -219,7 +213,7 @@ def _interior_products(test, n_points, weights):
     xs, ws = gauss_legendre(n_points).map_to(nodes[interior, None], nodes[interior + 1, None])
     w = ws * np.asarray(weights(xs), dtype=float)
     B = test.local_basis(interior[:, None], xs)
-    rows = _row_map(test)[test.element_dofs(interior)]
+    rows = test.free_row[test.element_dofs(interior)]
     keep = rows >= 0
     mass, vec = np.zeros(rows.shape + rows.shape[-1:]), np.zeros(rows.shape)
     for free in np.unique(keep, axis=0):
@@ -264,10 +258,11 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
     the never-refined exterior elements caps the attainable accuracy.
     """
     mesh = test.mesh
+    if kernel.delta != mesh.delta:
+        raise ValueError(f"kernel horizon {kernel.delta} is not the mesh's {mesh.delta}")
     n_out = test.order + N_OVER
     rule_out = gauss_legendre(n_out)
     q_in, w_in = gauss_legendre(max(test.order, trial.order) + N_OVER).map_to(0.0, 1.0)
-    row_map = _row_map(test)
     last = mesh.n_elements - 1
     i, j, lo, hi, _ = mesh_pieces(mesh)
     collar = np.flatnonzero((i > 0) & (i < last) & ((j == 0) | (j == last)))
@@ -287,7 +282,7 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
         # b(w, v) = eps (-L_delta w, v) + (G_delta w, v) by the form table
         dens = sum(form.factor * weight * form.signed(kernel, s)
                    for form, weight in zip(FORMS, (eps, 1.0))) * wy * defect
-        rows = row_map[test.element_dofs(i[r])]
+        rows = test.free_row[test.element_dofs(i[r])]
         np.add.at(F, rows[rows >= 0],
                   (np.swapaxes(wBtx, 1, 2) @ dens.sum(axis=-1)[..., None])[rows >= 0, 0])
     return F
@@ -320,13 +315,13 @@ def assemble_parts(trial, test, kernel, eps, problem):
     if not 0 < trial.n_free < test.n_free:
         raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
     op, C_vu, A_vv = assemble_nonlocal_forms(test, trial, kernel)
-    lift = boundary_lift(trial, problem.boundary)
+    lift = boundary_lift(trial, problem.u_exact)
     # op = eps A_vu + C_vu, in the storage of A_vu
     op *= eps
     op += C_vu
     del C_vu
     F = (load_vector(test, problem.forcing) - op @ lift
-         - boundary_defect_load(test, trial, lift, problem.boundary, eps, kernel))
+         - boundary_defect_load(test, trial, lift, problem.u_exact, eps, kernel))
     return SystemParts(test, eps, A_vv[:, test.free_dofs], op[:, trial.free_dofs], F, lift)
 
 

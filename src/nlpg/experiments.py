@@ -1,4 +1,11 @@
-"""Refinement studies, their CSV output and the presets of the paper's tables."""
+"""Refinement studies, their CSV output and the presets of the paper's tables.
+
+A study takes only its config (``RunConfig``): each step's problem is built
+from it and the step mesh's horizon, ``make_problem(cfg.problem, cfg.eps,
+mesh.delta)``.  ``run`` owns every refinement kind and is the one study
+function that takes a step callback; ``uniform_h_study`` solves several test
+norms per step with one assembly.
+"""
 
 import math
 from dataclasses import dataclass, fields, replace
@@ -47,15 +54,11 @@ class RunConfig:
     output: str = ""
 
     def validate(self):
-        if self.problem not in PROBLEM_NAMES:
-            raise ValueError(f"problem: unknown value {self.problem!r}, expected {PROBLEM_NAMES}")
-        if self.coupling not in COUPLINGS:
-            raise ValueError(f"coupling: unknown value {self.coupling!r}, expected {COUPLINGS}")
-        if self.norm not in NORMS:
-            raise ValueError(f"norm: unknown value {self.norm!r}, expected {NORMS}")
-        if self.refinement not in REFINEMENTS:
-            raise ValueError(
-                f"refinement: unknown value {self.refinement!r}, expected {REFINEMENTS}")
+        for key, table in (("problem", PROBLEM_NAMES), ("coupling", COUPLINGS),
+                           ("norm", NORMS), ("refinement", REFINEMENTS)):
+            value = getattr(self, key)
+            if value not in table:
+                raise ValueError(f"{key}: unknown value {value!r}, expected {table}")
         if self.coupling != "fixed" and self.refinement != "uniform-h":
             raise ValueError("coupling: delta couplings require refinement = uniform-h")
         # NaN fails both comparisons
@@ -73,13 +76,15 @@ class RunConfig:
             raise ValueError(f"theta: must lie in (0, 1], got {self.theta}")
 
 
-def _study(cfg, norms, steps, on_step, dof_rates=False):
-    """Solve every (mesh, problem, p) of ``steps`` for the test norms; {norm: [records]}."""
+def _study(cfg, norms, steps, on_step=None, dof_rates=False):
+    """Solve every (mesh, p) of ``steps`` for the test norms; {norm: [records]}.
+
+    Each step's problem is built from the config and the mesh's horizon.
+    """
     norms = check_norms((cfg.norm,) if norms is None else norms)
-    if on_step is not None and cfg.norm not in norms:
-        raise ValueError(f"on_step gets the result of norm {cfg.norm!r}, not among {norms}")
     out = {n: [] for n in norms}
-    for step, (mesh, problem, p) in enumerate(steps):
+    for step, (mesh, p) in enumerate(steps):
+        problem = make_problem(cfg.problem, cfg.eps, mesh.delta)
         results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp, norms=norms)
         for n in norms:
             prev = out[n][-1] if out[n] else None
@@ -91,27 +96,28 @@ def _study(cfg, norms, steps, on_step, dof_rates=False):
     return out
 
 
-def uniform_h_study(cfg, norms=None, on_step=None):
+def _uniform_h_steps(cfg):
+    """The (mesh, p) steps of a uniform-h study: the initial mesh bisected,
+    or under a coupling the uniform meshes with delta tied to the width."""
+    mesh = None
+    for step in range(max(1, cfg.steps)):
+        if cfg.coupling != "fixed":
+            mesh = uniform_mesh(COUPLING_DELTA[cfg.coupling](_INITIAL_H / 2**step), 5 * 2**step)
+        else:
+            mesh = initial_mesh(cfg.delta) if mesh is None else refine_uniform(mesh)
+        yield mesh, cfg.p
+
+
+def uniform_h_study(cfg, norms=None):
     """Uniform h-refinement records for one or several test norms at once.
 
     Assembly is shared across norms per step; returns {norm: [records]}.
-    ``on_step`` (optional) receives (step, mesh, result, None) after each
-    solve, as in ``adaptive_loop``; result is that of ``cfg.norm``, which
-    must then be among ``norms``.
+    ``cfg.refinement`` must be 'uniform-h'.
     """
     cfg.validate()
-
-    def steps():
-        mesh = None
-        for step in range(max(1, cfg.steps)):
-            if cfg.coupling != "fixed":
-                mesh = uniform_mesh(COUPLING_DELTA[cfg.coupling](_INITIAL_H / 2**step),
-                                    5 * 2**step)
-            else:
-                mesh = initial_mesh(cfg.delta) if mesh is None else refine_uniform(mesh)
-            yield mesh, make_problem(cfg.problem, cfg.eps, mesh.delta), cfg.p
-
-    return _study(cfg, norms, steps(), on_step)
+    if cfg.refinement != "uniform-h":
+        raise ValueError(f"refinement: uniform_h_study needs 'uniform-h', got {cfg.refinement!r}")
+    return _study(cfg, norms, _uniform_h_steps(cfg))
 
 
 def run(cfg, on_step=None):
@@ -121,15 +127,14 @@ def run(cfg, on_step=None):
     each solve; indicators is None except in adaptive runs.
     """
     cfg.validate()
-    if cfg.refinement == "uniform-h":
-        return uniform_h_study(cfg, on_step=on_step)[cfg.norm]
-    problem = make_problem(cfg.problem, cfg.eps, cfg.delta)
     if cfg.refinement == "adaptive":
-        return adaptive_loop(problem, cfg, on_step)
+        return adaptive_loop(cfg, on_step)
+    if cfg.refinement == "uniform-h":
+        return _study(cfg, None, _uniform_h_steps(cfg), on_step)[cfg.norm]
     # uniform p on the fixed initial mesh, trial orders 1..steps; rates are
     # taken against DOF growth, which matches halving rates only asymptotically
     mesh = initial_mesh(cfg.delta)
-    steps = ((mesh, problem, p) for p in range(1, max(1, cfg.steps) + 1))
+    steps = ((mesh, p) for p in range(1, max(1, cfg.steps) + 1))
     return _study(cfg, None, steps, on_step, dof_rates=True)[cfg.norm]
 
 

@@ -14,16 +14,13 @@ PROBLEM_NAMES = ("smooth-nonlocal", "smooth-local-forcing", "sharp", "linear")
 class Problem:
     """Exact solution and forcing for one (eps, delta) instance.
 
-    Boundary data on the interaction domain is the exact solution itself.
+    The boundary data on the interaction domain is ``u_exact`` itself; the
+    forcing is valid only for the (eps, delta) it was made with.
     """
 
     name: str
     u_exact: Callable
     forcing: Callable
-
-    @property
-    def boundary(self):
-        return self.u_exact
 
 
 def make_problem(name, eps, delta):

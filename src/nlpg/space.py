@@ -105,6 +105,9 @@ class Space:
         self.free_dofs = np.flatnonzero(free)
         self.constrained_dofs = np.flatnonzero(~free)
         self.n_free = len(self.free_dofs)
+        # row of every DOF among the free DOFs, -1 for a constrained one
+        self.free_row = np.full(self.n_dofs, -1)
+        self.free_row[self.free_dofs] = np.arange(self.n_free)
 
     def element_dofs(self, e):
         return self._element_dofs[e]

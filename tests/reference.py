@@ -3,7 +3,9 @@
 None of them is on the program's path, and each is written for clarity, not
 speed: a scalar nested integration over one element at a time, the Gram
 matrix as the plain expression that the in-place build reproduces, the
-discrete optimal test norm, and a least-squares log-log slope.
+discrete optimal test norm, a least-squares log-log slope, a dense
+quadrature of one hat function's energy, and the graded mesh that several
+tests share.
 
 Import with ``from reference import ...``; pytest puts this directory on the
 path of the test modules beside it.
@@ -12,10 +14,11 @@ path of the test modules beside it.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
 from nlpg.assembly import assemble_mass_mean, assemble_nonlocal_forms
-from nlpg.mesh import horizon_neighbors
+from nlpg.mesh import horizon_neighbors, refine_marked, uniform_mesh
 from nlpg.quadrature import gauss_legendre
 
 
@@ -113,3 +116,36 @@ def loglog_slope(ns, errs):
     """Least-squares slope of log(err) against log(n)."""
     return float(np.polyfit(np.log(np.asarray(ns, dtype=float)),
                             np.log(np.asarray(errs, dtype=float)), 1)[0])
+
+
+def graded_mesh(delta):
+    """Ten interior elements of width 0.1, the one at x = 1 bisected three
+    times: widths down to 0.0125."""
+    mesh = uniform_mesh(delta, 10)
+    for _ in range(3):
+        mesh = refine_marked(mesh, [mesh.n_elements - 2])
+    return mesh
+
+
+def hat(x):
+    """The hat function at x = 0.4 of the initial mesh, support (0.2, 0.6)."""
+    return max(0.0, 1.0 - abs(x - 0.4) / 0.2)
+
+
+def hat_energy_by_quad(mesh, kernel):
+    """int int K(y - x) (hat(y) - hat(x))^2 dy dx over x in (0.1, 0.7) and y
+    in B_delta(x) within the mesh, by adaptive quadrature (``scipy quad``)
+    with the mesh nodes as break points.  For delta <= 0.1 this is the whole
+    energy of the hat."""
+    delta = kernel.delta
+
+    def inner(x):
+        lo, hi = max(mesh.nodes[0], x - delta), min(mesh.nodes[-1], x + delta)
+        breaks = [p for p in mesh.nodes if lo < p < hi]
+        val, _ = quad(lambda y: kernel.eval_diffusion(y - x) * (hat(y) - hat(x)) ** 2,
+                      lo, hi, points=breaks, limit=200, epsabs=1e-14)
+        return val
+
+    cuts = np.arange(0.1, 0.71, 0.1)
+    return sum(quad(inner, lo, hi, limit=200, epsabs=1e-13)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))

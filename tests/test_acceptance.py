@@ -209,9 +209,8 @@ def test_criterion_6_sharp_stability():
         cfg = RunConfig(problem="sharp", delta=0.01, norm=norm, dp=6, steps=10,
                         refinement="adaptive")
         worst = []
-        adaptive_loop(make_problem("sharp", 0.01, 0.01), cfg,
-                      on_step=lambda s, m, res, i: worst.append(
-                          overshoot_metric(res.trial, res.coeffs)))
+        adaptive_loop(cfg, on_step=lambda s, m, res, i: worst.append(
+            overshoot_metric(res.trial, res.coeffs)))
         evolution[norm] = max(worst)
     ok &= evolution["app"] < evolution["eng"]
     _report("criterion 6", ok,

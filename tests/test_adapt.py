@@ -9,7 +9,6 @@ from nlpg.driver import solve_problem
 from nlpg.experiments import RunConfig
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform
-from nlpg.problems import make_problem
 from nlpg.space import Space
 from reference import gram
 
@@ -97,21 +96,21 @@ def test_dorfler_rejects_bad_theta():
 def test_adaptive_zero_steps_single_record():
     cfg = RunConfig(problem="smooth-nonlocal", delta=0.1, refinement="adaptive",
                     steps=0)
-    recs = adaptive_loop(make_problem("smooth-nonlocal", 0.01, 0.1), cfg)
+    recs = adaptive_loop(cfg)
     assert len(recs) == 1
 
 
 def test_adaptive_loop_reduces_smooth_error():
     cfg = RunConfig(problem="smooth-nonlocal", delta=0.1, refinement="adaptive",
                     steps=12)
-    recs = adaptive_loop(make_problem("smooth-nonlocal", 0.01, 0.1), cfg)
+    recs = adaptive_loop(cfg)
     assert recs[-1].err_energy < 0.1 * recs[0].err_energy
     assert recs[-1].n_trial > recs[0].n_trial
 
 
 def test_adaptive_terminates_on_exactly_representable_solution():
     cfg = RunConfig(problem="linear", delta=0.1, refinement="adaptive", steps=50)
-    recs = adaptive_loop(make_problem("linear", 0.01, 0.1), cfg)
+    recs = adaptive_loop(cfg)
     assert len(recs) < 50   # zero indicators end the loop early
 
 
@@ -125,7 +124,7 @@ def test_adaptive_sharp_concentrates_near_layer():
     def watch(step, mesh, result, ind):
         state["mesh"] = mesh
 
-    adaptive_loop(make_problem("sharp", eps, delta), cfg, on_step=watch)
+    adaptive_loop(cfg, on_step=watch)
     mesh = state["mesh"]
     k = int(np.argmin(mesh.interior_widths))
     lo, hi = mesh.bounds(mesh.interior_elements[k])

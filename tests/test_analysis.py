@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nlpg.adapt import localize_indicator
 from nlpg.analysis import (energy_error_norms, energy_seminorm, error_l2, pair_energies, rate,
                            rate_dof)
 from nlpg.assembly import assemble_nonlocal_forms
@@ -14,7 +15,7 @@ from nlpg.kernels import constant_kernel_pair, exact_smooth
 from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
 from nlpg.quadrature import CHUNK_VALUES, CLIPPED, N_OVER, mesh_pieces
 from nlpg.space import Space
-from reference import compute_discrete_optimal_norm, gram, loglog_slope
+from reference import compute_discrete_optimal_norm, gram, hat_energy_by_quad, loglog_slope
 
 
 def test_error_energy_zero_for_representable_solution():
@@ -33,21 +34,7 @@ def test_hat_seminorm_against_dense_integration():
     c = np.zeros(sp.n_dofs)
     c[3] = 1.0   # hat at x = 0.4
     ours = energy_seminorm(sp, c, kernel)
-
-    def phi(x):
-        return max(0.0, 1.0 - abs(x - 0.4) / 0.2)
-
-    def inner(x):
-        lo, hi = max(-delta, x - delta), min(1 + delta, x + delta)
-        breaks = [p for p in mesh.nodes if lo < p < hi]
-        val, _ = quad(lambda y: kernel.eval_diffusion(y - x) * (phi(y) - phi(x)) ** 2,
-                      lo, hi, points=breaks, limit=200, epsabs=1e-14)
-        return val
-
-    cuts = np.arange(0.1, 0.71, 0.1)
-    oracle = sum(quad(inner, lo, hi, limit=200, epsabs=1e-13)[0]
-                 for lo, hi in zip(cuts[:-1], cuts[1:]))
-    assert ours**2 == pytest.approx(oracle, rel=1e-10)
+    assert ours**2 == pytest.approx(hat_energy_by_quad(mesh, kernel), rel=1e-10)
 
 
 def _x5_energy_norm(delta):
@@ -106,6 +93,21 @@ def test_pair_energies_of_a_table_equal_those_of_its_rows_alone(delta, p):
              for k in range(len(pieces[0]))]
     for f, values in enumerate(whole):
         assert np.array_equal(values, [v[f][0] for v in alone])
+
+
+def test_energy_sweep_rejects_a_kernel_of_another_horizon():
+    # pair_energies and through it the energy norms, the seminorm and the
+    # indicators
+    sp = Space(uniform_mesh(0.1, 10), 3)
+    kernel = constant_kernel_pair(0.05)
+    coeffs = np.ones(sp.n_dofs)
+    calls = (lambda: pair_energies(sp, [(coeffs, None)], kernel, mesh_pieces(sp.mesh)),
+             lambda: energy_error_norms(sp, coeffs, exact_smooth, kernel),
+             lambda: energy_seminorm(sp, coeffs, kernel),
+             lambda: localize_indicator(np.zeros(sp.n_free), sp, kernel, 0.01, "app"))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"kernel horizon 0.05 is not the mesh's 0.1"):
+            call()
 
 
 def test_error_energy_triangle_inequality():

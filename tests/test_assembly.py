@@ -12,11 +12,11 @@ from nlpg.assembly import (GRAM_BAND, SystemParts, _gram_in_place, assemble_mass
                            load_vector, mixed_system_from_parts)
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
-from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
+from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
 from nlpg.quadrature import N_OVER, gauss_legendre
 from nlpg.space import Space, boundary_lift
-from reference import gram, nested_integrate
+from reference import graded_mesh, gram, hat, hat_energy_by_quad, nested_integrate
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.02, 1e-4])
@@ -69,6 +69,24 @@ def test_test_space_as_trial_space_gives_the_diffusion_block(mesh):
         trial, test = Space(mesh, p), Space(mesh, p + dp)
         A_vv = assemble_nonlocal_forms(test, trial, kernel)[2]
         assert np.array_equal(assemble_nonlocal_forms(test, test, kernel)[0], A_vv)
+
+
+def test_assembly_rejects_a_kernel_of_another_horizon():
+    # the windows come from mesh.delta and the weights from the kernel, so a
+    # kernel of another horizon would give a wrong B
+    mesh = uniform_mesh(0.1, 10)
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    with pytest.raises(ValueError, match=r"kernel horizon 0.05 is not the mesh's 0.1"):
+        assemble_parts(trial, test, constant_kernel_pair(0.05), 0.01,
+                       make_problem("smooth-nonlocal", 0.01, 0.1))
+
+
+def test_boundary_defect_load_rejects_a_kernel_of_another_horizon():
+    mesh = uniform_mesh(0.1, 10)
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    lift = boundary_lift(trial, np.cos)
+    with pytest.raises(ValueError, match=r"kernel horizon 0.2 is not the mesh's 0.1"):
+        boundary_defect_load(test, trial, lift, np.cos, 0.01, constant_kernel_pair(0.2))
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.02])
@@ -245,14 +263,7 @@ def _mass_mean_load_by_elements(test, forcing):
     return M, m, F
 
 
-def _graded_mesh(delta):
-    mesh = uniform_mesh(delta, 10)
-    for _ in range(3):
-        mesh = refine_marked(mesh, [mesh.n_elements - 2])
-    return mesh
-
-
-@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 10), _graded_mesh(0.01),
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 10), graded_mesh(0.01),
                                   uniform_mesh(1e-4, 37), uniform_mesh(0.1, 1)],
                          ids=["uniform", "graded", "small-horizon", "one-element"])
 @pytest.mark.parametrize("order", range(1, 9))
@@ -288,19 +299,9 @@ def test_app_gram_hat_against_dense_integration():
     e[idx] = 1.0
     ours = e @ G @ e
 
-    def phi(x):
-        return max(0.0, 1.0 - abs(x - 0.4) / 0.2)
-
-    def inner(x):
-        breaks = [p for p in mesh.nodes if x - delta < p < x + delta]
-        val, _ = quad(lambda y: kernel.eval_diffusion(y - x) * (phi(y) - phi(x)) ** 2,
-                      x - delta, x + delta, points=breaks, limit=200, epsabs=1e-14)
-        return val
-
-    a_phi = sum(quad(inner, lo, hi, limit=200, epsabs=1e-13)[0]
-                for lo, hi in zip(np.arange(0.1, 0.61, 0.1), np.arange(0.2, 0.71, 0.1)))
-    mass = quad(lambda x: phi(x) ** 2, 0.2, 0.6, points=[0.4])[0]
-    mean = quad(phi, 0.2, 0.6, points=[0.4])[0]
+    a_phi = hat_energy_by_quad(mesh, kernel)
+    mass = quad(lambda x: hat(x) ** 2, 0.2, 0.6, points=[0.4])[0]
+    mean = quad(hat, 0.2, 0.6, points=[0.4])[0]
     oracle = eps**2 * a_phi + mass - mean**2
     assert ours == pytest.approx(oracle, rel=1e-10)
 

@@ -99,17 +99,6 @@ def test_uniform_p_reports_free_dof_counts():
     assert all(r.n_test > r.n_trial for r in recs)
 
 
-def test_step_callback_needs_its_norm_among_the_solved_ones(monkeypatch):
-    # on_step gets the result of cfg.norm: a study that does not solve that
-    # norm is rejected before its first solve, naming both
-    solves = []
-    monkeypatch.setattr(experiments, "solve_problem", lambda *args, **kw: solves.append(args))
-    with pytest.raises(ValueError, match=r"'app', not among \('eng',\)"):
-        uniform_h_study(RunConfig(norm="app", steps=2), norms=("eng",),
-                        on_step=lambda *args: None)
-    assert solves == []
-
-
 def test_study_rejects_a_bad_norm_list():
     # a repeated norm used to be solved and recorded twice per step, the
     # second record with zero rates; an empty list used to solve cfg.norm
@@ -120,8 +109,7 @@ def test_study_rejects_a_bad_norm_list():
 
 def test_uniform_h_study_rejects_bad_input_before_any_solve(monkeypatch):
     # the study validates its config as run does; a norm string used to be
-    # split into its letters ("unknown test norm 'a'", or with on_step
-    # "'app', not among ('a', 'p', 'p')")
+    # split into its letters ("unknown test norm 'a'")
     solves = []
     monkeypatch.setattr(experiments, "solve_problem", lambda *args, **kw: solves.append(args))
     for cfg, message in ((RunConfig(coupling="3h"), "coupling: unknown value '3h'"),
@@ -131,9 +119,19 @@ def test_uniform_h_study_rejects_bad_input_before_any_solve(monkeypatch):
     message = "test norms must be a tuple of names, got the string 'app'"
     with pytest.raises(ValueError, match=message):
         check_norms("app")
-    for on_step in (None, lambda *args: None):
-        with pytest.raises(ValueError, match=message):
-            uniform_h_study(RunConfig(steps=2), norms="app", on_step=on_step)
+    with pytest.raises(ValueError, match=message):
+        uniform_h_study(RunConfig(steps=2), norms="app")
+    assert solves == []
+
+
+def test_uniform_h_study_rejects_other_refinements(monkeypatch):
+    # the study builds uniform-h steps whatever the config says, so it
+    # refuses any other refinement
+    solves = []
+    monkeypatch.setattr(experiments, "solve_problem", lambda *args, **kw: solves.append(args))
+    for refinement in ("adaptive", "uniform-p"):
+        with pytest.raises(ValueError, match=f"refinement: .*'uniform-h', got '{refinement}'"):
+            uniform_h_study(RunConfig(refinement=refinement, steps=3))
     assert solves == []
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
+from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.space import Space, boundary_lift
+from reference import graded_mesh
 
 
 def test_dof_counts_p1():
@@ -69,15 +70,8 @@ def test_evaluate_basics():
         assert abs(left - right) <= 1e-11
 
 
-def _graded_mesh():
-    mesh = uniform_mesh(0.1, 10)
-    for _ in range(3):
-        mesh = refine_marked(mesh, [mesh.n_elements - 2])
-    return mesh
-
-
 @pytest.mark.parametrize("p", [1, 3, 7])
-@pytest.mark.parametrize("make_mesh", [lambda: uniform_mesh(0.1, 10), _graded_mesh],
+@pytest.mark.parametrize("make_mesh", [lambda: uniform_mesh(0.1, 10), lambda: graded_mesh(0.1)],
                          ids=["uniform", "graded"])
 def test_values_match_per_element_products(make_mesh, p):
     # bit for bit the product a single element gives, for rows of several
@@ -126,6 +120,12 @@ def test_free_basis_vanishes_on_collar():
     c[sp.free_dofs] = rng.standard_normal(sp.n_free)
     xs = np.concatenate([np.linspace(-0.1, 0.0, 40), np.linspace(1.0, 1.1, 40)])
     np.testing.assert_allclose(sp.evaluate(c, xs), 0.0, atol=1e-14)
+
+
+def test_free_row_numbers_the_free_dofs():
+    sp = Space(refine_uniform(initial_mesh(0.1)), 3)
+    assert np.array_equal(sp.free_row[sp.free_dofs], np.arange(sp.n_free))
+    assert (sp.free_row[sp.constrained_dofs] == -1).all()
 
 
 def test_boundary_lift_matches_data_at_nodes():

@@ -25,9 +25,11 @@ It then writes the study CSVs of the CLI with both trees (``nlpg run`` with
 each of this checkout's ``configs/*.cfg``, a uniform-p run, a delta = h
 local-limit run, the three table presets, and the sampled solution curves
 of ``sharp-demo``, each preset once with its defaults and once with every
-flag set) and lists every CSV that is not byte-identical.  It exits
-1 if any drift exceeds 1e-12 (a shape change counts as infinite drift) or if
-any CSV differs.
+flag set).  Three ``nlpg run`` calls (an adaptive run, a uniform-p run and a
+delta = h run) also write the final mesh (``--mesh_out``) and the final G,
+B and F (``--dump_matrices``).  It lists every file written by the runs that
+is not byte-identical.  It exits 1 if any drift exceeds 1e-12 (a shape change
+counts as infinite drift) or if any file differs.
 """
 
 import glob
@@ -50,8 +52,15 @@ ORDERS = ((1, 2), (2, 3), (1, 6))
 NORMS = ("app", "eng")
 QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2", "seminorm")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# CLI runs whose CSV is compared byte for byte, (CSV name, arguments); the
-# runs of the config files are added in _csv_runs
+
+
+def _with_dumps(stem, args):
+    """A run that also writes its final mesh and G, B, F, named after ``stem``."""
+    return f"{stem}.csv", [*args, "--mesh_out", f"{stem}_mesh.csv", "--dump_matrices", f"{stem}_"]
+
+
+# CLI runs whose files are compared byte for byte, (CSV name, arguments); the
+# runs of the config files are added in _cli_runs
 CLI_RUNS = (
     ("uniform_p.csv", ["run", "--refinement", "uniform-p", "--steps", "4"]),
     ("local_h.csv", ["run", "--problem", "smooth-local-forcing", "--coupling", "h",
@@ -63,6 +72,13 @@ CLI_RUNS = (
     ("table3_flags.csv", ["table3", "--steps", "3", "--dp", "3"]),
     ("table7_flags.csv", ["table7", "--steps", "3", "--norm", "eng"]),
     ("sharp_demo_flags.csv", ["sharp-demo", "--delta", "1e-4", "--eps", "0.02", "--dp", "5"]),
+    # the dumps of the last solve, kept by the step callback of ``run``
+    _with_dumps("adaptive_dumps", ["run", "--config",
+                                   os.path.join(ROOT, "configs", "sharp_adaptive.cfg"),
+                                   "--steps", "6"]),
+    _with_dumps("uniform_p_dumps", ["run", "--refinement", "uniform-p", "--steps", "3"]),
+    _with_dumps("local_h_dumps", ["run", "--problem", "smooth-local-forcing", "--coupling",
+                                  "h", "--steps", "3"]),
 )
 
 
@@ -116,29 +132,31 @@ def _run_grid(src, path):
         return {key: data[key] for key in data.files}
 
 
-def _csv_runs():
+def _cli_runs():
     configs = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
     return [(os.path.basename(c)[:-4] + ".csv", ["run", "--config", c])
             for c in configs] + list(CLI_RUNS)
 
 
-def _write_csvs(src, outdir):
-    """Write every CSV of _csv_runs with the nlpg in src; None where a run fails."""
+def _write_files(src, outdir):
+    """Run every CLI call of _cli_runs with the nlpg in src; {file name: bytes}
+    of every file the runs wrote, None for the CSV of a run that failed."""
     os.makedirs(outdir)
     env = dict(os.environ, PYTHONPATH=src)
-    out = {}
-    for name, args in _csv_runs():
+    failed = []
+    for name, args in _cli_runs():
         path = os.path.join(outdir, name)
         flag = "--output" if args[0] == "run" else "--out"
         proc = subprocess.run([sys.executable, "-m", "nlpg.cli", *args, flag, path],
                               env=env, cwd=outdir, capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"{name}: run failed with {src}: {proc.stderr.strip()}", file=sys.stderr)
-            out[name] = None
-        else:
-            with open(path, "rb") as fh:
-                out[name] = fh.read()
-    return out
+            failed.append(name)
+    out = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            out[name] = fh.read()
+    return {**out, **dict.fromkeys(failed)}
 
 
 def _drift(new, old):
@@ -165,8 +183,8 @@ def main(argv):
             tar.extractall(tmp)
         old = _run_grid(os.path.join(tmp, "src"), os.path.join(tmp, "old.npz"))
         new = _run_grid(os.path.join(ROOT, "src"), os.path.join(tmp, "new.npz"))
-        old_csv = _write_csvs(os.path.join(tmp, "src"), os.path.join(tmp, "old_csv"))
-        new_csv = _write_csvs(os.path.join(ROOT, "src"), os.path.join(tmp, "new_csv"))
+        old_files = _write_files(os.path.join(tmp, "src"), os.path.join(tmp, "old_files"))
+        new_files = _write_files(os.path.join(ROOT, "src"), os.path.join(tmp, "new_files"))
 
     cases = sorted({key.split("|")[0] for key in old})
     worst = 0.0
@@ -177,13 +195,15 @@ def main(argv):
         differing = sum(not np.array_equal(new[f"{c}|{q}"], old[f"{c}|{q}"]) for c in cases)
         worst = max(worst, max(drifts))
         print(f"{q:<12}{max(drifts):>15.3e}{differing:>18d}")
-    differ = [name for name in old_csv if old_csv[name] is None or new_csv[name] != old_csv[name]]
+    names = sorted(old_files.keys() | new_files.keys())
+    differ = [name for name in names
+              if old_files.get(name) is None or new_files.get(name) != old_files[name]]
     for name in differ:
-        print(f"CSV differs: {name}")
-    print(f"{len(old_csv) - len(differ)} of {len(old_csv)} CSVs byte-identical")
+        print(f"file differs: {name}")
+    print(f"{len(names) - len(differ)} of {len(names)} files byte-identical")
     ok = worst <= BOUND and not differ
     print(f"max drift {worst:.3e} {'<=' if worst <= BOUND else '>'} {BOUND:g}, "
-          f"{len(differ)} CSVs differing: {'PASS' if ok else 'FAIL'}")
+          f"{len(differ)} files differing: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
