@@ -7,7 +7,7 @@ inputs, except that ``mixed_system_from_parts`` takes the diffusion block of
 its parts over and builds a Gram matrix in it.
 """
 
-from .adapt import IndicatorSet, adaptive_loop, dorfler_mark, localize_indicator
+from .adapt import IndicatorSet, adaptive_step, dorfler_mark, localize_indicator
 from .analysis import ExperimentRecord, energy_seminorm, error_l2, rate, rate_dof
 from .assembly import (MixedSystem, assemble_mass_mean, assemble_nonlocal_forms,
                        assemble_parts, mixed_system_from_parts)

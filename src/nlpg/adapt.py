@@ -1,16 +1,16 @@
-"""Residual-representer error indicators, Doerfler marking, adaptive loop."""
+"""Residual-representer error indicators, Doerfler marking and the adaptive step."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import pair_energies, step_record
+from .analysis import pair_energies
 from .assembly import check_norms
+# not called here: benchmark/workloads.py wraps nlpg.adapt.solve_problem
 from .driver import solve_problem
 from .kernels import constant_kernel_pair
-from .mesh import initial_mesh, refine_marked
-from .problems import make_problem
+from .mesh import refine_marked
 from .quadrature import N_OVER, gauss_legendre, mesh_pieces, row_dots
 
 
@@ -82,35 +82,18 @@ def dorfler_mark(indicators, theta):
     return np.sort(indicators.elements[order[:k]])
 
 
-def adaptive_loop(config, on_step=None):
-    """Drive {assemble, solve, record, localize, mark, refine} for config.steps solves.
+def adaptive_step(mesh, result, config):
+    """Localize, mark and bisect after one adaptive solve on ``mesh``.
 
-    ``config`` needs attributes problem, delta, eps, p, dp, norm, steps and
-    theta; the problem is built from it.  The loop stops early when every
-    indicator is zero.  ``on_step`` (optional) receives (step, mesh, result,
-    indicators) after each solve.
+    ``result`` is the solve's StepResult for ``config.norm``; ``config``
+    needs eps, norm and theta.  Returns (indicators, next mesh), the next
+    mesh None when the study should stop: every indicator is solver noise.
     """
-    mesh = initial_mesh(config.delta)
-    kernel = constant_kernel_pair(mesh.delta)
-    problem = make_problem(config.problem, config.eps, mesh.delta)
-    records = []
-    for step in range(max(1, config.steps)):
-        result = solve_problem(mesh, problem, eps=config.eps, p=config.p,
-                               dp=config.dp, norms=(config.norm,))[config.norm]
-        records.append(step_record(step, mesh, result, records[-1] if records else None))
-
-        indicators = localize_indicator(result.solution.psi, result.test, kernel,
-                                        config.eps, config.norm)
-        if on_step is not None:
-            on_step(step, mesh, result, indicators)
-        # stop once the representer energy is solver noise (exactly
-        # representable solutions); marking roundoff would refine arbitrarily
-        if indicators.total <= 1e-12 * (1.0 + float(np.linalg.norm(result.system.F))):
-            break
-        marked = dorfler_mark(indicators, config.theta)
-        if marked.size == 0:
-            break
-        # free this step's G and B before the next step assembles
-        del result
-        mesh = refine_marked(mesh, marked)
-    return records
+    indicators = localize_indicator(result.solution.psi, result.test,
+                                    constant_kernel_pair(mesh.delta), config.eps, config.norm)
+    # stop once the representer energy is solver noise (exactly
+    # representable solutions); marking roundoff would refine arbitrarily.
+    # Past this test the eta2 sum is positive, so the marked set is not empty.
+    if indicators.total <= 1e-12 * (1.0 + float(np.linalg.norm(result.system.F))):
+        return indicators, None
+    return indicators, refine_marked(mesh, dorfler_mark(indicators, config.theta))

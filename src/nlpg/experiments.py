@@ -3,8 +3,9 @@
 A study takes only its config (``RunConfig``): each step's problem is built
 from it and the step mesh's horizon, ``make_problem(cfg.problem, cfg.eps,
 mesh.delta)``.  ``run`` owns every refinement kind and is the one study
-function that takes a step callback; ``uniform_h_study`` solves several test
-norms per step with one assembly.
+function that takes a step callback.  Every refinement kind runs through one
+loop, ``_study``; ``uniform_h_study`` solves several test norms per step with
+one assembly.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .adapt import adaptive_loop
+from .adapt import adaptive_step
 from .analysis import step_record
 from .assembly import NORMS, check_norms
 from .driver import solve_problem
@@ -76,36 +77,47 @@ class RunConfig:
             raise ValueError(f"theta: must lie in (0, 1], got {self.theta}")
 
 
-def _study(cfg, norms, steps, on_step=None, dof_rates=False):
-    """Solve every (mesh, p) of ``steps`` for the test norms; {norm: [records]}.
+def _study(cfg, norms=None, on_step=None):
+    """Solve the study of ``cfg`` for the test norms; {norm: [records]}.
 
-    Each step's problem is built from the config and the mesh's horizon.
+    The config gives the first mesh, the trial order and the step after each
+    solve: uniform h bisects every interior element (or, under a coupling,
+    takes the uniform mesh of half the width with its tied horizon), uniform
+    p raises the trial order on the initial mesh, and adaptive refinement
+    takes ``adapt.adaptive_step``, which also stops the study.  Each step's
+    problem is built from the config and the mesh's horizon.
     """
     norms = check_norms((cfg.norm,) if norms is None else norms)
     out = {n: [] for n in norms}
-    for step, (mesh, p) in enumerate(steps):
-        problem = make_problem(cfg.problem, cfg.eps, mesh.delta)
-        results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp, norms=norms)
-        for n in norms:
-            prev = out[n][-1] if out[n] else None
-            out[n].append(step_record(step, mesh, results[n], prev, dof_rates))
-        if on_step is not None:
-            on_step(step, mesh, results[cfg.norm], None)
-        # free this step's G and B before the next step assembles
-        del results
-    return out
-
-
-def _uniform_h_steps(cfg):
-    """The (mesh, p) steps of a uniform-h study: the initial mesh bisected,
-    or under a coupling the uniform meshes with delta tied to the width."""
     mesh = None
     for step in range(max(1, cfg.steps)):
         if cfg.coupling != "fixed":
             mesh = uniform_mesh(COUPLING_DELTA[cfg.coupling](_INITIAL_H / 2**step), 5 * 2**step)
-        else:
-            mesh = initial_mesh(cfg.delta) if mesh is None else refine_uniform(mesh)
-        yield mesh, cfg.p
+        elif mesh is None:
+            mesh = initial_mesh(cfg.delta)
+        elif cfg.refinement == "uniform-h":
+            mesh = refine_uniform(mesh)
+        # uniform p: trial orders 1..steps, with rates against DOF growth,
+        # which matches halving rates only asymptotically
+        p = step + 1 if cfg.refinement == "uniform-p" else cfg.p
+        problem = make_problem(cfg.problem, cfg.eps, mesh.delta)
+        results = solve_problem(mesh, problem, eps=cfg.eps, p=p, dp=cfg.dp, norms=norms)
+        for n in norms:
+            prev = out[n][-1] if out[n] else None
+            out[n].append(step_record(step, mesh, results[n], prev,
+                                      dof_rates=cfg.refinement == "uniform-p"))
+        indicators = refined = None
+        if cfg.refinement == "adaptive":
+            indicators, refined = adaptive_step(mesh, results[cfg.norm], cfg)
+        if on_step is not None:
+            on_step(step, mesh, results[cfg.norm], indicators)
+        # free this step's G and B before the next step assembles
+        del results
+        if cfg.refinement == "adaptive":
+            if refined is None:
+                break
+            mesh = refined
+    return out
 
 
 def uniform_h_study(cfg, norms=None):
@@ -117,7 +129,7 @@ def uniform_h_study(cfg, norms=None):
     cfg.validate()
     if cfg.refinement != "uniform-h":
         raise ValueError(f"refinement: uniform_h_study needs 'uniform-h', got {cfg.refinement!r}")
-    return _study(cfg, norms, _uniform_h_steps(cfg))
+    return _study(cfg, norms)
 
 
 def run(cfg, on_step=None):
@@ -127,15 +139,7 @@ def run(cfg, on_step=None):
     each solve; indicators is None except in adaptive runs.
     """
     cfg.validate()
-    if cfg.refinement == "adaptive":
-        return adaptive_loop(cfg, on_step)
-    if cfg.refinement == "uniform-h":
-        return _study(cfg, None, _uniform_h_steps(cfg), on_step)[cfg.norm]
-    # uniform p on the fixed initial mesh, trial orders 1..steps; rates are
-    # taken against DOF growth, which matches halving rates only asymptotically
-    mesh = initial_mesh(cfg.delta)
-    steps = ((mesh, p) for p in range(1, max(1, cfg.steps) + 1))
-    return _study(cfg, None, steps, on_step, dof_rates=True)[cfg.norm]
+    return _study(cfg, on_step=on_step)[cfg.norm]
 
 
 def overshoot_metric(space, coeffs):

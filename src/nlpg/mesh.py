@@ -8,20 +8,22 @@ import numpy as np
 _REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1d:
     """Partition of (-delta, 1+delta) into elements K_i = (x_i, x_{i+1}).
 
     The first and last elements are the interaction-domain elements
     (-delta, 0) and (1, 1+delta); they carry boundary data and are never
-    refined.  Meshes are immutable; refinement returns a new mesh.
+    refined.  Meshes are immutable, with a read-only copy of the nodes they
+    are given; refinement returns a new mesh.  Two meshes are equal only if
+    they are the same object.
     """
 
     nodes: np.ndarray
     delta: float
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         if not 0.0 < self.delta < math.inf:   # NaN fails both comparisons
@@ -75,7 +77,7 @@ def refine_marked(mesh, marked):
     """Bisect the marked interior elements at their midpoints."""
     marked = np.unique(np.asarray(marked))
     if marked.size == 0:   # checked first: an empty list is float64
-        return Mesh1d(mesh.nodes.copy(), mesh.delta)
+        return Mesh1d(mesh.nodes, mesh.delta)
     if marked.dtype.kind not in "iu":
         raise ValueError(f"element indices must be integers, got {marked}")
     if marked[0] < 0 or marked[-1] >= mesh.n_elements:

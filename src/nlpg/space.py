@@ -124,10 +124,6 @@ class Space:
         return lagrange_basis(self.ref_nodes, self._bary, xi.ravel()).reshape(
             (xi.shape if xi.ndim else (1,)) + (self.order + 1,))
 
-    def interpolate(self, f):
-        """Coefficients matching f at the interpolation nodes."""
-        return np.asarray(f(self.dof_positions), dtype=float).copy()
-
     def values(self, coeffs, elems, x):
         """Values at x of the function with these coefficients.
 

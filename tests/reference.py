@@ -4,8 +4,8 @@ None of them is on the program's path, and each is written for clarity, not
 speed: a scalar nested integration over one element at a time, the Gram
 matrix as the plain expression that the in-place build reproduces, the
 discrete optimal test norm, a least-squares log-log slope, a dense
-quadrature of one hat function's energy, and the graded mesh that several
-tests share.
+quadrature of one hat function's energy, the graded mesh that several
+tests share, and the interpolant of a function in a space.
 
 Import with ``from reference import ...``; pytest puts this directory on the
 path of the test modules beside it.
@@ -149,3 +149,8 @@ def hat_energy_by_quad(mesh, kernel):
     cuts = np.arange(0.1, 0.71, 0.1)
     return sum(quad(inner, lo, hi, limit=200, epsabs=1e-13)[0]
                for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def interpolate(space, f):
+    """Coefficients of ``space`` matching f at its interpolation nodes."""
+    return np.asarray(f(space.dof_positions), dtype=float).copy()

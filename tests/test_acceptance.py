@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlpg.adapt import adaptive_loop, dorfler_mark, localize_indicator, IndicatorSet
+from nlpg.adapt import dorfler_mark, localize_indicator, IndicatorSet
 from nlpg.analysis import energy_seminorm
 from nlpg.assembly import _gram_in_place, assemble_nonlocal_forms
 from nlpg.driver import solve_problem
@@ -18,7 +18,7 @@ from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.problems import make_problem
 from nlpg.space import Space
-from reference import compute_discrete_optimal_norm, gram, loglog_slope
+from reference import compute_discrete_optimal_norm, gram, interpolate, loglog_slope
 
 TABLE1_FINAL = 2.77e-6          # relative energy error at h = 0.1 * 2^-7, delta = 0.1
 APPENDIX_L2_FINAL = 5.73e-7     # matching relative L2 error
@@ -209,7 +209,7 @@ def test_criterion_6_sharp_stability():
         cfg = RunConfig(problem="sharp", delta=0.01, norm=norm, dp=6, steps=10,
                         refinement="adaptive")
         worst = []
-        adaptive_loop(cfg, on_step=lambda s, m, res, i: worst.append(
+        run(cfg, on_step=lambda s, m, res, i: worst.append(
             overshoot_metric(res.trial, res.coeffs)))
         evolution[norm] = max(worst)
     ok &= evolution["app"] < evolution["eng"]
@@ -253,7 +253,7 @@ def test_criterion_7_property_suite():
     # linear-solution consistency
     res = solve_problem(mesh, make_problem("linear", eps, delta),
                         eps=eps, p=1, dp=2)["app"]
-    uerr = np.abs(res.solution.u - res.trial.interpolate(lambda x: x)[res.trial.free_dofs]).max()
+    uerr = np.abs(res.solution.u - interpolate(res.trial, lambda x: x)[res.trial.free_dofs]).max()
     psin = np.linalg.norm(res.solution.psi)
     ok &= uerr <= 1e-10 and psin <= 1e-10 * (1 + np.linalg.norm(res.system.F))
     detail.append(f"linear consistency uerr={uerr:.1e} |psi|={psin:.1e}")
@@ -283,7 +283,7 @@ def test_criterion_7_property_suite():
         msh = refine_uniform(msh)
     tst = Space(msh, 3)
     ker = constant_kernel_pair(dsm)
-    v = tst.interpolate(lambda x: np.sin(np.pi * x))[tst.free_dofs]
+    v = interpolate(tst, lambda x: np.sin(np.pi * x))[tst.free_dofs]
     full = np.zeros(tst.n_dofs)
     full[tst.free_dofs] = v
     opt = compute_discrete_optimal_norm(v, tst, ker, eps)

@@ -1,12 +1,14 @@
-"""Error indicators, Doerfler marking, and the adaptive loop."""
+"""Error indicators, Doerfler marking, and adaptive studies."""
 
 import numpy as np
 import pytest
 
-from nlpg.adapt import IndicatorSet, adaptive_loop, dorfler_mark, localize_indicator
+import nlpg.adapt
+from nlpg import experiments
+from nlpg.adapt import IndicatorSet, dorfler_mark, localize_indicator
 from nlpg.assembly import assemble_nonlocal_forms
 from nlpg.driver import solve_problem
-from nlpg.experiments import RunConfig
+from nlpg.experiments import RunConfig, run
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.space import Space
@@ -96,21 +98,30 @@ def test_dorfler_rejects_bad_theta():
 def test_adaptive_zero_steps_single_record():
     cfg = RunConfig(problem="smooth-nonlocal", delta=0.1, refinement="adaptive",
                     steps=0)
-    recs = adaptive_loop(cfg)
+    recs = run(cfg)
     assert len(recs) == 1
 
 
-def test_adaptive_loop_reduces_smooth_error():
+def test_adaptive_run_reduces_smooth_error():
     cfg = RunConfig(problem="smooth-nonlocal", delta=0.1, refinement="adaptive",
                     steps=12)
-    recs = adaptive_loop(cfg)
+    recs = run(cfg)
     assert recs[-1].err_energy < 0.1 * recs[0].err_energy
     assert recs[-1].n_trial > recs[0].n_trial
 
 
+def test_adaptive_run_rejects_bad_theta_before_any_solve(monkeypatch):
+    solves = []
+    for module in (experiments, nlpg.adapt):
+        monkeypatch.setattr(module, "solve_problem", lambda *args, **kw: solves.append(args))
+    with pytest.raises(ValueError, match="theta: must lie in"):
+        run(RunConfig(refinement="adaptive", theta=1.5, steps=2))
+    assert solves == []
+
+
 def test_adaptive_terminates_on_exactly_representable_solution():
     cfg = RunConfig(problem="linear", delta=0.1, refinement="adaptive", steps=50)
-    recs = adaptive_loop(cfg)
+    recs = run(cfg)
     assert len(recs) < 50   # zero indicators end the loop early
 
 
@@ -124,7 +135,7 @@ def test_adaptive_sharp_concentrates_near_layer():
     def watch(step, mesh, result, ind):
         state["mesh"] = mesh
 
-    adaptive_loop(cfg, on_step=watch)
+    run(cfg, on_step=watch)
     mesh = state["mesh"]
     k = int(np.argmin(mesh.interior_widths))
     lo, hi = mesh.bounds(mesh.interior_elements[k])

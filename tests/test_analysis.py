@@ -15,13 +15,14 @@ from nlpg.kernels import constant_kernel_pair, exact_smooth
 from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
 from nlpg.quadrature import CHUNK_VALUES, CLIPPED, N_OVER, mesh_pieces
 from nlpg.space import Space
-from reference import compute_discrete_optimal_norm, gram, hat_energy_by_quad, loglog_slope
+from reference import (compute_discrete_optimal_norm, gram, hat_energy_by_quad, interpolate,
+                       loglog_slope)
 
 
 def test_error_energy_zero_for_representable_solution():
     sp = Space(initial_mesh(0.1), 1)
     kernel = constant_kernel_pair(0.1)
-    coeffs = sp.interpolate(lambda x: x)
+    coeffs = interpolate(sp, lambda x: x)
     err, exact = energy_error_norms(sp, coeffs, lambda x: np.asarray(x, dtype=float), kernel)
     assert err <= 1e-10 * exact
 
@@ -69,7 +70,7 @@ def test_exact_energy_norm_against_mpmath(delta):
     for mesh in (uniform_mesh(delta, 20), graded):
         for p in (1, 3):
             sp = Space(mesh, p)
-            _, exact = energy_error_norms(sp, sp.interpolate(exact_smooth), exact_smooth,
+            _, exact = energy_error_norms(sp, interpolate(sp, exact_smooth), exact_smooth,
                                           kernel)
             assert exact == pytest.approx(oracle, rel=1e-11)
 
@@ -125,11 +126,11 @@ def test_error_energy_triangle_inequality():
 
 def test_error_l2_basics():
     sp = Space(initial_mesh(0.1), 2)
-    coeffs = sp.interpolate(lambda x: x**2)
+    coeffs = interpolate(sp, lambda x: x**2)
     assert error_l2(sp, coeffs, lambda x: np.asarray(x, dtype=float) ** 2) <= 1e-14
     # known interpolation error against an adaptive-quadrature oracle
     sp1 = Space(initial_mesh(0.1), 1)
-    c1 = sp1.interpolate(lambda x: x**2)
+    c1 = interpolate(sp1, lambda x: x**2)
     num = sum(quad(lambda x: (np.interp(x, sp1.dof_positions[1:7],
                                         sp1.dof_positions[1:7] ** 2) - x**2) ** 2,
                    lo, lo + 0.2)[0] for lo in np.arange(0.0, 0.99, 0.2))
@@ -175,7 +176,7 @@ def test_optimal_norm_local_limit_sine():
         mesh = refine_uniform(mesh)
     test = Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
-    v = test.interpolate(lambda x: np.sin(np.pi * x))[test.free_dofs]
+    v = interpolate(test, lambda x: np.sin(np.pi * x))[test.free_dofs]
     total = compute_discrete_optimal_norm(v, test, kernel, eps)
     energy = energy_seminorm(test, _free_to_full(test, v), kernel)
     second = total**2 - eps**2 * energy**2
@@ -208,7 +209,7 @@ def test_optimal_norm_shrinks_toward_app_with_delta():
             mesh = refine_uniform(mesh)
         test = Space(mesh, 2)
         kernel = constant_kernel_pair(delta)
-        v = test.interpolate(lambda x: np.sin(2 * np.pi * x) + x * (1 - x))[test.free_dofs]
+        v = interpolate(test, lambda x: np.sin(2 * np.pi * x) + x * (1 - x))[test.free_dofs]
         _, _, Avv = assemble_nonlocal_forms(test, test, kernel)
         G = gram(test, Avv[:, test.free_dofs], eps, "app")
         app = math.sqrt(v @ G @ v)

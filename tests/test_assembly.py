@@ -16,7 +16,8 @@ from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
 from nlpg.quadrature import N_OVER, gauss_legendre
 from nlpg.space import Space, boundary_lift
-from reference import graded_mesh, gram, hat, hat_energy_by_quad, nested_integrate
+from reference import (graded_mesh, gram, hat, hat_energy_by_quad, interpolate,
+                       nested_integrate)
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.02, 1e-4])
@@ -124,7 +125,7 @@ def test_diffusion_annihilates_constants(setup):
 
 def test_diffusion_annihilates_linears(setup):
     _, trial, _, _, A, _, _, _ = setup
-    resid = A @ trial.interpolate(lambda x: x)
+    resid = A @ interpolate(trial, lambda x: x)
     assert np.abs(resid).max() <= 1e-12 * np.abs(A).max()
 
 
@@ -144,7 +145,7 @@ def test_convection_annihilates_constants(setup):
 def test_convection_of_identity_is_mass_vector(setup):
     _, trial, test, _, _, C, _, _ = setup
     _, m = assemble_mass_mean(test)
-    np.testing.assert_allclose(C @ trial.interpolate(lambda x: x), m,
+    np.testing.assert_allclose(C @ interpolate(trial, lambda x: x), m,
                                rtol=0, atol=1e-12 * np.abs(m).max())
 
 
@@ -321,7 +322,7 @@ def test_load_consistency_linear(setup):
     parts = assemble_parts(trial, test, kernel, eps,
                            Problem("linear", g, lambda x: np.ones_like(x)))
     F = parts.F
-    coeffs = trial.interpolate(g)
+    coeffs = interpolate(trial, g)
     resid = F - (eps * A + C)[:, trial.free_dofs] @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-11 * max(1.0, np.abs(F).max())
 
@@ -335,7 +336,7 @@ def test_load_consistency_quintic():
     g = lambda x: np.asarray(x, dtype=float) ** 5
     forcing = lambda x: forcing_smooth_nonlocal(x, eps, delta)
     parts = assemble_parts(trial, test, kernel, eps, Problem("quintic", g, forcing))
-    coeffs = trial.interpolate(g)
+    coeffs = interpolate(trial, g)
     resid = parts.F - parts.B @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(parts.F).max())
 

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from nlpg.experiments import (COUPLING_DELTA, COUPLINGS, CSV_HEADER, RunConfig,
                               records_to_csv, run, run_sharp_demo, uniform_h_study)
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.space import Space
+from reference import interpolate
 
 
 def test_config_validation_messages():
@@ -146,6 +148,58 @@ def test_every_benchmark_layer_exists(monkeypatch):
     assert missing <= {"nlpg.adapt.assemble_mass_mean"}
 
 
+def test_benchmark_observers_see_every_step(monkeypatch):
+    # the benchmark checks each solve through wrappers at module attributes:
+    # every solve must pass one wrapped solve_problem, every solved norm one
+    # energy_error_norms, and every adaptive solve, the last included, one
+    # indicator, marking and refinement call
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    workloads = importlib.import_module("workloads")
+    observed = []
+
+    class Recorder(workloads.Tracer):
+        def wrap(self, module, attr, name, observe=None):
+            observed.append((module, attr))
+            super().wrap(module, attr, name, observe)
+
+    # a traced run wraps every layer the benchmark times or observes; this
+    # config fails its validation before any solve
+    monkeypatch.setattr(workloads, "Tracer", Recorder)
+    bad = workloads.Workload("invalid", RunConfig(steps=-1), ("app",))
+    assert workloads.run_study(bad, traced=True)["error"].startswith("ValueError")
+    calls = Counter()
+
+    def counted(key, func):
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module, attr in observed:
+        key = f"{module.__name__}.{attr}"
+        monkeypatch.setattr(module, attr, counted(key, getattr(module, attr)))
+    # (study, norms solved per step, refinement kind)
+    studies = (
+        (lambda: uniform_h_study(RunConfig(problem="linear", steps=3),
+                                 norms=("app", "eng"))["app"], 2, "uniform-h"),
+        (lambda: run(RunConfig(problem="smooth-local-forcing", coupling="h", steps=2)), 1,
+         "coupling"),
+        (lambda: run(RunConfig(refinement="uniform-p", steps=2)), 1, "uniform-p"),
+        (lambda: run(RunConfig(problem="sharp", delta=1e-5, refinement="adaptive",
+                               steps=3)), 1, "adaptive"),
+    )
+    for study, n_norms, kind in studies:
+        calls.clear()
+        n = len(study())
+        assert calls["nlpg.experiments.solve_problem"] + calls["nlpg.adapt.solve_problem"] == n
+        assert calls["nlpg.driver.energy_error_norms"] == n_norms * n
+        # a uniform study bisects between its solves, not after the last
+        assert calls["nlpg.experiments.refine_uniform"] == (n - 1 if kind == "uniform-h" else 0)
+        for attr in ("localize_indicator", "dorfler_mark", "refine_marked"):
+            assert calls[f"nlpg.adapt.{attr}"] == (n if kind == "adaptive" else 0)
+
+
 def test_steps_zero_single_solve():
     cfg = RunConfig(problem="linear", delta=0.1, steps=0)
     assert len(run(cfg)) == 1
@@ -156,24 +210,24 @@ def test_overshoot_metric_zero_for_exact():
     # range (up to evaluation roundoff)
     from nlpg.kernels import exact_sharp
     sp = Space(initial_mesh(1e-3), 1)
-    coeffs = sp.interpolate(lambda x: exact_sharp(x, 0.01))
+    coeffs = interpolate(sp, lambda x: exact_sharp(x, 0.01))
     assert overshoot_metric(sp, coeffs) <= 1e-12
     # order 3 reproduces this quadratic; its maximum 1 lies at x = 0.5, inside
     # the element (0.4, 0.6)
     sp = Space(initial_mesh(1e-3), 3)
-    coeffs = sp.interpolate(lambda x: 1.0 - 4.0 * (x - 0.5)**2)
+    coeffs = interpolate(sp, lambda x: 1.0 - 4.0 * (x - 0.5)**2)
     assert overshoot_metric(sp, coeffs) <= 1e-12
 
 
 def test_overshoot_metric_measures_range_violation():
     sp = Space(initial_mesh(0.1), 1)
-    coeffs = sp.interpolate(lambda x: np.asarray(x, dtype=float))
+    coeffs = interpolate(sp, lambda x: np.asarray(x, dtype=float))
     coeffs[sp.free_dofs[0]] = 1.3
     assert overshoot_metric(sp, coeffs) == pytest.approx(0.3, abs=1e-3)
     # maximum 1.3 at x = 0.5, inside the element (0.4, 0.6); its nodes reach
     # 1.25 at the vertices and 1.29 inside
     sp = Space(initial_mesh(0.1), 3)
-    coeffs = sp.interpolate(lambda x: 1.3 - 5.0 * (x - 0.5)**2)
+    coeffs = interpolate(sp, lambda x: 1.3 - 5.0 * (x - 0.5)**2)
     assert overshoot_metric(sp, coeffs) == pytest.approx(0.3, abs=1e-6)
 
 

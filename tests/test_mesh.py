@@ -110,6 +110,26 @@ def test_mesh_validation():
         Mesh1d(np.array([-0.2, 0.0, 0.5, 1.0, 1.1]), 0.1)
 
 
+def test_mesh_leaves_the_callers_nodes_writable():
+    nodes = np.array([-0.1, 0.0, 0.5, 1.0, 1.1])
+    m = Mesh1d(nodes, 0.1)
+    assert nodes.flags.writeable and not m.nodes.flags.writeable
+    nodes[2] = 0.6
+    assert m.nodes[2] == 0.5
+
+
+def test_meshes_compare_by_identity():
+    m = initial_mesh(0.1)
+    same = refine_marked(m, [])
+    np.testing.assert_array_equal(same.nodes, m.nodes)
+    assert m == m and m != same
+
+
+def test_meshes_are_hashable():
+    m = initial_mesh(0.1)
+    assert {m: 1}[m] == 1 and len({m, refine_marked(m, [])}) == 2
+
+
 def test_nodes_csv_dump(tmp_path):
     m = initial_mesh(0.1)
     path = tmp_path / "nodes.csv"

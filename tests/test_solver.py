@@ -14,6 +14,7 @@ from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
 from nlpg.solver import IndefiniteGramError, solve_mixed
 from nlpg.space import Space
+from reference import interpolate
 
 
 @pytest.mark.parametrize("delta", [0.1, 1e-4])
@@ -22,7 +23,7 @@ def test_linear_solution_reproduced(delta, norm):
     mesh = refine_uniform(initial_mesh(delta))
     problem = make_problem("linear", 0.01, delta)
     res = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=(norm,))[norm]
-    expected = res.trial.interpolate(lambda x: x)[res.trial.free_dofs]
+    expected = interpolate(res.trial, lambda x: x)[res.trial.free_dofs]
     assert np.abs(res.solution.u - expected).max() <= 1e-10
     assert np.linalg.norm(res.solution.psi) <= 1e-10 * (1 + np.linalg.norm(res.system.F))
     assert res.solution.residual_orthogonality <= 1e-10
@@ -32,7 +33,7 @@ def test_quintic_solution_reproduced_at_p5():
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     res = solve_problem(mesh, problem, eps=0.01, p=5, dp=2)["app"]
-    expected = res.trial.interpolate(problem.u_exact)
+    expected = interpolate(res.trial, problem.u_exact)
     assert np.abs(res.coeffs - expected).max() <= 1e-8
     assert res.err_energy <= 1e-8
 

@@ -23,9 +23,10 @@ over the grid and the number of cases that are not bit-identical.
 
 It then writes the study CSVs of the CLI with both trees (``nlpg run`` with
 each of this checkout's ``configs/*.cfg``, a uniform-p run, a delta = h
-local-limit run, the three table presets, and the sampled solution curves
-of ``sharp-demo``, each preset once with its defaults and once with every
-flag set).  Three ``nlpg run`` calls (an adaptive run, a uniform-p run and a
+local-limit run, two adaptive runs (one that stops after its first step
+and one in the eng norm), the three table presets, and the sampled solution
+curves of ``sharp-demo``, each preset once with its defaults and once with
+every flag set).  Three ``nlpg run`` calls (an adaptive run, a uniform-p run and a
 delta = h run) also write the final mesh (``--mesh_out``) and the final G,
 B and F (``--dump_matrices``).  It lists every file written by the runs that
 is not byte-identical.  It exits 1 if any drift exceeds 1e-12 (a shape change
@@ -79,6 +80,11 @@ CLI_RUNS = (
     _with_dumps("uniform_p_dumps", ["run", "--refinement", "uniform-p", "--steps", "3"]),
     _with_dumps("local_h_dumps", ["run", "--problem", "smooth-local-forcing", "--coupling",
                                   "h", "--steps", "3"]),
+    # the adaptive early stop (an exactly representable solution ends the run
+    # after one step) and an adaptive run in the other test norm
+    ("adaptive_stop.csv", ["run", "--problem", "linear", "--refinement", "adaptive",
+                           "--steps", "50"]),
+    ("adaptive_eng.csv", ["run", "--refinement", "adaptive", "--norm", "eng", "--steps", "8"]),
 )
 
 
