@@ -8,7 +8,7 @@ its parts over and builds a Gram matrix in it.
 """
 
 from .adapt import IndicatorSet, adaptive_step, dorfler_mark, localize_indicator
-from .analysis import ExperimentRecord, energy_seminorm, error_l2, rate, rate_dof
+from .analysis import ExperimentRecord, error_l2, rate, rate_dof
 from .assembly import (MixedSystem, assemble_mass_mean, assemble_nonlocal_forms,
                        assemble_parts, mixed_system_from_parts)
 from .driver import solve_problem

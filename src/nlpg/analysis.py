@@ -1,7 +1,7 @@
 """Error norms, convergence rates and the records of a refinement study.
 
-The energy-norm errors, the energy seminorm and the indicators of ``adapt``
-share one sweep, ``pair_energies``, over the piece table of the pair layer
+The energy-norm errors and the indicators of ``adapt`` share one sweep,
+``pair_energies``, over the piece table of the pair layer
 (``quadrature.mesh_pieces``); each caller masks the rows it needs.  The rows
 of all elements are evaluated together, in three array batches cut into
 chunks under the budget that the assembly uses too (``quadrature.chunks``),
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import KernelPair
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, chunks, gauss_legendre, inner_points,
                          mesh_pieces, row_dots)
 
@@ -116,26 +117,21 @@ def pair_energies(space, fields, kernel, pieces):
     return values
 
 
-def energy_error_norms(space, coeffs, u_exact, kernel):
+def energy_error_norms(space, coeffs, u_exact):
     """Absolute energy-norm error of u_h and the matching norm of u_exact.
 
-    Both double integrals run over Omega x (Omega ∩ B_delta(x)): errors are
-    reported on the solution domain, with the volumetric data held exact on
-    the interaction collar.
+    Both double integrals run over Omega x (Omega ∩ B_delta(x)) with the
+    built-in kernel pair of the mesh's horizon: errors are reported on the
+    solution domain, with the volumetric data held exact on the interaction
+    collar.
     """
     pieces = mesh_pieces(space.mesh)
     i, j = pieces[:2]
     last = space.mesh.n_elements - 1
     interior = (i > 0) & (i < last) & (j > 0) & (j < last)
-    err2, ex2 = pair_energies(space, [(coeffs, u_exact), (None, u_exact)], kernel,
-                              [a[interior] for a in pieces])
+    err2, ex2 = pair_energies(space, [(coeffs, u_exact), (None, u_exact)],
+                              KernelPair(space.mesh.delta), [a[interior] for a in pieces])
     return math.sqrt(err2.sum()), math.sqrt(ex2.sum())
-
-
-def energy_seminorm(space, coeffs, kernel):
-    """S_delta seminorm of a discrete function, over the full Omega_delta."""
-    total, = pair_energies(space, [(coeffs, None)], kernel, mesh_pieces(space.mesh))
-    return math.sqrt(total.sum())
 
 
 def error_l2(space, coeffs, u_exact):

@@ -7,9 +7,11 @@ diffusion/convection operators.  Since every test function vanishes on the
 exterior elements, this operator form coincides with the symmetric
 double-integral form of the diffusion inner product.
 
-All matrices carry columns for *all* DOFs of the column space (free and
-constrained); the constrained columns are what the boundary lift multiplies.
-Rows are restricted to free test DOFs throughout.
+Rows are restricted to free test DOFs throughout.  The trial matrices carry
+columns for *all* trial DOFs (free and constrained), since the constrained
+columns are what the boundary lift multiplies; the diffusion block A_vv of
+the test space has the free test columns only.  The kernel is always the
+built-in pair of the mesh's horizon, ``KernelPair(mesh.delta)``.
 
 The geometry of every element pair (its smooth pieces, their cases and the
 inner nodes) comes from the pair layer in ``quadrature``, the only place that
@@ -88,17 +90,17 @@ def _signed_weights(kernel, xs, y, wy):
     return [form.factor * form.signed(kernel, s) * wy for form in FORMS]
 
 
-def assemble_nonlocal_forms(test, trial, kernel):
+def assemble_nonlocal_forms(test, trial):
     """Assemble the operator matrices of the mixed system in one sweep.
 
     Returns (A_vu, C_vu, A_vv): (-L_delta u, v) and (b.G_delta u, v) for u in
     the trial space, and (-L_delta w, v) for w in the test space.  Rows are
-    free test DOFs, columns all DOFs of the respective column space.
+    free test DOFs; the columns of A_vu and C_vu are all trial DOFs, those of
+    A_vv the free test DOFs.
     """
     mesh = test.mesh
     delta = mesh.delta
-    if kernel.delta != mesh.delta:
-        raise ValueError(f"kernel horizon {kernel.delta} is not the mesh's {mesh.delta}")
+    kernel = KernelPair(delta)
     if trial.mesh is not mesh and not np.array_equal(trial.mesh.nodes, mesh.nodes):
         raise ValueError("trial and test spaces must share one mesh")
 
@@ -114,11 +116,13 @@ def assemble_nonlocal_forms(test, trial, kernel):
     t = delta * q_in
     wK_in = [form.factor * form.signed(kernel, t) * (delta * w_in) for form in FORMS]
 
-    # each column space with its matrices, in the order of FORMS: the trial
-    # space gets both forms, the test space the diffusion form only
+    # each column space with the column of each of its DOFs (-1 for one not
+    # added) and its matrices, in the order of FORMS: the trial space gets
+    # both forms on all its DOFs, the test space the diffusion form on its
+    # free DOFs only
     A_vu, C_vu = (np.zeros((test.n_free, trial.n_dofs)) for _ in FORMS)
-    A_vv = np.zeros((test.n_free, test.n_dofs))
-    columns = ((trial, (A_vu, C_vu)), (test, (A_vv,)))
+    A_vv = np.zeros((test.n_free, test.n_free))
+    columns = ((trial, np.arange(trial.n_dofs), (A_vu, C_vu)), (test, test.free_row, (A_vv,)))
 
     i, j, lo, hi, case = mesh_pieces(mesh)
     interior = np.flatnonzero((i > 0) & (i < mesh.n_elements - 1))
@@ -150,7 +154,7 @@ def assemble_nonlocal_forms(test, trial, kernel):
         # pair is -(wBtx * sK)^T @ Bx with sK the row sums of the weights
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
-        for space, mats in columns:
+        for space, col_of, mats in columns:
             Bx = space.local_basis(ib[:, None], xs)
             Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
             # same column block: difference the basis values before applying
@@ -168,8 +172,9 @@ def assemble_nonlocal_forms(test, trial, kernel):
             By_cl[left[cl], ..., -1] -= 1.0
             Bx[right, :, -1] -= 1.0
             Bx[left, :, 0] -= 1.0
-            cols = np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)
-            R, C, K = np.broadcast_arrays(rows[:, None, :, None], cols[:, :, None, :], keep)
+            cols = col_of[np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)]
+            R, C, K = np.broadcast_arrays(rows[:, None, :, None], cols[:, :, None, :],
+                                          keep & (cols >= 0)[:, :, None, :])
 
             for f, mat in enumerate(mats):
                 parity = FORMS[f].parity
@@ -248,7 +253,7 @@ def load_vector(test, forcing):
     return F
 
 
-def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
+def boundary_defect_load(test, trial, lift, boundary, eps):
     """b(w, v) for the collar interpolation defect w = g - (nodal lift of g).
 
     The volumetric data is imposed with its exact values: the discrete
@@ -258,8 +263,7 @@ def boundary_defect_load(test, trial, lift, boundary, eps, kernel):
     the never-refined exterior elements caps the attainable accuracy.
     """
     mesh = test.mesh
-    if kernel.delta != mesh.delta:
-        raise ValueError(f"kernel horizon {kernel.delta} is not the mesh's {mesh.delta}")
+    kernel = KernelPair(mesh.delta)
     n_out = test.order + N_OVER
     rule_out = gauss_legendre(n_out)
     q_in, w_in = gauss_legendre(max(test.order, trial.order) + N_OVER).map_to(0.0, 1.0)
@@ -309,20 +313,20 @@ class MixedSystem:
     F: np.ndarray
 
 
-def assemble_parts(trial, test, kernel, eps, problem):
+def assemble_parts(trial, test, eps, problem):
     """The norm-independent parts: A_vv, the lift, B = op on the free trial
     columns and F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu."""
     if not 0 < trial.n_free < test.n_free:
         raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
-    op, C_vu, A_vv = assemble_nonlocal_forms(test, trial, kernel)
+    op, C_vu, A_vv = assemble_nonlocal_forms(test, trial)
     lift = boundary_lift(trial, problem.u_exact)
     # op = eps A_vu + C_vu, in the storage of A_vu
     op *= eps
     op += C_vu
     del C_vu
     F = (load_vector(test, problem.forcing) - op @ lift
-         - boundary_defect_load(test, trial, lift, problem.u_exact, eps, kernel))
-    return SystemParts(test, eps, A_vv[:, test.free_dofs], op[:, trial.free_dofs], F, lift)
+         - boundary_defect_load(test, trial, lift, problem.u_exact, eps))
+    return SystemParts(test, eps, A_vv, op[:, trial.free_dofs], F, lift)
 
 
 NORMS = ("app", "eng")

@@ -7,7 +7,6 @@ import numpy as np
 
 from .analysis import energy_error_norms, error_l2
 from .assembly import assemble_parts, check_norms, mixed_system_from_parts
-from .kernels import constant_kernel_pair
 from .solver import solve_mixed
 from .space import Space
 
@@ -69,15 +68,14 @@ def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
     _check_memory(test.n_free, trial.n_free, len(norms))
-    kernel = constant_kernel_pair(mesh.delta)
-    parts = assemble_parts(trial, test, kernel, eps, problem)
+    parts = assemble_parts(trial, test, eps, problem)
     out = {}
     for norm, system in mixed_system_from_parts(parts, norms).items():
         solution = solve_mixed(system)
         # full trial coefficients: the boundary lift plus the free solution
         coeffs = parts.lift.copy()
         coeffs[trial.free_dofs] = solution.u
-        err, exact = energy_error_norms(trial, coeffs, problem.u_exact, kernel)
+        err, exact = energy_error_norms(trial, coeffs, problem.u_exact)
         if exact == 0.0:
             raise ValueError("exact solution has zero energy norm")
         out[norm] = StepResult(

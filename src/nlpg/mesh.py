@@ -28,7 +28,7 @@ class Mesh1d:
         object.__setattr__(self, "nodes", nodes)
         if not 0.0 < self.delta < math.inf:   # NaN fails both comparisons
             raise ValueError(f"horizon delta must be positive and finite, got {self.delta}")
-        if len(nodes) < 4 or np.any(np.diff(nodes) <= 0.0):
+        if len(nodes) < 4 or not np.all(np.diff(nodes) > 0.0):   # NaN fails >
             raise ValueError("mesh nodes must be strictly increasing with >= 3 elements")
         tol = _REL_TOL * max(1.0, self.delta)
         if (abs(nodes[0] + self.delta) > tol or abs(nodes[1]) > tol

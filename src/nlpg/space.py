@@ -84,24 +84,21 @@ class Space:
         dofs = np.empty((nel, order + 1), dtype=int)
         dofs[:, 0] = np.arange(nel)
         dofs[:, -1] = np.arange(1, nel + 1)
-        if nb:
-            dofs[:, 1:-1] = n_vertex + nb * np.arange(nel)[:, None] + np.arange(nb)[None, :]
+        dofs[:, 1:-1] = n_vertex + nb * np.arange(nel)[:, None] + np.arange(nb)[None, :]
         self._element_dofs = dofs
 
         pos = np.empty(self.n_dofs)
         pos[:n_vertex] = mesh.nodes
-        if nb:
-            a = mesh.nodes[:-1, None]
-            b = mesh.nodes[1:, None]
-            interior = 0.5 * (a + b) + 0.5 * (b - a) * self.ref_nodes[None, 1:-1]
-            pos[n_vertex:] = interior.ravel()
+        a = mesh.nodes[:-1, None]
+        b = mesh.nodes[1:, None]
+        interior = 0.5 * (a + b) + 0.5 * (b - a) * self.ref_nodes[None, 1:-1]
+        pos[n_vertex:] = interior.ravel()
         self.dof_positions = pos
 
         free = np.zeros(self.n_dofs, dtype=bool)
         free[2:n_vertex - 2] = True          # vertices strictly inside (0, 1)
-        if nb:
-            bubbles = free[n_vertex:].reshape(nel, nb)
-            bubbles[1:-1] = True             # bubbles of interior elements
+        bubbles = free[n_vertex:].reshape(nel, nb)
+        bubbles[1:-1] = True                 # bubbles of interior elements
         self.free_dofs = np.flatnonzero(free)
         self.constrained_dofs = np.flatnonzero(~free)
         self.n_free = len(self.free_dofs)

@@ -3,9 +3,10 @@
 None of them is on the program's path, and each is written for clarity, not
 speed: a scalar nested integration over one element at a time, the Gram
 matrix as the plain expression that the in-place build reproduces, the
-discrete optimal test norm, a least-squares log-log slope, a dense
-quadrature of one hat function's energy, the graded mesh that several
-tests share, and the interpolant of a function in a space.
+discrete optimal test norm, the energy seminorm of a discrete function, a
+least-squares log-log slope, a dense quadrature of one hat function's
+energy, the graded mesh that several tests share, and the interpolant of a
+function in a space.
 
 Import with ``from reference import ...``; pytest puts this directory on the
 path of the test modules beside it.
@@ -17,9 +18,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
+from nlpg.analysis import pair_energies
 from nlpg.assembly import assemble_mass_mean, assemble_nonlocal_forms
+from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, refine_marked, uniform_mesh
-from nlpg.quadrature import gauss_legendre
+from nlpg.quadrature import gauss_legendre, mesh_pieces
 
 
 def intersect(element, center, delta):
@@ -97,19 +100,26 @@ def gram(test, diffusion_vv, eps, norm):
     return 0.5 * (X + X.T)
 
 
-def compute_discrete_optimal_norm(v, test, kernel, eps):
+def compute_discrete_optimal_norm(v, test, eps):
     """Discrete optimal test norm of a free test-space vector.
 
     Evaluates eps^2 * energy + (w, A^{-1} w) with w the Galerkin image of the
     nonlocal gradient of v; an offline diagnostic, not a solver norm.
     """
     v = np.asarray(v, dtype=float)
-    A, C, _ = assemble_nonlocal_forms(test, test, kernel)
+    A, C, _ = assemble_nonlocal_forms(test, test)
     Aff = A[:, test.free_dofs]
     Aff = 0.5 * (Aff + Aff.T)
     w = C[:, test.free_dofs] @ v
     z = cho_solve(cho_factor(Aff, lower=True), w)
     return float(math.sqrt(eps**2 * (v @ Aff @ v) + w @ z))
+
+
+def energy_seminorm(space, coeffs):
+    """S_delta seminorm of a discrete function, over the full Omega_delta."""
+    total, = pair_energies(space, [(coeffs, None)], constant_kernel_pair(space.mesh.delta),
+                           mesh_pieces(space.mesh))
+    return math.sqrt(total.sum())
 
 
 def loglog_slope(ns, errs):

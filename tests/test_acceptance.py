@@ -10,7 +10,6 @@ import pytest
 from scipy.integrate import quad
 
 from nlpg.adapt import dorfler_mark, localize_indicator, IndicatorSet
-from nlpg.analysis import energy_seminorm
 from nlpg.assembly import _gram_in_place, assemble_nonlocal_forms
 from nlpg.driver import solve_problem
 from nlpg.experiments import RunConfig, overshoot_metric, run, run_sharp_demo, uniform_h_study
@@ -18,7 +17,8 @@ from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform
 from nlpg.problems import make_problem
 from nlpg.space import Space
-from reference import compute_discrete_optimal_norm, gram, interpolate, loglog_slope
+from reference import (compute_discrete_optimal_norm, energy_seminorm, gram, interpolate,
+                       loglog_slope)
 
 TABLE1_FINAL = 2.77e-6          # relative energy error at h = 0.1 * 2^-7, delta = 0.1
 APPENDIX_L2_FINAL = 5.73e-7     # matching relative L2 error
@@ -239,7 +239,7 @@ def test_criterion_7_property_suite():
     mesh = refine_uniform(initial_mesh(delta))
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
-    Avv, Cvv, _ = assemble_nonlocal_forms(test, test, kernel)
+    Avv, Cvv, _ = assemble_nonlocal_forms(test, test)
     Aff, Cff = Avv[:, test.free_dofs], Cvv[:, test.free_dofs]
     anti = np.abs(Cff + Cff.T).max() / np.abs(Cff).max()
     ok &= anti <= 1e-10
@@ -282,12 +282,11 @@ def test_criterion_7_property_suite():
     for _ in range(3):
         msh = refine_uniform(msh)
     tst = Space(msh, 3)
-    ker = constant_kernel_pair(dsm)
     v = interpolate(tst, lambda x: np.sin(np.pi * x))[tst.free_dofs]
     full = np.zeros(tst.n_dofs)
     full[tst.free_dofs] = v
-    opt = compute_discrete_optimal_norm(v, tst, ker, eps)
-    second = opt**2 - eps**2 * energy_seminorm(tst, full, ker) ** 2
+    opt = compute_discrete_optimal_norm(v, tst, eps)
+    second = opt**2 - eps**2 * energy_seminorm(tst, full) ** 2
     target = 0.5 - 4.0 / np.pi**2
     ok &= abs(second - target) <= 0.02 * target
     detail.append(f"optimal-norm second term={second:.5f} (target {target:.5f})")

@@ -8,22 +8,20 @@ import pytest
 from scipy.integrate import quad
 
 from nlpg.adapt import localize_indicator
-from nlpg.analysis import (energy_error_norms, energy_seminorm, error_l2, pair_energies, rate,
-                           rate_dof)
+from nlpg.analysis import energy_error_norms, error_l2, pair_energies, rate, rate_dof
 from nlpg.assembly import assemble_nonlocal_forms
 from nlpg.kernels import constant_kernel_pair, exact_smooth
 from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
 from nlpg.quadrature import CHUNK_VALUES, CLIPPED, N_OVER, mesh_pieces
 from nlpg.space import Space
-from reference import (compute_discrete_optimal_norm, gram, hat_energy_by_quad, interpolate,
-                       loglog_slope)
+from reference import (compute_discrete_optimal_norm, energy_seminorm, gram, hat_energy_by_quad,
+                       interpolate, loglog_slope)
 
 
 def test_error_energy_zero_for_representable_solution():
     sp = Space(initial_mesh(0.1), 1)
-    kernel = constant_kernel_pair(0.1)
     coeffs = interpolate(sp, lambda x: x)
-    err, exact = energy_error_norms(sp, coeffs, lambda x: np.asarray(x, dtype=float), kernel)
+    err, exact = energy_error_norms(sp, coeffs, lambda x: np.asarray(x, dtype=float))
     assert err <= 1e-10 * exact
 
 
@@ -34,7 +32,7 @@ def test_hat_seminorm_against_dense_integration():
     kernel = constant_kernel_pair(delta)
     c = np.zeros(sp.n_dofs)
     c[3] = 1.0   # hat at x = 0.4
-    ours = energy_seminorm(sp, c, kernel)
+    ours = energy_seminorm(sp, c)
     assert ours**2 == pytest.approx(hat_energy_by_quad(mesh, kernel), rel=1e-10)
 
 
@@ -66,12 +64,10 @@ def test_exact_energy_norm_against_mpmath(delta):
     for _ in range(3):   # bisect towards x = 1 so neighbours differ in width
         graded = refine_marked(graded, [graded.n_elements - 2, graded.n_elements - 3])
     oracle = _x5_energy_norm(delta)
-    kernel = constant_kernel_pair(delta)
     for mesh in (uniform_mesh(delta, 20), graded):
         for p in (1, 3):
             sp = Space(mesh, p)
-            _, exact = energy_error_norms(sp, interpolate(sp, exact_smooth), exact_smooth,
-                                          kernel)
+            _, exact = energy_error_norms(sp, interpolate(sp, exact_smooth), exact_smooth)
             assert exact == pytest.approx(oracle, rel=1e-11)
 
 
@@ -97,14 +93,12 @@ def test_pair_energies_of_a_table_equal_those_of_its_rows_alone(delta, p):
 
 
 def test_energy_sweep_rejects_a_kernel_of_another_horizon():
-    # pair_energies and through it the energy norms, the seminorm and the
-    # indicators
+    # pair_energies and through it the indicators, whose kernel the caller
+    # passes
     sp = Space(uniform_mesh(0.1, 10), 3)
     kernel = constant_kernel_pair(0.05)
     coeffs = np.ones(sp.n_dofs)
     calls = (lambda: pair_energies(sp, [(coeffs, None)], kernel, mesh_pieces(sp.mesh)),
-             lambda: energy_error_norms(sp, coeffs, exact_smooth, kernel),
-             lambda: energy_seminorm(sp, coeffs, kernel),
              lambda: localize_indicator(np.zeros(sp.n_free), sp, kernel, 0.01, "app"))
     for call in calls:
         with pytest.raises(ValueError, match=r"kernel horizon 0.05 is not the mesh's 0.1"):
@@ -113,14 +107,13 @@ def test_energy_sweep_rejects_a_kernel_of_another_horizon():
 
 def test_error_energy_triangle_inequality():
     sp = Space(refine_uniform(initial_mesh(0.05)), 2)
-    kernel = constant_kernel_pair(0.05)
     rng = np.random.default_rng(21)
     for _ in range(5):
         a = rng.standard_normal(sp.n_dofs)
         b = rng.standard_normal(sp.n_dofs)
-        na = energy_seminorm(sp, a, kernel)
-        nb = energy_seminorm(sp, b, kernel)
-        nab = energy_seminorm(sp, a + b, kernel)
+        na = energy_seminorm(sp, a)
+        nb = energy_seminorm(sp, b)
+        nab = energy_seminorm(sp, a + b)
         assert nab <= na + nb + 1e-12
 
 
@@ -164,8 +157,7 @@ def test_loglog_slope():
 
 def test_optimal_norm_zero_vector():
     test = Space(initial_mesh(0.1), 3)
-    kernel = constant_kernel_pair(0.1)
-    assert compute_discrete_optimal_norm(np.zeros(test.n_free), test, kernel, 0.01) == 0.0
+    assert compute_discrete_optimal_norm(np.zeros(test.n_free), test, 0.01) == 0.0
 
 
 def test_optimal_norm_local_limit_sine():
@@ -175,10 +167,9 @@ def test_optimal_norm_local_limit_sine():
     for _ in range(3):
         mesh = refine_uniform(mesh)
     test = Space(mesh, 3)
-    kernel = constant_kernel_pair(delta)
     v = interpolate(test, lambda x: np.sin(np.pi * x))[test.free_dofs]
-    total = compute_discrete_optimal_norm(v, test, kernel, eps)
-    energy = energy_seminorm(test, _free_to_full(test, v), kernel)
+    total = compute_discrete_optimal_norm(v, test, eps)
+    energy = energy_seminorm(test, _free_to_full(test, v))
     second = total**2 - eps**2 * energy**2
     assert second == pytest.approx(0.5 - 4.0 / np.pi**2, rel=0.02)
 
@@ -187,14 +178,13 @@ def test_optimal_norm_close_to_app_norm():
     delta, eps = 1e-3, 0.01
     mesh = refine_uniform(refine_uniform(initial_mesh(delta)))
     test = Space(mesh, 3)
-    kernel = constant_kernel_pair(delta)
-    _, _, Avv = assemble_nonlocal_forms(test, test, kernel)
-    G = gram(test, Avv[:, test.free_dofs], eps, "app")
+    _, _, A_vv = assemble_nonlocal_forms(test, test)
+    G = gram(test, A_vv, eps, "app")
     rng = np.random.default_rng(5)
     for _ in range(20):
         v = rng.standard_normal(test.n_free)
         app = math.sqrt(v @ G @ v)
-        opt = compute_discrete_optimal_norm(v, test, kernel, eps)
+        opt = compute_discrete_optimal_norm(v, test, eps)
         assert 0.8 <= app / opt <= 1.25
 
 
@@ -208,12 +198,11 @@ def test_optimal_norm_shrinks_toward_app_with_delta():
         for _ in range(3):
             mesh = refine_uniform(mesh)
         test = Space(mesh, 2)
-        kernel = constant_kernel_pair(delta)
         v = interpolate(test, lambda x: np.sin(2 * np.pi * x) + x * (1 - x))[test.free_dofs]
-        _, _, Avv = assemble_nonlocal_forms(test, test, kernel)
-        G = gram(test, Avv[:, test.free_dofs], eps, "app")
+        _, _, A_vv = assemble_nonlocal_forms(test, test)
+        G = gram(test, A_vv, eps, "app")
         app = math.sqrt(v @ G @ v)
-        opt = compute_discrete_optimal_norm(v, test, kernel, eps)
+        opt = compute_discrete_optimal_norm(v, test, eps)
         gaps.append(abs(app - opt))
     assert gaps[0] > gaps[1] > gaps[2]
 

@@ -26,10 +26,9 @@ def setup(request):
     mesh = refine_uniform(initial_mesh(delta))
     trial = Space(mesh, 1)
     test = Space(mesh, 3)
-    kernel = constant_kernel_pair(delta)
-    A, C, _ = assemble_nonlocal_forms(test, trial, kernel)
-    Avv, Cvv, _ = assemble_nonlocal_forms(test, test, kernel)
-    return mesh, trial, test, kernel, A, C, Avv, Cvv
+    A, C, _ = assemble_nonlocal_forms(test, trial)
+    Avv, Cvv, _ = assemble_nonlocal_forms(test, test)
+    return mesh, trial, test, A, C, Avv, Cvv
 
 
 # the first three hold the mirrored and the Taylor self windows and adjacent
@@ -46,14 +45,13 @@ def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
     # table; every chunking must give each entry the same additions in the
     # same order, so the bits must not change
     trial, test = Space(mesh, 1), Space(mesh, 3)
-    kernel = constant_kernel_pair(mesh.delta)
     g = lambda x: np.asarray(x) ** 5 + 1.0
     lift = boundary_lift(trial, g)
 
     def assemble():
-        return (*assemble_nonlocal_forms(test, trial, kernel),
-                *assemble_nonlocal_forms(test, test, kernel)[1:],
-                boundary_defect_load(test, trial, lift, g, 0.01, kernel))
+        return (*assemble_nonlocal_forms(test, trial),
+                *assemble_nonlocal_forms(test, test)[1:],
+                boundary_defect_load(test, trial, lift, g, 0.01))
 
     whole = assemble()
     monkeypatch.setattr(quadrature, "CHUNK_VALUES", 1)
@@ -63,31 +61,14 @@ def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
 
 @SWEEP_MESHES
 def test_test_space_as_trial_space_gives_the_diffusion_block(mesh):
-    # the tests that need C_vv assemble with trial = test; the A_vu they get
-    # must be the A_vv that the program builds beside its trial columns
-    kernel = constant_kernel_pair(mesh.delta)
+    # the tests that need C_vv assemble with trial = test; the free columns
+    # of the A_vu they get must be the A_vv that the program builds beside
+    # its trial columns, a C-ordered array on the free test columns only
     for p, dp in ((1, 2), (2, 3)):
         trial, test = Space(mesh, p), Space(mesh, p + dp)
-        A_vv = assemble_nonlocal_forms(test, trial, kernel)[2]
-        assert np.array_equal(assemble_nonlocal_forms(test, test, kernel)[0], A_vv)
-
-
-def test_assembly_rejects_a_kernel_of_another_horizon():
-    # the windows come from mesh.delta and the weights from the kernel, so a
-    # kernel of another horizon would give a wrong B
-    mesh = uniform_mesh(0.1, 10)
-    trial, test = Space(mesh, 1), Space(mesh, 3)
-    with pytest.raises(ValueError, match=r"kernel horizon 0.05 is not the mesh's 0.1"):
-        assemble_parts(trial, test, constant_kernel_pair(0.05), 0.01,
-                       make_problem("smooth-nonlocal", 0.01, 0.1))
-
-
-def test_boundary_defect_load_rejects_a_kernel_of_another_horizon():
-    mesh = uniform_mesh(0.1, 10)
-    trial, test = Space(mesh, 1), Space(mesh, 3)
-    lift = boundary_lift(trial, np.cos)
-    with pytest.raises(ValueError, match=r"kernel horizon 0.2 is not the mesh's 0.1"):
-        boundary_defect_load(test, trial, lift, np.cos, 0.01, constant_kernel_pair(0.2))
+        A_vv = assemble_nonlocal_forms(test, trial)[2]
+        assert A_vv.shape == (test.n_free, test.n_free) and A_vv.flags.c_contiguous
+        assert np.array_equal(assemble_nonlocal_forms(test, test)[0][:, test.free_dofs], A_vv)
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.02])
@@ -100,7 +81,7 @@ def test_boundary_defect_load_against_nested_integration(delta):
     trial, test = Space(mesh, 1), Space(mesh, 3)
     kernel = constant_kernel_pair(delta)
     g = lambda x: np.asarray(x, dtype=float) ** 5 + 1.0
-    F = boundary_defect_load(test, trial, boundary_lift(trial, g), g, eps, kernel)
+    F = boundary_defect_load(test, trial, boundary_lift(trial, g), g, eps)
 
     nodes, last = mesh.nodes, mesh.n_elements - 1
     collar = lambda y: (y < nodes[1]) | (y > nodes[-2])
@@ -118,39 +99,39 @@ def test_boundary_defect_load_against_nested_integration(delta):
 
 
 def test_diffusion_annihilates_constants(setup):
-    _, trial, _, _, A, _, _, _ = setup
+    _, trial, _, A, _, _, _ = setup
     resid = A @ np.ones(trial.n_dofs)
     assert np.abs(resid).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_diffusion_annihilates_linears(setup):
-    _, trial, _, _, A, _, _, _ = setup
+    _, trial, _, A, _, _, _ = setup
     resid = A @ interpolate(trial, lambda x: x)
     assert np.abs(resid).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_diffusion_free_block_symmetric_positive(setup):
-    _, _, test, _, _, _, Avv, _ = setup
+    _, _, test, _, _, Avv, _ = setup
     ff = Avv[:, test.free_dofs]
     assert np.abs(ff - ff.T).max() <= 1e-10 * np.abs(ff).max()
     assert np.linalg.eigvalsh(0.5 * (ff + ff.T)).min() > 0.0
 
 
 def test_convection_annihilates_constants(setup):
-    _, trial, _, _, _, C, _, _ = setup
+    _, trial, _, _, C, _, _ = setup
     resid = C @ np.ones(trial.n_dofs)
     assert np.abs(resid).max() <= 1e-12 * np.abs(C).max()
 
 
 def test_convection_of_identity_is_mass_vector(setup):
-    _, trial, test, _, _, C, _, _ = setup
+    _, trial, test, _, C, _, _ = setup
     _, m = assemble_mass_mean(test)
     np.testing.assert_allclose(C @ interpolate(trial, lambda x: x), m,
                                rtol=0, atol=1e-12 * np.abs(m).max())
 
 
 def test_convection_free_block_antisymmetric(setup):
-    _, _, test, _, _, _, _, Cvv = setup
+    _, _, test, _, _, _, Cvv = setup
     ff = Cvv[:, test.free_dofs]
     defect = np.abs(ff + ff.T).max() / np.abs(ff).max()
     print(f"antisymmetry defect (delta={test.mesh.delta:g}): {defect:.3e}")
@@ -158,7 +139,7 @@ def test_convection_free_block_antisymmetric(setup):
 
 
 def test_bilinear_form_definite_on_random_vectors(setup):
-    _, _, test, _, _, _, Avv, Cvv = setup
+    _, _, test, _, _, Avv, Cvv = setup
     eps = 0.01
     Aff = Avv[:, test.free_dofs]
     Cff = Cvv[:, test.free_dofs]
@@ -172,13 +153,13 @@ def test_bilinear_form_definite_on_random_vectors(setup):
 
 
 def test_gram_app_eps_zero_is_spd(setup):
-    _, _, test, kernel, _, _, Avv, _ = setup
+    _, _, test, _, _, Avv, _ = setup
     G = _gram_in_place(test, Avv[:, test.free_dofs], 0.0, "app")
     assert np.linalg.eigvalsh(G).min() > 0.0
 
 
 def test_gram_eng_equals_diffusion_block(setup):
-    _, _, test, kernel, _, _, Avv, _ = setup
+    _, _, test, _, _, Avv, _ = setup
     ff = Avv[:, test.free_dofs]
     G = _gram_in_place(test, ff.copy(), 0.01, "eng")
     np.testing.assert_allclose(G, 0.5 * (ff + ff.T))
@@ -186,7 +167,7 @@ def test_gram_eng_equals_diffusion_block(setup):
 
 def test_gram_rejects_unknown_norm(setup):
     # the rejection comes before the system takes the diffusion block over
-    _, trial, test, kernel, _, _, Avv, _ = setup
+    _, trial, test, _, _, Avv, _ = setup
     A_vv = Avv[:, test.free_dofs]
     parts = SystemParts(test, 0.01, A_vv, None, None, None)
     with pytest.raises(ValueError, match="unknown test norm"):
@@ -229,8 +210,7 @@ def test_system_takes_the_diffusion_block_over():
     mesh = initial_mesh(0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     for norms in (("app", "eng"), ("eng", "app")):
-        parts = assemble_parts(trial, test, constant_kernel_pair(0.1), 0.01,
-                               make_problem("smooth-nonlocal", 0.01, 0.1))
+        parts = assemble_parts(trial, test, 0.01, make_problem("smooth-nonlocal", 0.01, 0.1))
         A_vv = parts.A_vv
         for bad in (("opt",), norms + ("opt",), norms + norms[:1], ()):
             with pytest.raises(ValueError, match="unknown test norm|distinct"):
@@ -283,7 +263,7 @@ def test_mass_mean_and_load_equal_the_element_loop(mesh, order):
 def test_mismatched_meshes_rejected():
     m1, m2 = initial_mesh(0.1), refine_uniform(initial_mesh(0.1))
     with pytest.raises(ValueError):
-        assemble_nonlocal_forms(Space(m2, 3), Space(m1, 1), constant_kernel_pair(0.1))
+        assemble_nonlocal_forms(Space(m2, 3), Space(m1, 1))
 
 
 def test_app_gram_hat_against_dense_integration():
@@ -293,8 +273,8 @@ def test_app_gram_hat_against_dense_integration():
     mesh = initial_mesh(delta)
     test = Space(mesh, 1)
     kernel = constant_kernel_pair(delta)
-    _, _, Avv = assemble_nonlocal_forms(test, test, kernel)
-    G = _gram_in_place(test, Avv[:, test.free_dofs], eps, "app")
+    _, _, A_vv = assemble_nonlocal_forms(test, test)
+    G = _gram_in_place(test, A_vv, eps, "app")
     idx = 1   # hat at x = 0.4
     e = np.zeros(test.n_free)
     e[idx] = 1.0
@@ -308,19 +288,18 @@ def test_app_gram_hat_against_dense_integration():
 
 
 def test_load_zero_data_gives_zero(setup):
-    _, trial, test, kernel, _, _, _, _ = setup
+    _, trial, test, _, _, _, _ = setup
     zero = lambda x: np.zeros_like(x)
-    F = assemble_parts(trial, test, kernel, 0.01, Problem("zero", zero, zero)).F
+    F = assemble_parts(trial, test, 0.01, Problem("zero", zero, zero)).F
     np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
 
 def test_load_consistency_linear(setup):
     # u = x solves the problem with f = 1; the discrete residual vanishes
-    _, trial, test, kernel, A, C, _, _ = setup
+    _, trial, test, A, C, _, _ = setup
     eps = 0.01
     g = lambda x: np.asarray(x, dtype=float)
-    parts = assemble_parts(trial, test, kernel, eps,
-                           Problem("linear", g, lambda x: np.ones_like(x)))
+    parts = assemble_parts(trial, test, eps, Problem("linear", g, lambda x: np.ones_like(x)))
     F = parts.F
     coeffs = interpolate(trial, g)
     resid = F - (eps * A + C)[:, trial.free_dofs] @ coeffs[trial.free_dofs]
@@ -332,10 +311,9 @@ def test_load_consistency_quintic():
     delta, eps = 0.1, 0.01
     mesh = initial_mesh(delta)
     trial, test = Space(mesh, 5), Space(mesh, 7)
-    kernel = constant_kernel_pair(delta)
     g = lambda x: np.asarray(x, dtype=float) ** 5
     forcing = lambda x: forcing_smooth_nonlocal(x, eps, delta)
-    parts = assemble_parts(trial, test, kernel, eps, Problem("quintic", g, forcing))
+    parts = assemble_parts(trial, test, eps, Problem("quintic", g, forcing))
     coeffs = interpolate(trial, g)
     resid = parts.F - parts.B @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(parts.F).max())
@@ -351,7 +329,6 @@ def test_trial_space_without_free_dofs_rejected():
 
 def test_enrichment_required():
     mesh = initial_mesh(0.1)
-    kernel = constant_kernel_pair(0.1)
     with pytest.raises(ValueError):
-        assemble_parts(Space(mesh, 2), Space(mesh, 2), kernel, 0.01,
+        assemble_parts(Space(mesh, 2), Space(mesh, 2), 0.01,
                        Problem("linear", lambda x: x, lambda x: np.ones_like(x)))

@@ -110,6 +110,12 @@ def test_mesh_validation():
         Mesh1d(np.array([-0.2, 0.0, 0.5, 1.0, 1.1]), 0.1)
 
 
+def test_mesh_rejects_a_nan_node():
+    # np.diff gives NaN next to it, and NaN <= 0.0 is False as well
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Mesh1d([-0.1, 0.0, np.nan, 1.0, 1.1], 0.1)
+
+
 def test_mesh_leaves_the_callers_nodes_writable():
     nodes = np.array([-0.1, 0.0, 0.5, 1.0, 1.1])
     m = Mesh1d(nodes, 0.1)

@@ -9,7 +9,6 @@ import nlpg.assembly
 import nlpg.driver
 from nlpg.assembly import assemble_parts, mixed_system_from_parts
 from nlpg.driver import solve_problem
-from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
 from nlpg.solver import IndefiniteGramError, solve_mixed
@@ -41,9 +40,8 @@ def test_quintic_solution_reproduced_at_p5():
 def test_zero_data_gives_zero_solution():
     mesh = initial_mesh(0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
-    kernel = constant_kernel_pair(0.1)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    parts = assemble_parts(trial, test, kernel, 0.01, Problem("zero", zero, zero))
+    parts = assemble_parts(trial, test, 0.01, Problem("zero", zero, zero))
     system = mixed_system_from_parts(parts, ("app",))["app"]
     sol = solve_mixed(system)
     np.testing.assert_allclose(sol.u, 0.0, atol=1e-14)
@@ -54,8 +52,7 @@ def test_solution_invariant_under_gram_scaling():
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
-    kernel = constant_kernel_pair(0.1)
-    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01, problem),
+    system = mixed_system_from_parts(assemble_parts(trial, test, 0.01, problem),
                                      ("app",))["app"]
     base = solve_mixed(system)
     system.G = 7.0 * system.G
@@ -78,8 +75,7 @@ def test_indefinite_gram_reported():
     mesh = initial_mesh(0.1)
     problem = make_problem("linear", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
-    kernel = constant_kernel_pair(0.1)
-    system = mixed_system_from_parts(assemble_parts(trial, test, kernel, 0.01, problem),
+    system = mixed_system_from_parts(assemble_parts(trial, test, 0.01, problem),
                                      ("app",))["app"]
     system.G = -system.G
     with pytest.raises(IndefiniteGramError):
@@ -150,6 +146,23 @@ def test_two_norm_step_equals_two_one_norm_steps(norms):
         for name in ("G", "B", "F"):
             assert np.array_equal(getattr(both[norm].system, name), getattr(one.system, name))
         assert both[norm].err_energy == one.err_energy
+
+
+@pytest.mark.parametrize("delta, n_interior", [(0.1, 80), (1e-4, 160), (0.01, 40)])
+def test_a_norms_results_do_not_depend_on_the_order_of_the_norms(delta, n_interior):
+    # the first norm's G is built in a copy of A_vv, the last in A_vv itself;
+    # both must have one layout, or G @ psi runs another BLAS path and the
+    # primal residual differs in its last bits
+    mesh = uniform_mesh(delta, n_interior)
+    problem = make_problem("smooth-nonlocal", 0.01, delta)
+    results = [solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
+               for norms in (("app", "eng"), ("eng", "app"))]
+    for norm in ("app", "eng"):
+        first, last = (r[norm] for r in results)
+        psi = first.solution.psi
+        assert np.array_equal(last.solution.psi, psi)
+        assert np.array_equal(first.system.G @ psi, last.system.G @ psi)
+        assert first.solution.residual_primal == last.solution.residual_primal
 
 
 def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):

@@ -17,7 +17,8 @@ bands of the in-place Gram build.
 
 For each case it keeps G, B and F of the mixed system, the relative energy
 and L2 errors, the squared indicators eta^2, and the energy seminorm of the
-residual representer psi (``energy_seminorm`` on the test space).  It
+residual representer psi (the square root of the summed ``pair_energies``
+of psi over the whole piece table of the test space).  It
 prints, per quantity, the largest relative drift max|new - old| / max|old|
 over the grid and the number of cases that are not bit-identical.
 
@@ -102,10 +103,11 @@ def _mesh(kind, delta):
 def dump(path):
     """Run the grid with the nlpg on sys.path and save every quantity to path."""
     from nlpg.adapt import localize_indicator
-    from nlpg.analysis import energy_seminorm
+    from nlpg.analysis import pair_energies
     from nlpg.driver import solve_problem
     from nlpg.kernels import constant_kernel_pair
     from nlpg.problems import make_problem
+    from nlpg.quadrature import mesh_pieces
 
     out = {}
     for delta, kind in [(d, k) for d in DELTAS for k in MESHES] + [WIDE]:
@@ -121,9 +123,10 @@ def dump(path):
                     eta2 = localize_indicator(psi, res.test, kernel, EPS, norm).eta2
                     coeffs = np.zeros(res.test.n_dofs)
                     coeffs[res.test.free_dofs] = psi
+                    seminorm2, = pair_energies(res.test, [(coeffs, None)], kernel,
+                                               mesh_pieces(mesh))
                     values = (res.system.G, res.system.B, res.system.F,
-                              res.err_energy, res.err_l2, eta2,
-                              energy_seminorm(res.test, coeffs, kernel))
+                              res.err_energy, res.err_l2, eta2, np.sqrt(seminorm2.sum()))
                     for q, v in zip(QUANTITIES, values):
                         out[f"{case}|{q}"] = np.asarray(v, dtype=float)
     np.savez(path, **out)
