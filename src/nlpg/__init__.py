@@ -3,14 +3,13 @@
 Mixed formulation with an enriched test space; the test-space norm is either
 the nonlocal energy norm ('eng') or the computable approximation of the
 optimal test norm ('app').  The operators are pure functions of immutable
-inputs, except that ``mixed_system_from_parts`` takes the diffusion block of
-its parts over and builds a Gram matrix in it.
+inputs.
 """
 
 from .adapt import IndicatorSet, adaptive_step, dorfler_mark, localize_indicator
 from .analysis import ExperimentRecord, error_l2, rate, rate_dof
 from .assembly import (MixedSystem, assemble_mass_mean, assemble_nonlocal_forms,
-                       assemble_parts, mixed_system_from_parts)
+                       mixed_system_from_parts)
 from .driver import solve_problem
 from .kernels import (KernelPair, constant_kernel_pair, exact_sharp,
                       exact_smooth, forcing_sharp, forcing_smooth_local,

@@ -34,12 +34,12 @@ The mass matrix, the mean vector and the load are summed the same way: the
 products of all interior elements at once, then one unbuffered ``np.add.at``
 in element order.
 
-One path builds the discrete problem, in two stages.  ``assemble_parts``
-builds all but the Gram matrices once per mesh (the lift, B and F, forming
-op = eps A_vu + C_vu in the storage of A_vu), and ``mixed_system_from_parts``
-adds the Gram matrix of each test norm of the step, so the systems of the
-norms share B and F.  It checks the norm list (``check_norms``) before it
-takes the diffusion block A_vv over.  It is the only Gram path: each Gram
+One call builds the discrete problem of a step, ``mixed_system_from_parts``.
+It checks the norm list (``check_norms``) and the spaces before it assembles
+anything.  It builds the lift, B and F once per mesh, forming
+op = eps A_vu + C_vu in the storage of A_vu and freeing op before the Gram
+builds, and then the Gram matrix of each test norm of the step, so the
+systems of the norms share B and F.  It is the only Gram path: each Gram
 matrix is built in place, the last norm's in the storage of A_vv and the
 others' in copies of it, so a build holds one n_test x n_test array, plus the
 mass matrix for 'app'.  Its steps, each entry getting the same IEEE
@@ -58,7 +58,7 @@ operations as in G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -293,40 +293,12 @@ def boundary_defect_load(test, trial, lift, boundary, eps):
 
 
 @dataclass
-class SystemParts:
-    """All of the discrete problem on one mesh but the norms' Gram matrices."""
-
-    test: object
-    eps: float
-    A_vv: Optional[np.ndarray]   # None once the systems have taken it over
-    B: np.ndarray
-    F: np.ndarray
-    lift: np.ndarray
-
-
-@dataclass
 class MixedSystem:
     """Gram + bilinear-form matrix + load of the discrete mixed problem."""
 
     G: np.ndarray
     B: np.ndarray
     F: np.ndarray
-
-
-def assemble_parts(trial, test, eps, problem):
-    """The norm-independent parts: A_vv, the lift, B = op on the free trial
-    columns and F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu."""
-    if not 0 < trial.n_free < test.n_free:
-        raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
-    op, C_vu, A_vv = assemble_nonlocal_forms(test, trial)
-    lift = boundary_lift(trial, problem.u_exact)
-    # op = eps A_vu + C_vu, in the storage of A_vu
-    op *= eps
-    op += C_vu
-    del C_vu
-    F = (load_vector(test, problem.forcing) - op @ lift
-         - boundary_defect_load(test, trial, lift, problem.u_exact, eps))
-    return SystemParts(test, eps, A_vv, op[:, trial.free_dofs], F, lift)
 
 
 NORMS = ("app", "eng")
@@ -371,19 +343,28 @@ def _gram_in_place(test, G, eps, norm):
     return G
 
 
-def mixed_system_from_parts(parts, norms):
-    """The discrete mixed problem of every test norm: {norm: MixedSystem}.
+def mixed_system_from_parts(trial, test, eps, problem, norms):
+    """The discrete mixed problem of every test norm: (lift, {norm: MixedSystem}).
 
-    The systems share B and F.  Each Gram matrix is built in place, all but
-    the last in a copy of ``parts.A_vv`` and the last in ``parts.A_vv``
-    itself, which the systems take over: ``parts.A_vv`` is None afterwards.
-    The norms are checked before that.
+    The systems share B = op on the free trial columns and
+    F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu.  Each Gram matrix is
+    built in place, all but the last in a copy of the diffusion block A_vv
+    and the last in A_vv itself.  The norms and the spaces are checked before
+    anything is assembled.
     """
     norms = check_norms(norms)
-    if parts.A_vv is None:
-        raise ValueError("parts.A_vv has been taken over by an earlier call")
-    A_vv, parts.A_vv = parts.A_vv, None
-    return {norm: MixedSystem(_gram_in_place(parts.test, A_vv if norm == norms[-1]
-                                             else A_vv.copy(), parts.eps, norm),
-                              parts.B, parts.F)
-            for norm in norms}
+    if not 0 < trial.n_free < test.n_free:
+        raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
+    op, C_vu, A_vv = assemble_nonlocal_forms(test, trial)
+    lift = boundary_lift(trial, problem.u_exact)
+    # op = eps A_vu + C_vu, in the storage of A_vu
+    op *= eps
+    op += C_vu
+    del C_vu
+    F = (load_vector(test, problem.forcing) - op @ lift
+         - boundary_defect_load(test, trial, lift, problem.u_exact, eps))
+    B = op[:, trial.free_dofs]
+    del op   # before the Gram builds
+    return lift, {norm: MixedSystem(_gram_in_place(test, A_vv if norm == norms[-1]
+                                                   else A_vv.copy(), eps, norm), B, F)
+                  for norm in norms}

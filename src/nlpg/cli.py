@@ -96,6 +96,8 @@ def main(argv=None):
     try:
         if args.command == "run":
             return _run_command(args)
+        if not args.out:   # the presets write no file for an empty name
+            raise ValueError("--out: need a file name, got ''")
         kwargs = {key: val for key, val in vars(args).items() if key != "command"}
         result = PRESETS[args.command][0](**kwargs)
         if args.command == "sharp-demo":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import energy_error_norms, error_l2
-from .assembly import assemble_parts, check_norms, mixed_system_from_parts
+from .assembly import check_norms, mixed_system_from_parts
 from .solver import solve_mixed
 from .space import Space
 
@@ -68,12 +68,12 @@ def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
     _check_memory(test.n_free, trial.n_free, len(norms))
-    parts = assemble_parts(trial, test, eps, problem)
+    lift, systems = mixed_system_from_parts(trial, test, eps, problem, norms)
     out = {}
-    for norm, system in mixed_system_from_parts(parts, norms).items():
+    for norm, system in systems.items():
         solution = solve_mixed(system)
         # full trial coefficients: the boundary lift plus the free solution
-        coeffs = parts.lift.copy()
+        coeffs = lift.copy()
         coeffs[trial.free_dofs] = solution.u
         err, exact = energy_error_norms(trial, coeffs, problem.u_exact)
         if exact == 0.0:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import nlpg.assembly
 from nlpg import quadrature
-from nlpg.assembly import (GRAM_BAND, SystemParts, _gram_in_place, assemble_mass_mean,
-                           assemble_nonlocal_forms, assemble_parts, boundary_defect_load,
-                           load_vector, mixed_system_from_parts)
+from nlpg.assembly import (GRAM_BAND, _gram_in_place, assemble_mass_mean,
+                           assemble_nonlocal_forms, boundary_defect_load, load_vector,
+                           mixed_system_from_parts)
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
@@ -165,14 +166,22 @@ def test_gram_eng_equals_diffusion_block(setup):
     np.testing.assert_allclose(G, 0.5 * (ff + ff.T))
 
 
-def test_gram_rejects_unknown_norm(setup):
-    # the rejection comes before the system takes the diffusion block over
-    _, trial, test, _, _, Avv, _ = setup
-    A_vv = Avv[:, test.free_dofs]
-    parts = SystemParts(test, 0.01, A_vv, None, None, None)
-    with pytest.raises(ValueError, match="unknown test norm"):
-        mixed_system_from_parts(parts, ("opt",))
-    assert parts.A_vv is A_vv
+def _not_reached(*args):
+    raise AssertionError("assembled")
+
+
+def test_gram_rejects_unknown_norm(setup, monkeypatch):
+    # every bad norm list, an unknown norm among them, is rejected before
+    # anything is assembled
+    _, trial, test, _, _, _, _ = setup
+    problem = make_problem("smooth-nonlocal", 0.01, test.mesh.delta)
+    monkeypatch.setattr(nlpg.assembly, "assemble_nonlocal_forms", _not_reached)
+    for bad, message in ((("opt",), "unknown test norm 'opt'"),
+                         (("app", "opt"), "unknown test norm 'opt'"),
+                         (("app", "app"), "distinct"), ((), "at least one"),
+                         ("app", "got the string 'app'")):
+        with pytest.raises(ValueError, match=message):
+            mixed_system_from_parts(trial, test, 0.01, problem, bad)
 
 
 @pytest.mark.parametrize("norm", ["app", "eng"])
@@ -204,25 +213,35 @@ def test_gram_build_allocates_one_dense_array(norm, arrays):
     assert peak <= arrays * 8 * n * n
 
 
-def test_system_takes_the_diffusion_block_over():
-    # every norm is checked first; then the last norm's Gram matrix is built
-    # in A_vv itself and the other in a copy
+def test_systems_share_B_and_F():
+    # one B and one F for every norm; each G is its own C-ordered
+    # n_free x n_free array, the last norm's built in A_vv and the others in
+    # copies
     mesh = initial_mesh(0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     for norms in (("app", "eng"), ("eng", "app")):
-        parts = assemble_parts(trial, test, 0.01, make_problem("smooth-nonlocal", 0.01, 0.1))
-        A_vv = parts.A_vv
-        for bad in (("opt",), norms + ("opt",), norms + norms[:1], ()):
-            with pytest.raises(ValueError, match="unknown test norm|distinct"):
-                mixed_system_from_parts(parts, bad)
-            assert parts.A_vv is A_vv
-        systems = mixed_system_from_parts(parts, norms)
-        assert list(systems) == list(norms) and parts.A_vv is None
-        first, last = (systems[n].G for n in norms)
-        assert last is A_vv and first is not A_vv
-        assert all(s.B is parts.B and s.F is parts.F for s in systems.values())
-        with pytest.raises(ValueError, match="taken over"):
-            mixed_system_from_parts(parts, ("app",))
+        lift, systems = mixed_system_from_parts(trial, test, 0.01, problem, norms)
+        assert list(systems) == list(norms) and lift.shape == (trial.n_dofs,)
+        first, last = systems.values()
+        assert first.B is last.B and first.F is last.F and first.G is not last.G
+        assert first.B.shape == (test.n_free, trial.n_free)
+        for system in systems.values():
+            assert system.G.flags.c_contiguous and system.G.shape == (test.n_free,) * 2
+
+
+def test_two_calls_give_bit_equal_systems():
+    # the builder keeps nothing between calls
+    mesh = refine_uniform(initial_mesh(0.1))
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    (lift, first), (lift2, second) = (
+        mixed_system_from_parts(trial, test, 0.01, problem, ("app", "eng")) for _ in range(2))
+    assert lift.tobytes() == lift2.tobytes()
+    for norm in ("app", "eng"):
+        for name in ("G", "B", "F"):
+            assert (getattr(first[norm], name).tobytes()
+                    == getattr(second[norm], name).tobytes()), (norm, name)
 
 
 def _mass_mean_load_by_elements(test, forcing):
@@ -290,7 +309,9 @@ def test_app_gram_hat_against_dense_integration():
 def test_load_zero_data_gives_zero(setup):
     _, trial, test, _, _, _, _ = setup
     zero = lambda x: np.zeros_like(x)
-    F = assemble_parts(trial, test, 0.01, Problem("zero", zero, zero)).F
+    _, systems = mixed_system_from_parts(trial, test, 0.01, Problem("zero", zero, zero),
+                                         ("app",))
+    F = systems["app"].F
     np.testing.assert_allclose(F, 0.0, atol=1e-15)
 
 
@@ -299,8 +320,9 @@ def test_load_consistency_linear(setup):
     _, trial, test, A, C, _, _ = setup
     eps = 0.01
     g = lambda x: np.asarray(x, dtype=float)
-    parts = assemble_parts(trial, test, eps, Problem("linear", g, lambda x: np.ones_like(x)))
-    F = parts.F
+    _, systems = mixed_system_from_parts(trial, test, eps,
+                                         Problem("linear", g, lambda x: np.ones_like(x)), ("app",))
+    F = systems["app"].F
     coeffs = interpolate(trial, g)
     resid = F - (eps * A + C)[:, trial.free_dofs] @ coeffs[trial.free_dofs]
     assert np.abs(resid).max() <= 1e-11 * max(1.0, np.abs(F).max())
@@ -313,10 +335,12 @@ def test_load_consistency_quintic():
     trial, test = Space(mesh, 5), Space(mesh, 7)
     g = lambda x: np.asarray(x, dtype=float) ** 5
     forcing = lambda x: forcing_smooth_nonlocal(x, eps, delta)
-    parts = assemble_parts(trial, test, eps, Problem("quintic", g, forcing))
+    _, systems = mixed_system_from_parts(trial, test, eps, Problem("quintic", g, forcing),
+                                         ("app",))
+    F, B = systems["app"].F, systems["app"].B
     coeffs = interpolate(trial, g)
-    resid = parts.F - parts.B @ coeffs[trial.free_dofs]
-    assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(parts.F).max())
+    resid = F - B @ coeffs[trial.free_dofs]
+    assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(F).max())
 
 
 def test_trial_space_without_free_dofs_rejected():
@@ -327,8 +351,11 @@ def test_trial_space_without_free_dofs_rejected():
                       eps=0.01, p=1, dp=2)
 
 
-def test_enrichment_required():
+def test_enrichment_required(monkeypatch):
+    # rejected before anything is assembled
     mesh = initial_mesh(0.1)
-    with pytest.raises(ValueError):
-        assemble_parts(Space(mesh, 2), Space(mesh, 2), 0.01,
-                       Problem("linear", lambda x: x, lambda x: np.ones_like(x)))
+    monkeypatch.setattr(nlpg.assembly, "assemble_nonlocal_forms", _not_reached)
+    with pytest.raises(ValueError, match="got 9, 9"):
+        mixed_system_from_parts(Space(mesh, 2), Space(mesh, 2), 0.01,
+                                Problem("linear", lambda x: x, lambda x: np.ones_like(x)),
+                                ("app",))

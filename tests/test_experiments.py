@@ -182,18 +182,30 @@ def test_benchmark_observers_see_every_step(monkeypatch):
     # (study, norms solved per step, refinement kind)
     studies = (
         (lambda: uniform_h_study(RunConfig(problem="linear", steps=3),
-                                 norms=("app", "eng"))["app"], 2, "uniform-h"),
-        (lambda: run(RunConfig(problem="smooth-local-forcing", coupling="h", steps=2)), 1,
+                                 norms=("app", "eng"))["app"], ("app", "eng"), "uniform-h"),
+        (lambda: run(RunConfig(problem="smooth-local-forcing", coupling="h", steps=2)), ("app",),
          "coupling"),
-        (lambda: run(RunConfig(refinement="uniform-p", steps=2)), 1, "uniform-p"),
+        (lambda: run(RunConfig(refinement="uniform-p", norm="eng", steps=2)), ("eng",),
+         "uniform-p"),
         (lambda: run(RunConfig(problem="sharp", delta=1e-5, refinement="adaptive",
-                               steps=3)), 1, "adaptive"),
+                               steps=3)), ("app",), "adaptive"),
     )
-    for study, n_norms, kind in studies:
+    for study, norms, kind in studies:
         calls.clear()
         n = len(study())
         assert calls["nlpg.experiments.solve_problem"] + calls["nlpg.adapt.solve_problem"] == n
-        assert calls["nlpg.driver.energy_error_norms"] == n_norms * n
+        # the timed layers: one system build per solve with the assembly it
+        # drives, and per solved norm one solve and both error measures
+        per_solve = {"nlpg.driver.mixed_system_from_parts": 1,
+                     "nlpg.assembly.assemble_nonlocal_forms": 1,
+                     "nlpg.assembly.load_vector": 1,
+                     "nlpg.assembly.boundary_defect_load": 1,
+                     "nlpg.assembly.assemble_mass_mean": norms.count("app"),
+                     "nlpg.driver.solve_mixed": len(norms),
+                     "nlpg.driver.energy_error_norms": len(norms),
+                     "nlpg.driver.error_l2": len(norms)}
+        for key, count in per_solve.items():
+            assert calls[key] == count * n, (kind, key)
         # a uniform study bisects between its solves, not after the last
         assert calls["nlpg.experiments.refine_uniform"] == (n - 1 if kind == "uniform-h" else 0)
         for attr in ("localize_indicator", "dorfler_mark", "refine_marked"):
@@ -247,6 +259,18 @@ def test_cli_sharp_demo_rejects_bad_eps(tmp_path, capsys, eps):
     err = capsys.readouterr().err
     assert f"error: eps: must be positive and finite, got {float(eps)}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli.PRESETS))
+def test_cli_preset_rejects_an_empty_out(monkeypatch, capsys, command):
+    # an empty name wrote no file, yet the preset printed "wrote " and
+    # exited 0; it is rejected before any solve
+    solves = []
+    monkeypatch.setattr(experiments, "solve_problem", lambda *args, **kw: solves.append(args))
+    assert cli.main([command, "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert "error: --out: need a file name, got ''" in err and "wrote" not in out
+    assert solves == []
 
 
 def test_cli_run_and_presets(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import nlpg.assembly
 import nlpg.driver
-from nlpg.assembly import assemble_parts, mixed_system_from_parts
+from nlpg.assembly import mixed_system_from_parts
 from nlpg.driver import solve_problem
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
@@ -41,8 +41,9 @@ def test_zero_data_gives_zero_solution():
     mesh = initial_mesh(0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    parts = assemble_parts(trial, test, 0.01, Problem("zero", zero, zero))
-    system = mixed_system_from_parts(parts, ("app",))["app"]
+    _, systems = mixed_system_from_parts(trial, test, 0.01, Problem("zero", zero, zero),
+                                         ("app",))
+    system = systems["app"]
     sol = solve_mixed(system)
     np.testing.assert_allclose(sol.u, 0.0, atol=1e-14)
     np.testing.assert_allclose(sol.psi, 0.0, atol=1e-14)
@@ -52,8 +53,7 @@ def test_solution_invariant_under_gram_scaling():
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
-    system = mixed_system_from_parts(assemble_parts(trial, test, 0.01, problem),
-                                     ("app",))["app"]
+    system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
     base = solve_mixed(system)
     system.G = 7.0 * system.G
     scaled = solve_mixed(system)
@@ -75,8 +75,7 @@ def test_indefinite_gram_reported():
     mesh = initial_mesh(0.1)
     problem = make_problem("linear", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
-    system = mixed_system_from_parts(assemble_parts(trial, test, 0.01, problem),
-                                     ("app",))["app"]
+    system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
     system.G = -system.G
     with pytest.raises(IndefiniteGramError):
         solve_mixed(system)
@@ -172,17 +171,17 @@ def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     # for one norm, 5600 for two
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
-    assemble_parts = nlpg.driver.assemble_parts
+    build = nlpg.driver.mixed_system_from_parts
 
     def not_reached(*args):
         raise AssertionError("assembled before the memory check")
 
     for norms, need in ((("app",), 4032), (("app", "eng"), 5600)):
-        monkeypatch.setattr(nlpg.driver, "assemble_parts", not_reached)
+        monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", not_reached)
         monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need - 1)
         with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
             solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
-        monkeypatch.setattr(nlpg.driver, "assemble_parts", assemble_parts)
+        monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", build)
         monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need)
         results = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
         assert [r.n_test for r in results.values()] == [14] * len(norms)
@@ -200,7 +199,7 @@ def test_norm_list_rejected_before_anything_is_built(monkeypatch, norms, message
     def not_reached(*args):
         raise AssertionError("reached with a bad norm list")
 
-    for name in ("Space", "_check_memory", "assemble_parts"):
+    for name in ("Space", "_check_memory", "mixed_system_from_parts"):
         monkeypatch.setattr(nlpg.driver, name, not_reached)
     with pytest.raises(ValueError, match=message):
         solve_problem(uniform_mesh(0.1, 160), make_problem("smooth-nonlocal", 0.01, 0.1),
