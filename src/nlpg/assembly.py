@@ -19,11 +19,17 @@ holds the case logic.  This module keeps the integrands.  Both nonlocal forms,
 (-L_delta u, v) and (G_delta u, v), read factor * int v(x) int (u(y) - u(x))
 K(y - x) dy dx with their own factor and kernel K; the two-entry table
 ``FORMS`` holds them.  The assembly walks the piece table in chunks of
-consecutive rows (``quadrature.chunks``).  Within a chunk each integrand case
-(the Taylor and the mirrored self window, the clipped self window, K_j
-contained in the ball, and the clipped pair with its shared-vertex shift)
-evaluates all of its rows at once with stacked ``@``, and fills the two local
-blocks of every piece and wanted form: the j block, then the i block.  One
+consecutive rows, cut by the cost of each row (``quadrature.chunks``): a
+CONTAINED row holds n_out x n_in kernel weights, any other row up to
+n_out x 2 n_in x (p + 1) values of the split self window.  Within a chunk
+each integrand case (the Taylor and the mirrored self window, the clipped
+self window, K_j contained in the ball, and the clipped pair with its
+shared-vertex shift) evaluates all of its rows at once with stacked ``@``,
+and fills the two local blocks of every piece and wanted form: the j block,
+then the i block.  A CONTAINED row integrates over all of K_j at K_j's own
+Gauss points, so its basis values are gathered from a table that holds each
+column space's basis at every element's inner Gauss points, evaluated once
+per call; a gathered row has the bits of its own ``local_basis`` call.  One
 unbuffered ``np.add.at`` per chunk and matrix adds them in table order, so
 every entry receives its additions one by one in the order of the table, as a
 loop over the pieces would add them, whatever the chunk size.
@@ -117,17 +123,23 @@ def assemble_nonlocal_forms(test, trial):
     wK_in = [form.factor * form.signed(kernel, t) * (delta * w_in) for form in FORMS]
 
     # each column space with the column of each of its DOFs (-1 for one not
-    # added) and its matrices, in the order of FORMS: the trial space gets
-    # both forms on all its DOFs, the test space the diffusion form on its
-    # free DOFs only
+    # added), its basis at the Gauss points elem_y of every element (the
+    # inner nodes of a CONTAINED piece) and its matrices, in the order of
+    # FORMS: the trial space gets both forms on all its DOFs, the test space
+    # the diffusion form on its free DOFs only
     A_vu, C_vu = (np.zeros((test.n_free, trial.n_dofs)) for _ in FORMS)
     A_vv = np.zeros((test.n_free, test.n_free))
-    columns = ((trial, np.arange(trial.n_dofs), (A_vu, C_vu)), (test, test.free_row, (A_vv,)))
+    columns = [(space, col_of, space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y),
+                mats)
+               for space, col_of, mats in ((trial, np.arange(trial.n_dofs), (A_vu, C_vu)),
+                                           (test, test.free_row, (A_vv,)))]
 
     i, j, lo, hi, case = mesh_pieces(mesh)
     interior = np.flatnonzero((i > 0) & (i < mesh.n_elements - 1))
-    # pieces x outer points x split inner points x basis values
-    for r in chunks(interior, n_out * 2 * n_in * (order + 1)):
+    # outer points x inner points for a CONTAINED piece, and outer points x
+    # split inner points x basis values for any other
+    cost = np.where(case[interior] == CONTAINED, n_out * n_in, n_out * 2 * n_in * (order + 1))
+    for r in chunks(interior, cost):
         ib, jb, cb = i[r], j[r], case[r]
         xs, wx = rule_out.map_to(lo[r, None], hi[r, None])
         wBtx = test.local_basis(ib[:, None], xs) * wx[..., None]
@@ -154,14 +166,14 @@ def assemble_nonlocal_forms(test, trial):
         # pair is -(wBtx * sK)^T @ Bx with sK the row sums of the weights
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
-        for space, col_of, mats in columns:
+        for space, col_of, elem_basis, mats in columns:
             Bx = space.local_basis(ib[:, None], xs)
             Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
             # same column block: difference the basis values before applying
             # the O(delta^-3) kernel weights, so the huge x-part/y-part
             # cancellation never reaches the matrix
             D = space.local_basis(jb[sc, None, None], y_sc) - Bx[sc, :, None]
-            By_co = space.local_basis(jb[co, None], elem_y[jb[co]])
+            By_co = elem_basis[jb[co]]
             By_cl = space.local_basis(jb[cl, None, None], y_cl)
             # adjacent clipped window: shift both sides by the shared-vertex
             # cardinal (exactly 1 at the shared node, so the two shifts cancel

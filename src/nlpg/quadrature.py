@@ -29,8 +29,9 @@ sit.  ``mesh_pieces(mesh)`` returns the pieces of all pairs of the mesh as one
 table of arrays (i, j, lo, hi, case); each caller masks the rows it needs and
 keeps only its integrands.  Every sweep over the table (the assembly, the
 collar data functional and the energy sweep) walks its rows in the runs of
-``chunks``, whose temporaries stay within one budget, ``CHUNK_VALUES``, and
-sums each row's quadrature with ``row_dots``.
+``chunks``, cut by a cost per row (the values its temporaries hold) so that
+every run stays within one budget, ``CHUNK_VALUES``, and sums each row's
+quadrature with ``row_dots``.
 
 ``smooth_pieces`` is the same cut rule for one pair, and
 ``mesh.horizon_neighbors`` a distance rule for the pairs of one element.  The
@@ -142,9 +143,20 @@ def mesh_pieces(mesh):
 
 
 def chunks(rows, values_per_row):
-    """Consecutive runs of ``rows`` whose temporaries hold <= CHUNK_VALUES values."""
-    size = max(1, CHUNK_VALUES // values_per_row)
-    return [rows[k:k + size] for k in range(0, len(rows), size)]
+    """Consecutive runs of ``rows`` whose temporaries hold <= CHUNK_VALUES values.
+
+    ``values_per_row`` is one cost for every row or one cost per row.  A run
+    ends where its summed cost would pass CHUNK_VALUES, and takes at least
+    one row; the runs keep the rows in their order.
+    """
+    cost = np.broadcast_to(values_per_row, np.shape(rows))
+    ends = np.cumsum(cost)
+    runs, k = [], 0
+    while k < len(rows):
+        stop = max(k + 1, np.searchsorted(ends, ends[k] - cost[k] + CHUNK_VALUES, side="right"))
+        runs.append(rows[k:stop])
+        k = stop
+    return runs
 
 
 def row_dots(w, v):

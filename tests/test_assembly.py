@@ -15,7 +15,7 @@ from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
-from nlpg.quadrature import N_OVER, gauss_legendre
+from nlpg.quadrature import CONTAINED, N_OVER, gauss_legendre, mesh_pieces
 from nlpg.space import Space, boundary_lift
 from reference import (graded_mesh, gram, hat, hat_energy_by_quad, interpolate,
                        nested_integrate)
@@ -54,10 +54,40 @@ def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
                 *assemble_nonlocal_forms(test, test)[1:],
                 boundary_defect_load(test, trial, lift, g, 0.01))
 
+    runs = []   # the run count of every walk over the table
+
+    def counted(rows, cost):
+        found = quadrature.chunks(rows, cost)
+        runs.append(len(found))
+        return found
+
+    monkeypatch.setattr(nlpg.assembly, "chunks", counted)
     whole = assemble()
-    monkeypatch.setattr(quadrature, "CHUNK_VALUES", 1)
-    for new, old in zip(assemble(), whole):
-        assert np.array_equal(new, old)
+    if (mesh_pieces(mesh)[4] == CONTAINED).any():
+        # the default walk of the operator assembly must not be one chunk, or
+        # the comparison below would show nothing
+        assert runs[0] > 1
+    # 2**12 values mix CONTAINED rows and others in one run
+    for budget in (2**12, 1):
+        monkeypatch.setattr(quadrature, "CHUNK_VALUES", budget)
+        for new, old in zip(assemble(), whole):
+            assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 40), graded_mesh(0.1)],
+                         ids=["uniform", "graded"])
+@pytest.mark.parametrize("p", [1, 3, 7])
+def test_element_basis_table_gives_the_bits_of_the_per_row_basis(mesh, p):
+    # the assembly evaluates each element's basis at the element's own inner
+    # Gauss points once and gathers the rows of its CONTAINED pieces from that
+    # table; every gathered row must be the per-row local_basis call's
+    space = Space(mesh, p)
+    j = mesh_pieces(mesh)[1]
+    for n_in in {p + N_OVER, 7 + N_OVER}:
+        elem_y, _ = gauss_legendre(n_in).map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+        table = space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y)
+        for jb in (j[:1], j[::7], j):
+            assert np.array_equal(table[jb], space.local_basis(jb[:, None], elem_y[jb]))
 
 
 @SWEEP_MESHES

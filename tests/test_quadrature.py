@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, initial_mesh, refine_marked, refine_uniform
-from nlpg.quadrature import (CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE, gauss_legendre,
-                             inner_points, mesh_pieces, smooth_pieces)
+from nlpg.quadrature import (CHUNK_VALUES, CLIPPED, CONTAINED, SELF_CLIPPED, SELF_INSIDE, chunks,
+                             gauss_legendre, inner_points, mesh_pieces, smooth_pieces)
 from reference import intersect, nested_integrate
 
 
@@ -204,3 +204,28 @@ def test_inner_weights_measure_the_intersection(delta):
                     np.testing.assert_allclose(wy.sum(axis=1), bj - aj, rtol=0, atol=1e-13)
                 assert np.all(y >= np.maximum(aj, xs - delta)[:, None])
                 assert np.all(y <= np.minimum(bj, xs + delta)[:, None])
+
+
+def test_chunks_cut_consecutive_runs_by_the_cost_of_each_row():
+    rng = np.random.default_rng(0)
+    for n in (0, 1, 7, 600):
+        rows = np.sort(rng.choice(10 * n + 1, n, replace=False))   # distinct, increasing
+        for cost in (rng.integers(1, 2 * CHUNK_VALUES, n), rng.choice([256, 2048], n),
+                     rng.integers(1, CHUNK_VALUES // 50, n)):
+            runs = chunks(rows, cost)
+            # nonempty runs that together are rows, in order: consecutive slices
+            assert all(len(run) for run in runs)
+            assert np.array_equal(np.concatenate([rows[:0], *runs]), rows)
+            stops = np.cumsum([len(run) for run in runs])
+            for start, stop in zip([0, *stops[:-1]], stops):
+                # within the budget unless a single row, and cut only where the
+                # next row would pass it
+                assert cost[start:stop].sum() <= CHUNK_VALUES or stop - start == 1
+                if stop < n:
+                    assert cost[start:stop + 1].sum() > CHUNK_VALUES
+        for cost in (1, 256, 2048, CHUNK_VALUES, 3 * CHUNK_VALUES):
+            size = max(1, CHUNK_VALUES // cost)
+            old = [rows[k:k + size] for k in range(0, n, size)]
+            runs = chunks(rows, cost)
+            assert len(runs) == len(old)
+            assert all(np.array_equal(a, b) for a, b in zip(runs, old))
