@@ -142,7 +142,8 @@ def assemble_nonlocal_forms(test, trial):
     for r in chunks(interior, cost):
         ib, jb, cb = i[r], j[r], case[r]
         xs, wx = rule_out.map_to(lo[r, None], hi[r, None])
-        wBtx = test.local_basis(ib[:, None], xs) * wx[..., None]
+        Btx = test.local_basis(ib[:, None], xs)
+        wBtx = Btx * wx[..., None]
         bj = (mesh.nodes[jb, None], mesh.nodes[jb + 1, None])
         tau = 2.0 * t / (bj[1] - bj[0])
         # the row sets of the chunk: the self window inside K_i by a finite
@@ -167,7 +168,8 @@ def assemble_nonlocal_forms(test, trial):
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
         for space, col_of, elem_basis, mats in columns:
-            Bx = space.local_basis(ib[:, None], xs)
+            # a copy: the clipped-pair shift below changes Bx in place
+            Bx = Btx.copy() if space is test else space.local_basis(ib[:, None], xs)
             Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
             # same column block: difference the basis values before applying
             # the O(delta^-3) kernel weights, so the huge x-part/y-part

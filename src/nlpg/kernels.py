@@ -25,14 +25,12 @@ class KernelPair:
     def eval_diffusion(self, s):
         """Scaled diffusion kernel value at signed separation ``s``."""
         r = np.abs(np.asarray(s, dtype=float)) / self.delta
-        val = np.full_like(r, 1.5) / self.delta**3
-        return np.where(r <= 1.0, val, 0.0)
+        return np.where(r <= 1.0, 1.5 / self.delta**3, 0.0)
 
     def eval_convection(self, s):
         """Scaled (unsigned) convection kernel value at signed separation ``s``."""
         r = np.abs(np.asarray(s, dtype=float)) / self.delta
-        val = 1.5 * np.minimum(r, 1.0) / self.delta**2
-        return np.where(r <= 1.0, val, 0.0)
+        return np.where(r <= 1.0, 1.5 * r / self.delta**2, 0.0)
 
     def eval_convection_signed(self, s):
         """Convection kernel with the direction factor sign(s); sign(0) = 0."""

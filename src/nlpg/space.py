@@ -8,7 +8,11 @@ elements and at x in {0, 1}; everything else is *constrained* and carries
 boundary data.
 
 Every evaluation of a discrete function at points of known elements goes
-through one method, ``Space.values``.
+through one method, ``Space.values``, and every basis value through one
+function, ``lagrange_basis``.  It is the hottest function of a study, so its
+barycentric sum over the nodes is written out as whole-row adds in the order
+of numpy's own pairwise ``ndarray.sum``: the values keep the bits of the
+plain ``t.sum(axis=1)`` without one short reduction per point.
 """
 
 import numpy as np
@@ -31,18 +35,62 @@ def barycentric_weights(nodes):
     return 1.0 / diff.prod(axis=1)
 
 
+def _pairwise_rows(a):
+    """``a.sum(axis=0)`` of a (n, N) array in the order of numpy's pairwise sum.
+
+    ``ndarray.sum(axis=1)`` of an (N, n) array sums each row of n values with
+    numpy's ``pairwise_sum``; this adds whole rows of ``a`` with the same
+    operations in the same order, so every one of the N sums keeps its bits:
+    below 8 terms one after another; up to 128 into eight accumulators,
+    r[j] += a[8 m + j], which are then added pairwise and followed by the
+    remaining terms one after another; above 128 split at n / 2, rounded
+    down to a multiple of 8, and each half summed so.  numpy starts the sum
+    from 0.0, which would change only the sign of a sum of negative zeros;
+    the barycentric terms alternate in sign, so they never give one.
+    """
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
+    if n < 8:
+        s = a[0] + a[1]
+        tail = a[2:]
+    else:
+        r = a[:8].copy()
+        for m in range(8, n - n % 8, 8):
+            r += a[m:m + 8]
+        s = (r[0] + r[1]) + (r[2] + r[3])
+        s += (r[4] + r[5]) + (r[6] + r[7])
+        tail = a[n - n % 8:]
+    for row in tail:
+        s += row
+    return s
+
+
 def lagrange_basis(nodes, weights, x):
-    """All Lagrange cardinal polynomials at points x, shape (len(x), len(nodes))."""
+    """All Lagrange cardinal polynomials at points x, shape (len(x), len(nodes)).
+
+    The barycentric formula t_j / sum_k t_k, t_j = w_j / (x - x_j) (Berrut &
+    Trefethen, SIAM Review 46, 2004), with the exact cardinal values at a
+    point within 1e-14 of a node.  The terms are laid out one row per node,
+    so the sum over the nodes is a few whole-row adds, not one short
+    reduction per point; ``_pairwise_rows`` adds them in the order of
+    ``t.sum(axis=1)`` on the (len(x), len(nodes)) array, and the result is
+    returned C-contiguous in that shape, so every value and every product
+    downstream keeps its bits.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x[:, None] - nodes[None, :]
+    d = x[None, :] - nodes[:, None]
     hit = np.abs(d) < 1e-14
-    d = np.where(hit, 1.0, d)
-    t = weights[None, :] / d
-    out = t / t.sum(axis=1, keepdims=True)
-    rows = hit.any(axis=1)
-    if rows.any():
-        out[rows] = hit[rows].astype(float)
-    return out
+    any_hit = hit.any()
+    if any_hit:
+        d[hit] = 1.0
+    t = weights[:, None] / d
+    t /= _pairwise_rows(t)
+    if any_hit:
+        cols = hit.any(axis=0)
+        t[:, cols] = hit[:, cols]
+    return np.ascontiguousarray(t.T)
 
 
 def _diff_powers(nodes, w):

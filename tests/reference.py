@@ -5,8 +5,9 @@ speed: a scalar nested integration over one element at a time, the Gram
 matrix as the plain expression that the in-place build reproduces, the
 discrete optimal test norm, the energy seminorm of a discrete function, a
 least-squares log-log slope, a dense quadrature of one hat function's
-energy, the graded mesh that several tests share, and the interpolant of a
-function in a space.
+energy, the graded mesh that several tests share, the interpolant of a
+function in a space, and the barycentric Lagrange basis as the plain
+expression whose bits ``space.lagrange_basis`` keeps.
 
 Import with ``from reference import ...``; pytest puts this directory on the
 path of the test modules beside it.
@@ -164,3 +165,18 @@ def hat_energy_by_quad(mesh, kernel):
 def interpolate(space, f):
     """Coefficients of ``space`` matching f at its interpolation nodes."""
     return np.asarray(f(space.dof_positions), dtype=float).copy()
+
+
+def lagrange_basis_plain(nodes, weights, x):
+    """All Lagrange cardinal polynomials at points x, shape (len(x), len(nodes)),
+    one point per row, the barycentric sum taken by ``ndarray.sum``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = x[:, None] - nodes[None, :]
+    hit = np.abs(d) < 1e-14
+    d = np.where(hit, 1.0, d)
+    t = weights[None, :] / d
+    out = t / t.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    if rows.any():
+        out[rows] = hit[rows].astype(float)
+    return out

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
-from nlpg.space import Space, boundary_lift
-from reference import graded_mesh, interpolate
+from nlpg.space import (Space, barycentric_weights, boundary_lift, gauss_lobatto_nodes,
+                        lagrange_basis)
+from reference import graded_mesh, interpolate, lagrange_basis_plain
 
 
 def test_dof_counts_p1():
@@ -85,6 +86,29 @@ def test_values_match_per_element_products(make_mesh, p):
               a + rng.uniform(size=60) * (b - a)):
         ref = [sp.local_basis(e, xk) @ coeffs[sp.element_dofs(e)] for e, xk in zip(elems, x)]
         assert np.array_equal(sp.values(coeffs, elems, x), np.reshape(ref, x.shape))
+
+
+@pytest.mark.parametrize("k", [*range(2, 22), *range(129, 141)])
+def test_lagrange_basis_keeps_the_bits_of_the_plain_formula(k):
+    # the row-wise sum follows numpy's pairwise order for every branch: k < 8
+    # one term after another, 8 <= k <= 128 eight accumulators and a tail,
+    # k > 128 the split halves; a numpy that sums in another order fails here
+    nodes = gauss_lobatto_nodes(k)
+    weights = barycentric_weights(nodes)
+    rng = np.random.default_rng(k)
+    inside = rng.uniform(-1.0, 1.0, 1000)
+    near = np.concatenate([nodes + 9e-15, nodes - 5e-15, nodes + 2e-14])
+    outside = np.concatenate([rng.uniform(1.0, 5.0, 50), -rng.uniform(1.0, 5.0, 50),
+                              [-1e3, 1e3]])
+    mixed = rng.permutation(np.concatenate([inside[:100], nodes, near, outside]))
+    for x in (inside, nodes, near, outside, mixed, np.empty(0), inside[:1], nodes[1:2]):
+        # far outside, the terms can cancel to a zero sum: both give inf/nan there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            basis = lagrange_basis(nodes, weights, x)
+            plain = lagrange_basis_plain(nodes, weights, x)
+        assert basis.shape == (len(x), k)
+        assert basis.flags.c_contiguous
+        assert basis.tobytes() == plain.tobytes()
 
 
 def test_values_of_an_empty_point_set():

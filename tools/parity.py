@@ -8,12 +8,15 @@ checkout's ``src/``, each in its own process:
 
     (delta in {0.1, 0.01, 1e-4, 1e-5} x uniform and graded 10-element
     meshes, plus the wide-horizon uniform 80-element mesh at delta = 0.1)
-    x problems smooth-nonlocal and sharp x (p, dp) in {(1, 2), (2, 3), (1, 6)}
-    x test norms app and eng                                  (108 cases)
+    x problems smooth-nonlocal and sharp
+    x (p, dp) in {(1, 2), (2, 3), (1, 6), (1, 8)}
+    x test norms app and eng                                  (144 cases)
 
 The 80-element mesh has delta/h = 8, so most of its pieces are of the
 CONTAINED case, and at (p, dp) = (1, 6) its 559 test DOFs span three row
-bands of the in-place Gram build.
+bands of the in-place Gram build.  At (p, dp) = (1, 8) the test space has
+order 9, ten basis functions per element, so the barycentric sum of
+``space.lagrange_basis`` runs its eight-accumulator branch with a tail.
 
 For each case it keeps G, B and F of the mixed system, the relative energy
 and L2 errors, the squared indicators eta^2, and the energy seminorm of the
@@ -50,7 +53,7 @@ DELTAS = (0.1, 0.01, 1e-4, 1e-5)
 MESHES = ("uniform", "graded")
 WIDE = (0.1, "uniform-80")   # (delta, kind) of the wide-horizon mesh
 PROBLEMS = ("smooth-nonlocal", "sharp")
-ORDERS = ((1, 2), (2, 3), (1, 6))
+ORDERS = ((1, 2), (2, 3), (1, 6), (1, 8))
 NORMS = ("app", "eng")
 QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2", "seminorm")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
