@@ -60,6 +60,13 @@ operations as in G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
    written to G[r:r+b, r:] and its transpose to G[r:, r:r+b].  No earlier
    band has touched these entries, and a + b == b + a in IEEE arithmetic, so
    each pair of mirror entries gets the bits of 0.5 (X + X^T).
+
+Beside G, B and F each system carries what the banded solve needs
+(``kkt_layout``): the unknowns of [[G, B], [B^T, 0]] in position order, the
+half-bandwidth of that matrix in this order once the mean term of 'app' is
+taken out, and that term, (m, |Omega|).  Off the band G is exactly
+-m m^T / |Omega|: step 2 writes -(m_i m_j / |Omega|) there and step 3 adds
+two equal values.
 """
 
 import math
@@ -308,11 +315,15 @@ def boundary_defect_load(test, trial, lift, boundary, eps):
 
 @dataclass
 class MixedSystem:
-    """Gram + bilinear-form matrix + load of the discrete mixed problem."""
+    """Gram + bilinear-form matrix + load of the discrete mixed problem, with
+    the layout of its banded KKT matrix (see ``kkt_layout``)."""
 
     G: np.ndarray
     B: np.ndarray
     F: np.ndarray
+    order: np.ndarray   # KKT unknowns (free test DOFs, then free trial DOFs) by position
+    half_band: int      # of [[G + m m^T / |Omega|, B], [B^T, 0]] in that order
+    mean: tuple         # (m, |Omega|) of the 'app' mean term; None for 'eng'
 
 
 NORMS = ("app", "eng")
@@ -334,8 +345,10 @@ def check_norms(norms):
 
 def _gram_in_place(test, G, eps, norm):
     """Turn the free diffusion block G into the norm's Gram matrix in its own
-    storage and return it; the order of the steps is in the module docstring."""
+    storage; the order of the steps is in the module docstring.  Returns G and
+    the mean term (m, |Omega|) of 'app', None for 'eng'."""
     n = len(G)
+    mean = None
     if norm == "app":
         G *= eps**2
         M, m = assemble_mass_mean(test)
@@ -347,6 +360,7 @@ def _gram_in_place(test, G, eps, norm):
             band /= omega
             G[r:r + GRAM_BAND] -= band
             del band   # before the next band is allocated
+        mean = (m, omega)
     for r in range(0, n, GRAM_BAND):
         # rows r:r+b right of the diagonal and their mirror, both still as built
         S = G[r:r + GRAM_BAND, r:] + G[r:, r:r + GRAM_BAND].T
@@ -354,17 +368,50 @@ def _gram_in_place(test, G, eps, norm):
         G[r:r + GRAM_BAND, r:] = S
         G[r:, r:r + GRAM_BAND] = S.T
         del S
-    return G
+    return G, mean
+
+
+def _free_supports(space):
+    """Ends (lo, hi) of the support of every free basis function: the union
+    of the elements that hold the DOF."""
+    nodes, k = space.mesh.nodes, space.order + 1
+    elems = np.arange(space.mesh.n_elements)
+    dofs = space.element_dofs(elems).ravel()
+    lo, hi = np.full(space.n_dofs, np.inf), np.full(space.n_dofs, -np.inf)
+    np.minimum.at(lo, dofs, np.repeat(nodes[:-1], k))
+    np.maximum.at(hi, dofs, np.repeat(nodes[1:], k))
+    return lo[space.free_dofs], hi[space.free_dofs]
+
+
+def kkt_layout(test, trial):
+    """The unknowns of [[G, B], [B^T, 0]] in position order and the matrix's
+    half-bandwidth in that order, the mean term of 'app' taken out of G.
+
+    Unknown k < test.n_free is free test DOF k, unknown test.n_free + j free
+    trial DOF j; they are sorted stably by ``Space.dof_positions``.  Two
+    unknowns couple only if their supports are within the horizon, by the
+    rule that ``quadrature.mesh_pieces`` selects its candidate pairs with,
+    a_j - delta < b_i.  In position order both ends of the supports are
+    nondecreasing, so each unknown couples to a run of the unknowns after it,
+    up to the last whose support starts less than delta past its own end.
+    """
+    pos = np.concatenate((test.dof_positions[test.free_dofs],
+                          trial.dof_positions[trial.free_dofs]))
+    order = np.argsort(pos, kind="stable")
+    lo, hi = (np.concatenate(ends)[order]
+              for ends in zip(_free_supports(test), _free_supports(trial)))
+    last = np.searchsorted(lo - test.mesh.delta, hi) - 1
+    return order, int((last - np.arange(len(order))).max())
 
 
 def mixed_system_from_parts(trial, test, eps, problem, norms):
     """The discrete mixed problem of every test norm: (lift, {norm: MixedSystem}).
 
     The systems share B = op on the free trial columns and
-    F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu.  Each Gram matrix is
-    built in place, all but the last in a copy of the diffusion block A_vv
-    and the last in A_vv itself.  The norms and the spaces are checked before
-    anything is assembled.
+    F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu, and the KKT layout
+    of ``kkt_layout``.  Each Gram matrix is built in place, all but the last
+    in a copy of the diffusion block A_vv and the last in A_vv itself.  The
+    norms and the spaces are checked before anything is assembled.
     """
     norms = check_norms(norms)
     if not 0 < trial.n_free < test.n_free:
@@ -379,6 +426,9 @@ def mixed_system_from_parts(trial, test, eps, problem, norms):
          - boundary_defect_load(test, trial, lift, problem.u_exact, eps))
     B = op[:, trial.free_dofs]
     del op   # before the Gram builds
-    return lift, {norm: MixedSystem(_gram_in_place(test, A_vv if norm == norms[-1]
-                                                   else A_vv.copy(), eps, norm), B, F)
-                  for norm in norms}
+    order, half_band = kkt_layout(test, trial)
+    systems = {}
+    for norm in norms:
+        G, mean = _gram_in_place(test, A_vv if norm == norms[-1] else A_vv.copy(), eps, norm)
+        systems[norm] = MixedSystem(G, B, F, order, half_band, mean)
+    return lift, systems

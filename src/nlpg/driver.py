@@ -49,16 +49,21 @@ def _memory_limit():
 
 
 def _check_memory(n_test, n_trial, n_norms):
-    """Raise MemoryError if the dense arrays of the solves cannot fit.
+    """Raise MemoryError if the dense arrays of the step cannot fit.
 
-    The solves hold every norm's G, one Cholesky factor, B and G^-1 B in
-    float64: each norm's G stays alive, as its StepResult keeps it.
+    Every norm's G stays alive, as its StepResult keeps it, and so does B
+    (n_test x n_trial).  Besides them a step holds, one at a time: the mass
+    matrix M at the Gram build of an 'app' norm; the bands of the solve
+    (LU and Cholesky), about 0.7 n_test^2 values at delta = 0.1 and fewer
+    at smaller horizons, once the mesh has some 40 elements; and before
+    both, in the assembly, the two trial-column blocks A_vu and C_vu.  So
+    (k + 1) n_test^2 + 2 n_test n_trial float64 values bound a k-norm step.
     """
     need = 8 * ((n_norms + 1) * n_test**2 + 2 * n_test * n_trial)
     limit = _memory_limit()
     if need > limit:
         raise MemoryError(
-            f"the dense solve needs about {need / 2**30:.2f} GiB (n_test = {n_test}, "
+            f"the dense arrays need about {need / 2**30:.2f} GiB (n_test = {n_test}, "
             f"n_trial = {n_trial}), more than the {limit / 2**30:.2f} GiB of memory available")
 
 

@@ -7,13 +7,16 @@ discrete optimal test norm, the energy seminorm of a discrete function, a
 least-squares log-log slope, a dense quadrature of one hat function's
 energy, the graded mesh that several tests share, the interpolant of a
 function in a space, and the barycentric Lagrange basis as the plain
-expression whose bits ``space.lagrange_basis`` keeps.
+expression whose bits ``space.lagrange_basis`` keeps.  The refined solve of
+the mixed system, ``refined_solve``, is the one of ``tools/parity.py``.
 
 Import with ``from reference import ...``; pytest puts this directory on the
 path of the test modules beside it.
 """
 
 import math
+import os
+import sys
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,6 +27,10 @@ from nlpg.assembly import assemble_mass_mean, assemble_nonlocal_forms
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, refine_marked, uniform_mesh
 from nlpg.quadrature import gauss_legendre, mesh_pieces
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "tools"))
+from parity import refined_solve  # noqa: E402
 
 
 def intersect(element, center, delta):

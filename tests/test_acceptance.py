@@ -246,7 +246,7 @@ def test_criterion_7_property_suite():
     detail.append(f"antisymmetry defect={anti:.1e}")
     ok &= np.linalg.eigvalsh(0.5 * (Aff + Aff.T)).min() > 0.0
     for norm in ("app", "eng"):
-        G = _gram_in_place(test, Aff.copy(), eps, norm)
+        G, _ = _gram_in_place(test, Aff.copy(), eps, norm)
         ok &= np.linalg.eigvalsh(G).min() > 0.0
     detail.append("diffusion/gram SPD")
 

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 import nlpg.assembly
 from nlpg import quadrature
 from nlpg.assembly import (GRAM_BAND, _gram_in_place, assemble_mass_mean,
-                           assemble_nonlocal_forms, boundary_defect_load, load_vector,
-                           mixed_system_from_parts)
+                           assemble_nonlocal_forms, boundary_defect_load, kkt_layout,
+                           load_vector, mixed_system_from_parts)
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
@@ -185,14 +185,14 @@ def test_bilinear_form_definite_on_random_vectors(setup):
 
 def test_gram_app_eps_zero_is_spd(setup):
     _, _, test, _, _, Avv, _ = setup
-    G = _gram_in_place(test, Avv[:, test.free_dofs], 0.0, "app")
+    G, _ = _gram_in_place(test, Avv[:, test.free_dofs], 0.0, "app")
     assert np.linalg.eigvalsh(G).min() > 0.0
 
 
 def test_gram_eng_equals_diffusion_block(setup):
     _, _, test, _, _, Avv, _ = setup
     ff = Avv[:, test.free_dofs]
-    G = _gram_in_place(test, ff.copy(), 0.01, "eng")
+    G, _ = _gram_in_place(test, ff.copy(), 0.01, "eng")
     np.testing.assert_allclose(G, 0.5 * (ff + ff.T))
 
 
@@ -223,7 +223,7 @@ def test_gram_equals_the_plain_expression(norm):
     assert test.n_free > 2 * GRAM_BAND and test.n_free % GRAM_BAND
     A = np.random.default_rng(3).standard_normal((test.n_free, test.n_free))
     expected = gram(test, A, 0.01, norm)
-    assert np.array_equal(_gram_in_place(test, A, 0.01, norm), expected)
+    assert np.array_equal(_gram_in_place(test, A, 0.01, norm)[0], expected)
 
 
 @pytest.mark.parametrize("norm, arrays", [("app", 1.1), ("eng", 0.14)])
@@ -258,6 +258,42 @@ def test_systems_share_B_and_F():
         assert first.B.shape == (test.n_free, trial.n_free)
         for system in systems.values():
             assert system.G.flags.c_contiguous and system.G.shape == (test.n_free,) * 2
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 20), graded_mesh(0.01),
+                                  uniform_mesh(1e-4, 12), uniform_mesh(0.3, 8)],
+                         ids=["wide", "graded", "small-horizon", "horizon-past-elements"])
+@pytest.mark.parametrize("p, dp", [(1, 2), (2, 3), (1, 6)])
+def test_kkt_band_holds_every_coupling(mesh, p, dp):
+    # in the position order of kkt_layout, every nonzero of
+    # K0 = [[G + m m^T / |Omega|, B], [B^T, 0]] lies within the half-band: off
+    # the band, G is exactly the mean term -m m^T / |Omega| of 'app'.  The
+    # band takes the candidate pairs of mesh_pieces, so it may hold one
+    # element more than the nonzeros where a support ends delta (up to
+    # rounding) before another starts, as on a uniform mesh with delta / h
+    # an integer
+    trial, test = Space(mesh, p), Space(mesh, p + dp)
+    problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
+    _, systems = mixed_system_from_parts(trial, test, 0.01, problem, ("app", "eng"))
+    order, half_band = kkt_layout(test, trial)
+    n = test.n_free
+    for norm, system in systems.items():
+        assert np.array_equal(system.order, order) and system.half_band == half_band
+        K0 = np.zeros((len(order),) * 2)
+        K0[:n, :n] = system.G
+        if norm == "app":
+            m, omega = system.mean
+            K0[:n, :n] += np.outer(m, m) / omega
+        else:
+            assert system.mean is None
+        K0[:n, n:], K0[n:, :n] = system.B, system.B.T
+        rows, cols = np.nonzero(K0[np.ix_(order, order)])
+        reach = np.abs(rows - cols).max()
+        assert reach <= half_band <= reach + (p + dp) + p
+    assert np.array_equal(np.sort(order), np.arange(n + trial.n_free))
+    positions = np.concatenate((test.dof_positions[test.free_dofs],
+                                trial.dof_positions[trial.free_dofs]))
+    assert np.all(np.diff(positions[order]) >= 0.0)
 
 
 def test_two_calls_give_bit_equal_systems():
@@ -323,7 +359,7 @@ def test_app_gram_hat_against_dense_integration():
     test = Space(mesh, 1)
     kernel = constant_kernel_pair(delta)
     _, _, A_vv = assemble_nonlocal_forms(test, test)
-    G = _gram_in_place(test, A_vv, eps, "app")
+    G, _ = _gram_in_place(test, A_vv, eps, "app")
     idx = 1   # hat at x = 0.4
     e = np.zeros(test.n_free)
     e[idx] = 1.0

@@ -11,9 +11,9 @@ from nlpg.assembly import mixed_system_from_parts
 from nlpg.driver import solve_problem
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
-from nlpg.solver import IndefiniteGramError, solve_mixed
+from nlpg.solver import IndefiniteGramError, InfSupError, solve_mixed
 from nlpg.space import Space
-from reference import interpolate
+from reference import interpolate, refined_solve
 
 
 @pytest.mark.parametrize("delta", [0.1, 1e-4])
@@ -55,7 +55,10 @@ def test_solution_invariant_under_gram_scaling():
     trial, test = Space(mesh, 1), Space(mesh, 3)
     system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
     base = solve_mixed(system)
+    # the whole Gram matrix: G and its mean term, 7 m m^T / |Omega|
     system.G = 7.0 * system.G
+    m, omega = system.mean
+    system.mean = (m, omega / 7.0)
     scaled = solve_mixed(system)
     np.testing.assert_allclose(scaled.u, base.u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(7.0 * scaled.psi, base.psi, rtol=0,
@@ -79,6 +82,36 @@ def test_indefinite_gram_reported():
     system.G = -system.G
     with pytest.raises(IndefiniteGramError):
         solve_mixed(system)
+
+
+@pytest.mark.parametrize("norm", ["app", "eng"])
+def test_rank_deficient_B_reported(norm):
+    # a zero column of B: the trial function it multiplies never meets the
+    # test space, so the KKT matrix is singular and its LU has a zero pivot
+    mesh = initial_mesh(0.1)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    system = mixed_system_from_parts(trial, test, 0.01, problem, (norm,))[1][norm]
+    system.B[:, 1] = 0.0
+    with pytest.raises(InfSupError):
+        solve_mixed(system)
+
+
+def test_small_horizon_solve_is_the_refined_solve():
+    # delta = 1e-4 on 640 elements: the former dense Cholesky-Schur solve
+    # left u 5.4e-12 (relative) from the refined solve of the same G, B, F
+    mesh = uniform_mesh(1e-4, 640)
+    problem = make_problem("smooth-nonlocal", 0.01, 1e-4)
+    res = solve_problem(mesh, problem, eps=0.01, p=1, dp=2)["app"]
+    _, u = refined_solve(res.system.G, res.system.B, res.system.F)
+    assert np.abs(res.solution.u - u).max() <= 1e-12 * np.abs(u).max()
+
+
+def test_solution_reports_the_half_band_of_its_system():
+    mesh = uniform_mesh(0.1, 40)
+    res = solve_problem(mesh, make_problem("smooth-nonlocal", 0.01, 0.1), eps=0.01, p=1,
+                        dp=2)["app"]
+    assert res.solution.half_band == res.system.half_band > 0
 
 
 def test_residual_diagnostics_small():
@@ -165,10 +198,11 @@ def test_a_norms_results_do_not_depend_on_the_order_of_the_norms(delta, n_interi
 
 
 def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
-    # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4.  The solves
-    # hold every norm's G, one Cholesky factor, B and G^-1 B, so the dense
-    # arrays take 8 ((k + 1) * 14**2 + 2 * 14 * 4) bytes for k norms: 4032
-    # for one norm, 5600 for two
+    # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4.  A step keeps
+    # every norm's G and B, and holds one more array at a time (the mass
+    # matrix, the KKT band, or A_vu and C_vu), so the dense arrays take
+    # 8 ((k + 1) * 14**2 + 2 * 14 * 4) bytes for k norms: 4032 for one norm,
+    # 5600 for two
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     build = nlpg.driver.mixed_system_from_parts

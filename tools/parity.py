@@ -25,6 +25,15 @@ of psi over the whole piece table of the test space).  It
 prints, per quantity, the largest relative drift max|new - old| / max|old|
 over the grid and the number of cases that are not bit-identical.
 
+A change that moves the numbers on purpose, to make them more accurate, is
+judged by a second table: for each case and each tree, the relative distance
+of u, err_l2 and err_energy to those of the refined solve of that tree's own
+(G, B, F) (``refined_solve``: a dense LU of the KKT matrix and iterative
+refinement with residuals in ``np.longdouble``).  It counts, per quantity,
+the cases whose new distance exceeds the old one by more than 1e-13, and
+the small-horizon cases (delta 1e-4 and 1e-5) that moved closer.  These
+counts inform; they do not change the verdict below.
+
 It then writes the study CSVs of the CLI with both trees (``nlpg run`` with
 each of this checkout's ``configs/*.cfg``, a uniform-p run, a delta = h
 local-limit run, two adaptive runs (one that stops after its first step
@@ -33,10 +42,12 @@ curves of ``sharp-demo``, each preset once with its defaults and once with
 every flag set).  Three ``nlpg run`` calls (an adaptive run, a uniform-p run and a
 delta = h run) also write the final mesh (``--mesh_out``) and the final G,
 B and F (``--dump_matrices``).  It lists every file written by the runs that
-is not byte-identical.  It exits 1 if any drift exceeds 1e-12 (a shape change
+is not byte-identical, and for a CSV file of unchanged shape every cell that
+moved.  It exits 1 if any drift exceeds 1e-12 (a shape change
 counts as infinite drift) or if any file differs.
 """
 
+import csv
 import glob
 import io
 import os
@@ -46,6 +57,7 @@ import tarfile
 import tempfile
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 BOUND = 1e-12
 EPS = 0.01
@@ -56,6 +68,8 @@ PROBLEMS = ("smooth-nonlocal", "sharp")
 ORDERS = ((1, 2), (2, 3), (1, 6), (1, 8))
 NORMS = ("app", "eng")
 QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2", "seminorm")
+REFINED = ("u", "err_l2", "err_energy")   # distances to the refined solve
+REFINED_SLACK = 1e-13                    # a distance that grows by more is counted
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -103,10 +117,36 @@ def _mesh(kind, delta):
     return mesh
 
 
+def refined_solve(G, B, F):
+    """(psi, u) of [[G, B], [B^T, 0]] [psi; u] = [F; 0], refined to longdouble.
+
+    A dense LU in float64, then iterative refinement with the residual
+    computed in ``np.longdouble`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 12), until the correction stops shrinking
+    or falls below the longdouble unit roundoff, ten steps at most.
+    """
+    n, m = B.shape
+    K = np.block([[G, B], [B.T, np.zeros((m, m))]])
+    lu = lu_factor(K)
+    K = K.astype(np.longdouble)
+    b = np.concatenate((F, np.zeros(m))).astype(np.longdouble)
+    x = np.zeros(n + m, dtype=np.longdouble)
+    last = np.inf
+    for _ in range(10):
+        dx = lu_solve(lu, (b - K @ x).astype(float))
+        x += dx
+        size = np.abs(dx).max() / np.abs(x).max()
+        if size >= last or size <= np.finfo(np.longdouble).eps:
+            break
+        last = size
+    x = x.astype(float)
+    return x[:n], x[n:]
+
+
 def dump(path):
     """Run the grid with the nlpg on sys.path and save every quantity to path."""
     from nlpg.adapt import localize_indicator
-    from nlpg.analysis import pair_energies
+    from nlpg.analysis import energy_error_norms, error_l2, pair_energies
     from nlpg.driver import solve_problem
     from nlpg.kernels import constant_kernel_pair
     from nlpg.problems import make_problem
@@ -132,6 +172,15 @@ def dump(path):
                               res.err_energy, res.err_l2, eta2, np.sqrt(seminorm2.sum()))
                     for q, v in zip(QUANTITIES, values):
                         out[f"{case}|{q}"] = np.asarray(v, dtype=float)
+                    _, u = refined_solve(res.system.G, res.system.B, res.system.F)
+                    coeffs = res.coeffs.copy()
+                    coeffs[res.trial.free_dofs] = u
+                    err, exact = energy_error_norms(res.trial, coeffs, problem.u_exact)
+                    refined = (u, error_l2(res.trial, coeffs, problem.u_exact), err / exact)
+                    computed = (res.solution.u, res.err_l2, res.err_energy)
+                    for q, value, ref in zip(REFINED, computed, refined):
+                        distance = _drift(np.asarray(value), np.asarray(ref))
+                        out[f"{case}|refined {q}"] = np.asarray(distance)
     np.savez(path, **out)
 
 
@@ -180,6 +229,37 @@ def _drift(new, old):
     return np.inf if np.isnan(drift) else drift
 
 
+def _moved_cells(name, old, new):
+    """'name row r column c: old -> new' for every cell of a CSV file that
+    moved; None unless both files parse to tables of the same shape."""
+    if not name.endswith(".csv") or old is None or new is None:
+        return None
+    old, new = (list(csv.reader(io.StringIO(data.decode()))) for data in (old, new))
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return None
+    return [f"{name} row {r} column {c}: {a} -> {b}"
+            for r, (row_a, row_b) in enumerate(zip(old, new))
+            for c, (a, b) in enumerate(zip(row_a, row_b)) if a != b]
+
+
+def _refined_report(cases, old, new):
+    """Print each case's distances to its tree's refined solve and the counts."""
+    print("\ndistance to the refined solve of each tree's own (G, B, F), old / new:")
+    print(f"{'case':<48}" + "".join(f"{q:>24}" for q in REFINED))
+    for c in cases:
+        print(f"{c:<48}" + "".join(f"{float(old[f'{c}|refined {q}']):>11.2e} /"
+                                   f"{float(new[f'{c}|refined {q}']):>10.2e}"
+                                   for q in REFINED))
+    small = [c for c in cases if c.startswith(("delta=0.0001 ", "delta=1e-05 "))]
+    for q in REFINED:
+        d_old = {c: float(old[f"{c}|refined {q}"]) for c in cases}
+        d_new = {c: float(new[f"{c}|refined {q}"]) for c in cases}
+        farther = sum(d_new[c] > d_old[c] + REFINED_SLACK for c in cases)
+        closer = sum(d_new[c] < d_old[c] for c in small)
+        print(f"{q}: {farther} of {len(cases)} cases farther than old + {REFINED_SLACK:g}; "
+              f"{closer} of {len(small)} small-horizon cases closer")
+
+
 def main(argv):
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -212,7 +292,10 @@ def main(argv):
               if old_files.get(name) is None or new_files.get(name) != old_files[name]]
     for name in differ:
         print(f"file differs: {name}")
+        for line in _moved_cells(name, old_files.get(name), new_files.get(name)) or ():
+            print(f"  {line}")
     print(f"{len(names) - len(differ)} of {len(names)} files byte-identical")
+    _refined_report(cases, old, new)
     ok = worst <= BOUND and not differ
     print(f"max drift {worst:.3e} {'<=' if worst <= BOUND else '>'} {BOUND:g}, "
           f"{len(differ)} files differing: {'PASS' if ok else 'FAIL'}")
