@@ -8,7 +8,7 @@ inputs.
 
 from .adapt import IndicatorSet, adaptive_step, dorfler_mark, localize_indicator
 from .analysis import ExperimentRecord, error_l2, rate, rate_dof
-from .assembly import (MixedSystem, assemble_mass_mean, assemble_nonlocal_forms,
+from .assembly import (Band, MixedSystem, assemble_mass_mean, assemble_nonlocal_forms,
                        mixed_system_from_parts)
 from .driver import solve_problem
 from .kernels import (KernelPair, constant_kernel_pair, exact_sharp,

@@ -40,47 +40,52 @@ The mass matrix, the mean vector and the load are summed the same way: the
 products of all interior elements at once, then one unbuffered ``np.add.at``
 in element order.
 
+Every test x test matrix is a ``Band``: in 1-D two DOFs couple only when
+their supports lie within the horizon, so with the free test DOFs in
+position order each matrix is its band, in the position order and of the
+half-bandwidth that ``kkt_layout`` computes (the mean term of 'app' aside).
+The diffusion block A_vv and the mass matrix M are scattered into their
+bands by the same unbuffered ``np.add.at`` in table order; only the target
+index differs from a dense matrix, so every entry keeps its additions and
+their order.  No n_test x n_test array is ever formed.
+
 One call builds the discrete problem of a step, ``mixed_system_from_parts``.
 It checks the norm list (``check_norms``) and the spaces before it assembles
 anything.  It builds the lift, B and F once per mesh, forming
 op = eps A_vu + C_vu in the storage of A_vu and freeing op before the Gram
-builds, and then the Gram matrix of each test norm of the step, so the
-systems of the norms share B and F.  It is the only Gram path: each Gram
-matrix is built in place, the last norm's in the storage of A_vv and the
-others' in copies of it, so a build holds one n_test x n_test array, plus the
-mass matrix for 'app'.  Its steps, each entry getting the same IEEE
-operations as in G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
-('eng': X = A_vv):
+builds, and then the Gram matrix of each test norm of the step from A_vv,
+which no build changes, so the systems of the norms share B and F.  The Gram
+build is elementwise on the band, each entry getting the same IEEE
+operations as in the dense G = 0.5 (X + X^T),
+X = eps^2 A_vv + M - m m^T / |Omega| ('eng': X = A_vv):
 
-1. 'app' only: G *= eps^2, then G += M.  Most pages of M are never
-   written, as only the entries of element neighbours are nonzero.
-2. 'app' only: for each band of ``GRAM_BAND`` rows,
-   G[band] -= outer(m[band], m) / |Omega|.
-3. For each band of rows r:r+b, S = 0.5 (G[r:r+b, r:] + G[r:, r:r+b]^T) is
-   written to G[r:r+b, r:] and its transpose to G[r:, r:r+b].  No earlier
-   band has touched these entries, and a + b == b + a in IEEE arithmetic, so
-   each pair of mirror entries gets the bits of 0.5 (X + X^T).
+1. 'app' only: X = A_vv eps^2, then X += M, then X -= c with
+   c_ab = (m_a m_b) / |Omega| on the band.
+2. For each diagonal d, the slots of the entries (b + d, b) and (b, b + d)
+   both get 0.5 (X_(b+d, b) + X_(b, b+d)); a + b == b + a in IEEE
+   arithmetic, so each pair of mirror entries gets the bits of
+   0.5 (X + X^T).
 
-Beside G, B and F each system carries what the banded solve needs
-(``kkt_layout``): the unknowns of [[G, B], [B^T, 0]] in position order, the
+Off the band X is 0.0 - c_ab for 'app', so G is 0.0 - c_ab there (two equal
+values halved), the ``mean`` of the Band; for 'eng' it is zero.  Beside G,
+B and F each system carries what the banded solve needs (``kkt_layout``):
+the unknowns of [[G, B], [B^T, 0]] in position order and the
 half-bandwidth of that matrix in this order once the mean term of 'app' is
-taken out, and that term, (m, |Omega|).  Off the band G is exactly
--m m^T / |Omega|: step 2 writes -(m_i m_j / |Omega|) there and step 3 adds
-two equal values.
+taken out.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 from .kernels import KernelPair
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, chunks,
                          gauss_legendre, inner_points, mesh_pieces, row_dots)
 from .space import boundary_lift
-
-GRAM_BAND = 256   # rows per pass of the in-place Gram build
 
 
 class _Form(NamedTuple):
@@ -97,6 +102,84 @@ FORMS = (_Form(-2.0, KernelPair.eval_diffusion, 0),
          _Form(1.0, KernelPair.eval_convection_signed, 1))
 
 
+@dataclass
+class Band:
+    """An n x n matrix on the free test DOFs, held by its band.
+
+    With the DOFs in position order ``order`` and half-bandwidth k, entry
+    (order[a], order[b]), |a - b| <= k, is data[k + a - b, b] (LAPACK's
+    general band storage); the slots past the matrix's corners hold zeros.
+    Off the band the matrix is -m m^T / |Omega| for mean = (m, |Omega|),
+    the mean term of the 'app' Gram matrix, and zero for mean None.
+    """
+
+    data: np.ndarray    # (2k + 1, n)
+    order: np.ndarray   # the free test DOF at each position
+    mean: tuple = None
+
+    @classmethod
+    def zeros(cls, test, half_band):
+        order = np.argsort(test.dof_positions[test.free_dofs], kind="stable")
+        return cls(np.zeros((2 * half_band + 1, test.n_free)), order)
+
+    @property
+    def half_band(self):
+        return len(self.data) // 2
+
+    @cached_property
+    def _position(self):
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(len(self.order))
+        return position
+
+    def slot(self, rows, cols):
+        """The band slots (row, column of data) of the entries (rows, cols),
+        which must lie on the band (``kkt_layout`` takes its pairs by the
+        rule of ``mesh_pieces``)."""
+        a, b = self._position[rows], self._position[cols]
+        return self.half_band + a - b, b
+
+    def mean_band(self):
+        """(m_a m_b) / |Omega| on every slot, with m = 0 past the corners."""
+        m, omega = self.mean[0][self.order], self.mean[1]
+        # row r of the window is m at the positions b + r - k
+        window = np.lib.stride_tricks.sliding_window_view(np.pad(m, self.half_band), len(m))
+        return window * m / omega
+
+    @cached_property
+    def shifted(self):
+        """The band of S = G + m m^T / |Omega| (the data for mean None), in
+        Fortran order and padded with zero columns to at least 2k + 1 of
+        them, as scipy's dgbmv takes no fewer rows; made on first use, so
+        the data must not change after it."""
+        k, n = self.half_band, len(self.order)
+        S = np.zeros((2 * k + 1, max(n, 2 * k + 1)), order="F")
+        S[:, :n] = self.data if self.mean is None else self.data + self.mean_band()
+        return S
+
+    def __matmul__(self, x):
+        """(S - m m^T / |Omega|) x for a vector x."""
+        n, S = len(self.order), self.shifted
+        k, N = self.half_band, S.shape[1]
+        y = np.empty(n)
+        y[self.order] = dgbmv(N, N, k, k, 1.0, S, np.pad(x[self.order], (0, N - n)))[:n]
+        if self.mean is not None:
+            y -= self.mean[0] * ((self.mean[0] @ x) / self.mean[1])
+        return y
+
+    def toarray(self):
+        """The dense matrix: 0.0 - m m^T / |Omega| (the bits of 0.5 (X + X^T)
+        where X is 0.0 - (m_a m_b) / |Omega|) or zero, and the band on it."""
+        k, n = self.half_band, len(self.order)
+        out = np.zeros((n, n))
+        if self.mean is not None:
+            out -= np.outer(self.mean[0], self.mean[0]) / self.mean[1]
+        a = np.arange(n) + np.arange(-k, k + 1)[:, None]   # the row position of each slot
+        inside = (a >= 0) & (a < n)
+        out[self.order[a[inside]], np.broadcast_to(self.order, a.shape)[inside]] = self.data[inside]
+        return out
+
+
 def _signed_weights(kernel, xs, y, wy):
     """Kernel weights of every form at inner nodes y of the outer nodes xs."""
     s = y - xs[..., None]
@@ -108,8 +191,9 @@ def assemble_nonlocal_forms(test, trial):
 
     Returns (A_vu, C_vu, A_vv): (-L_delta u, v) and (b.G_delta u, v) for u in
     the trial space, and (-L_delta w, v) for w in the test space.  Rows are
-    free test DOFs; the columns of A_vu and C_vu are all trial DOFs, those of
-    A_vv the free test DOFs.
+    free test DOFs; the columns of A_vu and C_vu are all trial DOFs.  A_vv,
+    on the free test DOFs, is a ``Band`` of the half-bandwidth of
+    ``kkt_layout(test, trial)``.
     """
     mesh = test.mesh
     delta = mesh.delta
@@ -131,15 +215,17 @@ def assemble_nonlocal_forms(test, trial):
 
     # each column space with the column of each of its DOFs (-1 for one not
     # added), its basis at the Gauss points elem_y of every element (the
-    # inner nodes of a CONTAINED piece) and its matrices, in the order of
-    # FORMS: the trial space gets both forms on all its DOFs, the test space
-    # the diffusion form on its free DOFs only
+    # inner nodes of a CONTAINED piece), its matrices, in the order of FORMS,
+    # and the map from (row, column) to their index: the trial space gets
+    # both forms on all its DOFs, the test space the diffusion form on its
+    # free DOFs only, in the slots of the band
     A_vu, C_vu = (np.zeros((test.n_free, trial.n_dofs)) for _ in FORMS)
-    A_vv = np.zeros((test.n_free, test.n_free))
+    A_vv = Band.zeros(test, kkt_layout(test, trial)[1])
     columns = [(space, col_of, space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y),
-                mats)
-               for space, col_of, mats in ((trial, np.arange(trial.n_dofs), (A_vu, C_vu)),
-                                           (test, test.free_row, (A_vv,)))]
+                mats, index)
+               for space, col_of, mats, index in (
+                   (trial, np.arange(trial.n_dofs), (A_vu, C_vu), lambda r, c: (r, c)),
+                   (test, test.free_row, (A_vv.data,), A_vv.slot))]
 
     i, j, lo, hi, case = mesh_pieces(mesh)
     interior = np.flatnonzero((i > 0) & (i < mesh.n_elements - 1))
@@ -174,7 +260,7 @@ def assemble_nonlocal_forms(test, trial):
         # pair is -(wBtx * sK)^T @ Bx with sK the row sums of the weights
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
-        for space, col_of, elem_basis, mats in columns:
+        for space, col_of, elem_basis, mats, index in columns:
             # a copy: the clipped-pair shift below changes Bx in place
             Bx = Btx.copy() if space is test else space.local_basis(ib[:, None], xs)
             Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
@@ -196,6 +282,7 @@ def assemble_nonlocal_forms(test, trial):
             cols = col_of[np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)]
             R, C, K = np.broadcast_arrays(rows[:, None, :, None], cols[:, :, None, :],
                                           keep & (cols >= 0)[:, :, None, :])
+            target = index(R[K], C[K])
 
             for f, mat in enumerate(mats):
                 parity = FORMS[f].parity
@@ -218,7 +305,7 @@ def assemble_nonlocal_forms(test, trial):
                 blocks = np.stack((wBt @ Zj, sign * (wBs @ Zi)), axis=1)
                 # unbuffered and in table order: every entry receives the
                 # additions of its pieces one by one, in the order of the table
-                np.add.at(mat, (R[K], C[K]), blocks[K])
+                np.add.at(mat, target, blocks[K])
     return A_vu, C_vu, A_vv
 
 
@@ -251,17 +338,17 @@ def _interior_products(test, n_points, weights):
     return rows, mass, vec
 
 
-def assemble_mass_mean(test):
-    """L2(Omega) mass matrix and mean vector on the free test DOFs."""
+def assemble_mass_mean(test, half_band):
+    """L2(Omega) mass matrix, a ``Band`` of this half-bandwidth, and mean
+    vector on the free test DOFs."""
     rows, mass, vec = _interior_products(test, test.order + 1, np.ones_like)
     keep = rows >= 0
     both = keep[:, :, None] & keep[:, None, :]
     R, C = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
-    # np.zeros leaves the pages of M that no element touches unwritten
-    M = np.zeros((test.n_free, test.n_free))
+    M = Band.zeros(test, half_band)
     m = np.zeros(test.n_free)
     # unbuffered and in element order, as a loop over the elements adds them
-    np.add.at(M, (R[both], C[both]), mass[both])
+    np.add.at(M.data, M.slot(R[both], C[both]), mass[both])
     np.add.at(m, rows[keep], vec[keep])
     return M, m
 
@@ -318,12 +405,11 @@ class MixedSystem:
     """Gram + bilinear-form matrix + load of the discrete mixed problem, with
     the layout of its banded KKT matrix (see ``kkt_layout``)."""
 
-    G: np.ndarray
+    G: Band             # with its mean term (m, |Omega|) for 'app'
     B: np.ndarray
     F: np.ndarray
     order: np.ndarray   # KKT unknowns (free test DOFs, then free trial DOFs) by position
     half_band: int      # of [[G + m m^T / |Omega|, B], [B^T, 0]] in that order
-    mean: tuple         # (m, |Omega|) of the 'app' mean term; None for 'eng'
 
 
 NORMS = ("app", "eng")
@@ -343,32 +429,24 @@ def check_norms(norms):
     return norms
 
 
-def _gram_in_place(test, G, eps, norm):
-    """Turn the free diffusion block G into the norm's Gram matrix in its own
-    storage; the order of the steps is in the module docstring.  Returns G and
-    the mean term (m, |Omega|) of 'app', None for 'eng'."""
-    n = len(G)
-    mean = None
+def _gram(test, A_vv, eps, norm):
+    """The norm's Gram matrix, a ``Band`` like the diffusion block A_vv,
+    which is left as it is; the steps are in the module docstring."""
+    G = Band(A_vv.data.copy(), A_vv.order)
     if norm == "app":
-        G *= eps**2
-        M, m = assemble_mass_mean(test)
-        G += M
-        del M
-        omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
-        for r in range(0, n, GRAM_BAND):
-            band = np.outer(m[r:r + GRAM_BAND], m)
-            band /= omega
-            G[r:r + GRAM_BAND] -= band
-            del band   # before the next band is allocated
-        mean = (m, omega)
-    for r in range(0, n, GRAM_BAND):
-        # rows r:r+b right of the diagonal and their mirror, both still as built
-        S = G[r:r + GRAM_BAND, r:] + G[r:, r:r + GRAM_BAND].T
+        M, m = assemble_mass_mean(test, G.half_band)
+        G.mean = (m, test.mesh.nodes[-2] - test.mesh.nodes[1])
+        G.data *= eps**2
+        G.data += M.data
+        G.data -= G.mean_band()
+    # entries (b + d, b) and (b, b + d) of X, in slots (k + d, b) and (k - d, b + d)
+    k, n, X = G.half_band, len(G.order), G.data
+    for d in range(min(k + 1, n)):
+        S = X[k + d, :n - d] + X[k - d, d:]
         S *= 0.5
-        G[r:r + GRAM_BAND, r:] = S
-        G[r:, r:r + GRAM_BAND] = S.T
-        del S
-    return G, mean
+        X[k + d, :n - d] = S
+        X[k - d, d:] = S
+    return G
 
 
 def _free_supports(space):
@@ -409,9 +487,9 @@ def mixed_system_from_parts(trial, test, eps, problem, norms):
 
     The systems share B = op on the free trial columns and
     F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu, and the KKT layout
-    of ``kkt_layout``.  Each Gram matrix is built in place, all but the last
-    in a copy of the diffusion block A_vv and the last in A_vv itself.  The
-    norms and the spaces are checked before anything is assembled.
+    of ``kkt_layout``.  Each Gram matrix is built on the band of the
+    diffusion block A_vv.  The norms and the spaces are checked before
+    anything is assembled.
     """
     norms = check_norms(norms)
     if not 0 < trial.n_free < test.n_free:
@@ -427,8 +505,5 @@ def mixed_system_from_parts(trial, test, eps, problem, norms):
     B = op[:, trial.free_dofs]
     del op   # before the Gram builds
     order, half_band = kkt_layout(test, trial)
-    systems = {}
-    for norm in norms:
-        G, mean = _gram_in_place(test, A_vv if norm == norms[-1] else A_vv.copy(), eps, norm)
-        systems[norm] = MixedSystem(G, B, F, order, half_band, mean)
-    return lift, systems
+    return lift, {norm: MixedSystem(_gram(test, A_vv, eps, norm), B, F, order, half_band)
+                  for norm in norms}

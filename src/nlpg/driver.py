@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import energy_error_norms, error_l2
-from .assembly import check_norms, mixed_system_from_parts
+from .assembly import check_norms, kkt_layout, mixed_system_from_parts
 from .solver import solve_mixed
 from .space import Space
 
@@ -48,18 +48,26 @@ def _memory_limit():
     return min(limit, int(value)) if value.isdigit() else limit
 
 
-def _check_memory(n_test, n_trial, n_norms):
-    """Raise MemoryError if the dense arrays of the step cannot fit.
+def _check_memory(n_test, n_trial, n_norms, half_band):
+    """Raise MemoryError if the arrays of the step cannot fit.
 
-    Every norm's G stays alive, as its StepResult keeps it, and so does B
-    (n_test x n_trial).  Besides them a step holds, one at a time: the mass
-    matrix M at the Gram build of an 'app' norm; the bands of the solve
-    (LU and Cholesky), about 0.7 n_test^2 values at delta = 0.1 and fewer
-    at smaller horizons, once the mesh has some 40 elements; and before
-    both, in the assembly, the two trial-column blocks A_vu and C_vu.  So
-    (k + 1) n_test^2 + 2 n_test n_trial float64 values bound a k-norm step.
+    With n = n_test, t = n_trial, N = n + t and k = half_band, in float64
+    values, a band being (2k + 1) n of them: the assembly holds the dense
+    trial-column blocks A_vu and C_vu, 2 n t, and then op and B as long.  B
+    (n t) stays alive, and so do every norm's Gram band and, once the norm
+    is solved, the band of its S, as the StepResults keep them.  The Gram
+    builds come first: the one of a norm holds A_vv, its own band, the mass
+    matrix and two temporaries of the mean term, besides the earlier
+    norms' bands.  Each solve then holds its S and the temporaries that
+    make it (three bands), the Cholesky factor of S (k + 1 of its rows) and
+    the KKT band, (3k + 1) N.  So 2 n t + (2k' + 4) bands + (3k + 1) N
+    values bound a k'-norm step, the assembly and the rest summed, not
+    maximized.  Left out: the chunk temporaries of the assembly, at most a
+    few tens of MB, and the zero columns that pad S to 2k + 1 columns when
+    n is smaller.
     """
-    need = 8 * ((n_norms + 1) * n_test**2 + 2 * n_test * n_trial)
+    need = 8 * (2 * n_test * n_trial + (2 * n_norms + 4) * (2 * half_band + 1) * n_test
+                + (3 * half_band + 1) * (n_test + n_trial))
     limit = _memory_limit()
     if need > limit:
         raise MemoryError(
@@ -68,11 +76,18 @@ def _check_memory(n_test, n_trial, n_norms):
 
 
 def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
-    """Assemble once, solve for each requested test norm; returns {norm: StepResult}."""
+    """Assemble once, solve for each requested test norm; returns {norm: StepResult}.
+
+    A problem from ``make_problem`` must have been made for (eps, mesh.delta);
+    one built by hand records no (eps, delta) and is not checked.
+    """
     norms = check_norms(norms)
+    if problem.made_for not in (None, (eps, mesh.delta)):
+        raise ValueError(f"problem {problem.name!r} was made for (eps, delta) = "
+                         f"{problem.made_for}, not ({eps}, {mesh.delta})")
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
-    _check_memory(test.n_free, trial.n_free, len(norms))
+    _check_memory(test.n_free, trial.n_free, len(norms), kkt_layout(test, trial)[1])
     lift, systems = mixed_system_from_parts(trial, test, eps, problem, norms)
     out = {}
     for norm, system in systems.items():

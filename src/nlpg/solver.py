@@ -10,10 +10,11 @@ Sherman-Morrison formula: with K0 = [[S, B], [B^T, 0]] and e = [m; 0],
 
     x = y + z (e^T y) / (|Omega| - e^T z),   K0 y = [F; 0],   K0 z = e.
 
-K0 is gathered in band storage from the dense G and B and factored once
-with LAPACK's banded LU with partial pivoting (``dgbtrf``, Golub & Van Loan
-section 4.3); ``dgbtrs`` solves for [F; 0] and e.  One step of iterative
-refinement, with the residual taken against the dense G, follows.  The LU
+K0 is put in band storage from the band of S, which ``assembly.Band``
+holds, and from B, and factored once with LAPACK's banded LU with partial
+pivoting (``dgbtrf``, Golub & Van Loan section 4.3); ``dgbtrs`` solves for
+[F; 0] and e.  One step of iterative refinement follows, its residual taken
+with G @ psi = S psi - m (m^T psi) / |Omega|, S applied by its band.  The LU
 pivots across the indefinite matrix: on the grid of ``tools/parity.py`` its
 u was up to 1.2e-13 (relative) from a longdouble-refined solve without the
 step, and is within 9e-15 with it.
@@ -22,7 +23,7 @@ G is SPD exactly when the banded Cholesky factorization of S succeeds and
 |Omega| - m^T S^-1 m > 0, by Haynsworth inertia additivity applied to
 [[S, m], [m^T, |Omega|]] (a failure is an ``IndefiniteGramError``).  Given
 that, K is nonsingular exactly when B has full column rank; a zero pivot of
-the LU is an ``InfSupError``.  The residuals are taken against the dense G,
+the LU is an ``InfSupError``.  The residuals are taken with that G @ psi,
 and the condition estimate of the Schur complement B^T G^-1 B is the product
 of two 1-norm estimates, one over products with it and one over KKT solves.
 """
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-GATHER = 2**16   # band entries gathered per pass
+GATHER = 2**16   # band slots filled per pass
 
 
 class IndefiniteGramError(RuntimeError):
@@ -77,40 +78,41 @@ def _norm1(apply, n):
     return est
 
 
-def _band(system, order, k, lead=0, upper=True):
-    """LAPACK band storage of K0[order][:, order], K0 = [[S, B], [B^T, 0]] and
-    S = G + m m^T / |Omega|, of half-bandwidth k: entry (a, b) in row
-    lead + u + a - b of column b, with u = k if ``upper`` else 0 (the lower
-    band alone, as ``cholesky_banded`` takes it), below lead rows of zeros.
+def _kkt_band(system, S, lead):
+    """LAPACK band storage of K0[order][:, order], K0 = [[S, B], [B^T, 0]], of
+    half-bandwidth k: entry (a, b) in row lead + k + a - b of column b, below
+    lead rows of zeros.
 
-    Unknown i < n is test unknown i, n + j trial unknown j.  K0 is
-    symmetric, so only its lower band is gathered from G and B, a run of
-    columns at a time and G along its rows; the upper band is its mirror.
+    Unknown i < n is test unknown i, n + j trial unknown j; S is the band of
+    ``Band.shifted``.  A pass takes a run of test positions: their columns
+    of S, each slot moved to the positions of its unknowns, and the trial
+    rows of the same columns, read along the rows of B.  The test-row,
+    trial-column entries are the mirror of those.
     """
-    G, B = system.G, system.B
-    n, N = len(G), len(order)
-    u = k if upper else 0
-    ab = np.zeros((lead + u + k + 1, N), order="F")
-    # window[t, b]: the unknown in row b + t of column b, -1 past the last row
-    window = np.lib.stride_tricks.sliding_window_view(np.concatenate((order, np.full(k, -1))), N)
-    width = max(1, GATHER // (k + 1))
-    for c0 in range(0, N, width):
-        rows = window[:, c0:c0 + width]
-        cols = np.broadcast_to(order[c0:c0 + width], rows.shape)
-        test_row, test_col = (rows >= 0) & (rows < n), cols < n
-        vals = np.zeros(rows.shape)
-        tt = test_row & test_col
-        vals[tt] = G[cols[tt], rows[tt]]
-        if system.mean is not None:
-            m, omega = system.mean
-            # (m_i m_j) / |Omega|, as the Gram build subtracted it
-            vals[tt] += m[rows[tt]] * m[cols[tt]] / omega
-        tu, ut = test_row & ~test_col, (rows >= n) & test_col
-        vals[tu] = B[rows[tu], cols[tu] - n]
-        vals[ut] = B[cols[ut], rows[ut] - n]
-        ab[lead + u:, c0:c0 + width] = vals
-    for d in range(1, u + 1):
-        ab[lead + u - d, d:] = ab[lead + u + d, :N - d]
+    G, B, order, k = system.G, system.B, system.order, system.half_band
+    n, N = B.shape[0], len(order)
+    # the position of the unknown of each test position (G.order is
+    # order[order < n]), and of none past either end: 3N is never within k
+    col = np.pad(np.flatnonzero(order < n), k, constant_values=3 * N)
+    # the trial DOF at each position, -1 for a test unknown and past either end
+    trial = np.pad(np.where(order >= n, order - n, -1), k, constant_values=-1)
+    off = np.arange(2 * k + 1)
+    ab = np.zeros((lead + 2 * k + 1, N), order="F")
+    width = max(1, GATHER // (2 * k + 1))
+    for q0 in range(0, n, width):
+        q = np.arange(q0, min(q0 + width, n))
+        b = col[k + q, None]
+        # slots of S; one whose unknowns lie farther apart than k is zero
+        a = col[q[:, None] + off] - b
+        keep = np.abs(a) <= k
+        ab[lead + k + a[keep], np.broadcast_to(b, a.shape)[keep]] = S[:, q0:q[-1] + 1].T[keep]
+        # trial rows of these columns: one row of B per column
+        j = trial[b + off]
+        keep = j >= 0
+        vals = B[np.broadcast_to(G.order[q, None], j.shape)[keep], j[keep]]
+        a, b = (b - k + off)[keep], np.broadcast_to(b, j.shape)[keep]
+        ab[lead + k + a - b, b] = vals
+        ab[lead + k + b - a, a] = vals
     return ab
 
 
@@ -118,16 +120,16 @@ def solve_mixed(system):
     """Solve G psi + B u = F, B^T psi = 0 by one banded LU of the KKT matrix."""
     G, B, F = system.G, system.B, system.F
     (n, nt), k, order = B.shape, system.half_band, system.order
-    # SPD test of G: banded Cholesky of S in the position order of the test
-    # unknowns, whose band is within the KKT one
-    test = order[order < n]
+    # SPD test of G: banded Cholesky of S, whose lower band is S[k:], in the
+    # position order of the test unknowns
+    S, test = G.shifted, G.order
     try:
-        chol = (cholesky_banded(_band(system, test, k, upper=False), lower=True), True)
+        chol = (cholesky_banded(S[k:, :n], lower=True), True)
     except LinAlgError as exc:
         raise IndefiniteGramError(
             "Gram matrix is not positive definite; the test-norm assembly is broken") from exc
-    if system.mean is not None:
-        m, omega = system.mean
+    if G.mean is not None:
+        m, omega = G.mean
         Sinv_m = np.empty(n)
         Sinv_m[test] = cho_solve_banded(chol, m[test])
         border = omega - m @ Sinv_m
@@ -136,7 +138,7 @@ def solve_mixed(system):
                 "Gram matrix is not positive definite (its mean term); "
                 "the test-norm assembly is broken")
 
-    lu, piv, info = dgbtrf(_band(system, order, k, lead=k), k, k, overwrite_ab=True)
+    lu, piv, info = dgbtrf(_kkt_band(system, S, lead=k), k, k, overwrite_ab=True)
     if info > 0:
         raise InfSupError(
             "the KKT matrix is singular: discrete inf-sup failure; "
@@ -149,7 +151,7 @@ def solve_mixed(system):
         out[order] = x
         return out
 
-    if system.mean is not None:
+    if G.mean is not None:
         z = band_solve(np.concatenate((m, np.zeros(nt))))
         denom = omega - m @ z[:n]
 
@@ -157,12 +159,12 @@ def solve_mixed(system):
         """K^-1 rhs: the solve with K0, then the border unknown
         lambda = m^T psi / |Omega| eliminated."""
         y = band_solve(rhs)
-        return y if system.mean is None else y + z * ((m @ y[:n]) / denom)
+        return y if G.mean is None else y + z * ((m @ y[:n]) / denom)
 
     b = np.concatenate((F, np.zeros(nt)))
 
     def residual(x):
-        """[F; 0] - K [psi; u], with the dense G."""
+        """[F; 0] - K [psi; u]."""
         psi, u = x[:n], x[n:]
         return b - np.concatenate((G @ psi + B @ u, B.T @ psi))
 
@@ -183,7 +185,7 @@ def solve_mixed(system):
     def gram_solve(w):
         out = np.empty_like(w)
         out[test] = cho_solve_banded(chol, w[test])
-        if system.mean is not None:
+        if G.mean is not None:
             out += Sinv_m * ((m @ out) / border)
         return out
 

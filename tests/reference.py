@@ -2,7 +2,7 @@
 
 None of them is on the program's path, and each is written for clarity, not
 speed: a scalar nested integration over one element at a time, the Gram
-matrix as the plain expression that the in-place build reproduces, the
+matrix as the plain dense expression whose bits the band build keeps, the
 discrete optimal test norm, the energy seminorm of a discrete function, a
 least-squares log-log slope, a dense quadrature of one hat function's
 energy, the graded mesh that several tests share, the interpolant of a
@@ -94,15 +94,19 @@ def nested_integrate(mesh, i, inner_kernel, outer_weight, *, n_out, n_in):
 
 
 def gram(test, diffusion_vv, eps, norm):
-    """Gram matrix of the test norm as the plain expression 0.5 (X + X^T).
+    """Gram matrix of the test norm as the plain dense expression 0.5 (X + X^T).
 
     X = eps^2 A + M - m m^T / |Omega| for 'app', X = A for 'eng', with A the
-    free-column block ``diffusion_vv`` of the test-space diffusion matrix and
-    M, m the mass matrix and mean vector.  ``diffusion_vv`` is left as it is.
+    dense free-column block ``diffusion_vv`` of the test-space diffusion
+    matrix and M, m the mass matrix and mean vector.  ``diffusion_vv`` is
+    left as it is.
     """
     X = diffusion_vv
     if norm == "app":
-        M, m = assemble_mass_mean(test)
+        # the DOFs of one element are consecutive in position order, so M
+        # fits in a band of half-bandwidth test.order
+        M, m = assemble_mass_mean(test, test.order)
+        M = M.toarray()
         omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
         X = eps**2 * diffusion_vv + M - np.outer(m, m) / omega
     return 0.5 * (X + X.T)

@@ -53,7 +53,7 @@ def test_indicator_sum_matches_gram_quadratic_form(norm, delta):
     psi = rng.standard_normal(test.n_free)
     ind = localize_indicator(psi, test, kernel, 0.01, norm)
     _, _, A_vv = assemble_nonlocal_forms(test, test)
-    target = psi @ gram(test, A_vv, 0.01, norm) @ psi
+    target = psi @ gram(test, A_vv.toarray(), 0.01, norm) @ psi
     assert ind.eta2.sum() == pytest.approx(target, rel=1e-10)
 
 

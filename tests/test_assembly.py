@@ -8,9 +8,9 @@ from scipy.integrate import quad
 
 import nlpg.assembly
 from nlpg import quadrature
-from nlpg.assembly import (GRAM_BAND, _gram_in_place, assemble_mass_mean,
-                           assemble_nonlocal_forms, boundary_defect_load, kkt_layout,
-                           load_vector, mixed_system_from_parts)
+from nlpg.assembly import (Band, _gram, assemble_mass_mean, assemble_nonlocal_forms,
+                           boundary_defect_load, kkt_layout, load_vector,
+                           mixed_system_from_parts)
 from nlpg.driver import solve_problem
 from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
@@ -50,8 +50,9 @@ def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
     lift = boundary_lift(trial, g)
 
     def assemble():
-        return (*assemble_nonlocal_forms(test, trial),
-                *assemble_nonlocal_forms(test, test)[1:],
+        A_vu, C_vu, A_vv = assemble_nonlocal_forms(test, trial)
+        _, C_ww, A_ww = assemble_nonlocal_forms(test, test)
+        return (A_vu, C_vu, A_vv.data, C_ww, A_ww.data,
                 boundary_defect_load(test, trial, lift, g, 0.01))
 
     runs = []   # the run count of every walk over the table
@@ -94,12 +95,14 @@ def test_element_basis_table_gives_the_bits_of_the_per_row_basis(mesh, p):
 def test_test_space_as_trial_space_gives_the_diffusion_block(mesh):
     # the tests that need C_vv assemble with trial = test; the free columns
     # of the A_vu they get must be the A_vv that the program builds beside
-    # its trial columns, a C-ordered array on the free test columns only
+    # its trial columns, bit for bit, on the band of the KKT layout
     for p, dp in ((1, 2), (2, 3)):
         trial, test = Space(mesh, p), Space(mesh, p + dp)
         A_vv = assemble_nonlocal_forms(test, trial)[2]
-        assert A_vv.shape == (test.n_free, test.n_free) and A_vv.flags.c_contiguous
-        assert np.array_equal(assemble_nonlocal_forms(test, test)[0][:, test.free_dofs], A_vv)
+        k = kkt_layout(test, trial)[1]
+        assert A_vv.data.shape == (2 * k + 1, test.n_free) and A_vv.mean is None
+        assert np.array_equal(assemble_nonlocal_forms(test, test)[0][:, test.free_dofs],
+                              A_vv.toarray())
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.02])
@@ -156,7 +159,7 @@ def test_convection_annihilates_constants(setup):
 
 def test_convection_of_identity_is_mass_vector(setup):
     _, trial, test, _, C, _, _ = setup
-    _, m = assemble_mass_mean(test)
+    _, m = assemble_mass_mean(test, test.order)
     np.testing.assert_allclose(C @ interpolate(trial, lambda x: x), m,
                                rtol=0, atol=1e-12 * np.abs(m).max())
 
@@ -184,16 +187,16 @@ def test_bilinear_form_definite_on_random_vectors(setup):
 
 
 def test_gram_app_eps_zero_is_spd(setup):
-    _, _, test, _, _, Avv, _ = setup
-    G, _ = _gram_in_place(test, Avv[:, test.free_dofs], 0.0, "app")
-    assert np.linalg.eigvalsh(G).min() > 0.0
+    _, trial, test, _, _, _, _ = setup
+    G = _gram(test, assemble_nonlocal_forms(test, trial)[2], 0.0, "app")
+    assert np.linalg.eigvalsh(G.toarray()).min() > 0.0
 
 
 def test_gram_eng_equals_diffusion_block(setup):
-    _, _, test, _, _, Avv, _ = setup
+    _, trial, test, _, _, Avv, _ = setup
     ff = Avv[:, test.free_dofs]
-    G, _ = _gram_in_place(test, ff.copy(), 0.01, "eng")
-    np.testing.assert_allclose(G, 0.5 * (ff + ff.T))
+    G = _gram(test, assemble_nonlocal_forms(test, trial)[2], 0.01, "eng")
+    np.testing.assert_allclose(G.toarray(), 0.5 * (ff + ff.T))
 
 
 def _not_reached(*args):
@@ -216,37 +219,38 @@ def test_gram_rejects_unknown_norm(setup, monkeypatch):
 
 @pytest.mark.parametrize("norm", ["app", "eng"])
 def test_gram_equals_the_plain_expression(norm):
-    # 599 free DOFs: two full row bands of the in-place build and a partial
-    # third.  A random, unsymmetric block checks every entry of the banded
-    # symmetrization.
-    test = Space(uniform_mesh(1e-4, 200), 3)
-    assert test.n_free > 2 * GRAM_BAND and test.n_free % GRAM_BAND
-    A = np.random.default_rng(3).standard_normal((test.n_free, test.n_free))
-    expected = gram(test, A, 0.01, norm)
-    assert np.array_equal(_gram_in_place(test, A, 0.01, norm)[0], expected)
+    # a random, unsymmetric band checks every slot of the symmetrization on
+    # the band, and the densified G every entry off it (the mean term of
+    # 'app'), byte for byte.  The second mesh's band is wider than its
+    # matrix, so slots lie past both corners.
+    rng = np.random.default_rng(3)
+    for mesh in (uniform_mesh(1e-4, 200), uniform_mesh(0.3, 8)):
+        test = Space(mesh, 3)
+        A = Band.zeros(test, kkt_layout(test, Space(mesh, 1))[1])
+        A.data[:] = rng.standard_normal(A.data.shape)
+        expected = gram(test, A.toarray(), 0.01, norm)
+        assert _gram(test, A, 0.01, norm).toarray().tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("norm, arrays", [("app", 1.1), ("eng", 0.14)])
-def test_gram_build_allocates_one_dense_array(norm, arrays):
-    # G is built in the given storage: for 'app' the mass matrix (allocated
-    # by np.zeros, whose pages off the band are never written) and one row
-    # band at a time, for 'eng' one row band at a time
-    test = Space(uniform_mesh(1e-4, 640), 3)
-    n = test.n_free
-    A = np.random.default_rng(5).standard_normal((n, n))
+@pytest.mark.parametrize("norm", ["app", "eng"])
+def test_system_build_holds_no_dense_test_array(norm):
+    # delta = 1e-4 on 640 elements, dp = 6: n_test = 4479, so one
+    # n_test x n_test array takes 160 MB, where the build holds the dense
+    # trial-column blocks A_vu and C_vu (46 MB), B and bands of 35 rows
+    mesh = uniform_mesh(1e-4, 640)
+    trial, test = Space(mesh, 1), Space(mesh, 7)
+    problem = make_problem("smooth-nonlocal", 0.01, 1e-4)
     tracemalloc.start()
     try:
-        _gram_in_place(test, A, 0.01, norm)
+        mixed_system_from_parts(trial, test, 0.01, problem, (norm,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= arrays * 8 * n * n
+    assert test.n_free == 4479 and peak <= 0.4 * 8 * test.n_free**2
 
 
 def test_systems_share_B_and_F():
-    # one B and one F for every norm; each G is its own C-ordered
-    # n_free x n_free array, the last norm's built in A_vv and the others in
-    # copies
+    # one B and one F for every norm; each norm has its own G
     mesh = initial_mesh(0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
@@ -256,8 +260,6 @@ def test_systems_share_B_and_F():
         first, last = systems.values()
         assert first.B is last.B and first.F is last.F and first.G is not last.G
         assert first.B.shape == (test.n_free, trial.n_free)
-        for system in systems.values():
-            assert system.G.flags.c_contiguous and system.G.shape == (test.n_free,) * 2
 
 
 @pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 20), graded_mesh(0.01),
@@ -279,13 +281,15 @@ def test_kkt_band_holds_every_coupling(mesh, p, dp):
     n = test.n_free
     for norm, system in systems.items():
         assert np.array_equal(system.order, order) and system.half_band == half_band
+        # the solve reads G's band by this: G.order is the test unknowns of order
+        assert np.array_equal(system.G.order, order[order < n])
         K0 = np.zeros((len(order),) * 2)
-        K0[:n, :n] = system.G
+        K0[:n, :n] = system.G.toarray()
         if norm == "app":
-            m, omega = system.mean
+            m, omega = system.G.mean
             K0[:n, :n] += np.outer(m, m) / omega
         else:
-            assert system.mean is None
+            assert system.G.mean is None
         K0[:n, n:], K0[n:, :n] = system.B, system.B.T
         rows, cols = np.nonzero(K0[np.ix_(order, order)])
         reach = np.abs(rows - cols).max()
@@ -306,8 +310,10 @@ def test_two_calls_give_bit_equal_systems():
     assert lift.tobytes() == lift2.tobytes()
     for norm in ("app", "eng"):
         for name in ("G", "B", "F"):
-            assert (getattr(first[norm], name).tobytes()
-                    == getattr(second[norm], name).tobytes()), (norm, name)
+            one, two = (getattr(s[norm], name) for s in (first, second))
+            if name == "G":
+                one, two = one.toarray(), two.toarray()
+            assert one.tobytes() == two.tobytes(), (norm, name)
 
 
 def _mass_mean_load_by_elements(test, forcing):
@@ -341,8 +347,8 @@ def test_mass_mean_and_load_equal_the_element_loop(mesh, order):
         forcing = make_problem(name, 0.01, mesh.delta).forcing
         M, m, F = _mass_mean_load_by_elements(test, forcing)
         assert np.array_equal(load_vector(test, forcing), F)
-    Mb, mb = assemble_mass_mean(test)
-    assert np.array_equal(Mb, M) and np.array_equal(mb, m)
+    Mb, mb = assemble_mass_mean(test, test.order)
+    assert np.array_equal(Mb.toarray(), M) and np.array_equal(mb, m)
 
 
 def test_mismatched_meshes_rejected():
@@ -359,7 +365,7 @@ def test_app_gram_hat_against_dense_integration():
     test = Space(mesh, 1)
     kernel = constant_kernel_pair(delta)
     _, _, A_vv = assemble_nonlocal_forms(test, test)
-    G, _ = _gram_in_place(test, A_vv, eps, "app")
+    G = _gram(test, A_vv, eps, "app").toarray()
     idx = 1   # hat at x = 0.4
     e = np.zeros(test.n_free)
     e[idx] = 1.0

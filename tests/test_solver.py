@@ -1,6 +1,7 @@
 """Mixed saddle-point solves: consistency, uniqueness, norm-scaling invariance."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,10 +56,9 @@ def test_solution_invariant_under_gram_scaling():
     trial, test = Space(mesh, 1), Space(mesh, 3)
     system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
     base = solve_mixed(system)
-    # the whole Gram matrix: G and its mean term, 7 m m^T / |Omega|
-    system.G = 7.0 * system.G
-    m, omega = system.mean
-    system.mean = (m, omega / 7.0)
+    # the whole Gram matrix: its band and its mean term, 7 m m^T / |Omega|
+    m, omega = system.G.mean
+    system.G = replace(system.G, data=7.0 * system.G.data, mean=(m, omega / 7.0))
     scaled = solve_mixed(system)
     np.testing.assert_allclose(scaled.u, base.u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(7.0 * scaled.psi, base.psi, rtol=0,
@@ -79,7 +79,7 @@ def test_indefinite_gram_reported():
     problem = make_problem("linear", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
-    system.G = -system.G
+    system.G = replace(system.G, data=-system.G.data)
     with pytest.raises(IndefiniteGramError):
         solve_mixed(system)
 
@@ -103,7 +103,7 @@ def test_small_horizon_solve_is_the_refined_solve():
     mesh = uniform_mesh(1e-4, 640)
     problem = make_problem("smooth-nonlocal", 0.01, 1e-4)
     res = solve_problem(mesh, problem, eps=0.01, p=1, dp=2)["app"]
-    _, u = refined_solve(res.system.G, res.system.B, res.system.F)
+    _, u = refined_solve(res.system.G.toarray(), res.system.B, res.system.F)
     assert np.abs(res.solution.u - u).max() <= 1e-12 * np.abs(u).max()
 
 
@@ -135,7 +135,7 @@ def test_schur_cond_estimate_tracks_the_1norm_condition(name, delta, n_interior,
     res = solve_problem(uniform_mesh(delta, n_interior), problem, eps=0.01, p=1,
                         dp=dp)["app"]
     B = res.system.B
-    kappa = np.linalg.cond(B.T @ np.linalg.solve(res.system.G, B), 1)
+    kappa = np.linalg.cond(B.T @ np.linalg.solve(res.system.G.toarray(), B), 1)
     assert kappa / 10 <= res.solution.schur_cond_estimate <= kappa * (1 + 1e-10)
 
 
@@ -146,7 +146,7 @@ def test_two_norm_step_shares_the_norm_independent_parts():
     results = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=("app", "eng"))
     app, eng = results["app"].system, results["eng"].system
     assert app.B is eng.B and app.F is eng.F
-    assert not np.array_equal(app.G, eng.G)
+    assert not np.array_equal(app.G.toarray(), eng.G.toarray())
 
 
 def test_two_norm_step_builds_lift_and_load_once(monkeypatch):
@@ -168,23 +168,23 @@ def test_two_norm_step_builds_lift_and_load_once(monkeypatch):
 
 @pytest.mark.parametrize("norms", [("app", "eng"), ("eng", "app")])
 def test_two_norm_step_equals_two_one_norm_steps(norms):
-    # the last norm's Gram matrix is built in the storage of A_vv, the other
-    # in a copy of it; neither may see the other's build
+    # both Gram matrices are built from the band of A_vv, which neither
+    # build may change
     mesh = refine_uniform(initial_mesh(0.1))
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     both = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
     for norm in norms:
         one = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=(norm,))[norm]
-        for name in ("G", "B", "F"):
+        for name in ("B", "F"):
             assert np.array_equal(getattr(both[norm].system, name), getattr(one.system, name))
+        assert np.array_equal(both[norm].system.G.toarray(), one.system.G.toarray())
         assert both[norm].err_energy == one.err_energy
 
 
 @pytest.mark.parametrize("delta, n_interior", [(0.1, 80), (1e-4, 160), (0.01, 40)])
 def test_a_norms_results_do_not_depend_on_the_order_of_the_norms(delta, n_interior):
-    # the first norm's G is built in a copy of A_vv, the last in A_vv itself;
-    # both must have one layout, or G @ psi runs another BLAS path and the
-    # primal residual differs in its last bits
+    # whatever the order of the norms, each G must be the same band, or
+    # G @ psi and the primal residual differ in their last bits
     mesh = uniform_mesh(delta, n_interior)
     problem = make_problem("smooth-nonlocal", 0.01, delta)
     results = [solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
@@ -198,11 +198,11 @@ def test_a_norms_results_do_not_depend_on_the_order_of_the_norms(delta, n_interi
 
 
 def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
-    # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4.  A step keeps
-    # every norm's G and B, and holds one more array at a time (the mass
-    # matrix, the KKT band, or A_vu and C_vu), so the dense arrays take
-    # 8 ((k + 1) * 14**2 + 2 * 14 * 4) bytes for k norms: 4032 for one norm,
-    # 5600 for two
+    # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4 and a KKT
+    # half-band of 9, so a band of 2 * 9 + 1 = 19 rows.  By the bound of
+    # _check_memory a k-norm step takes
+    # 8 (2 * 14 * 4 + (2k + 4) * 19 * 14 + 28 * 18) bytes: 17696 for one
+    # norm, 21952 for two
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     build = nlpg.driver.mixed_system_from_parts
@@ -210,7 +210,7 @@ def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     def not_reached(*args):
         raise AssertionError("assembled before the memory check")
 
-    for norms, need in ((("app",), 4032), (("app", "eng"), 5600)):
+    for norms, need in ((("app",), 17696), (("app", "eng"), 21952)):
         monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", not_reached)
         monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need - 1)
         with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
@@ -247,6 +247,28 @@ def test_zero_exact_energy_norm_rejected():
     zeros = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     with pytest.raises(ValueError, match="exact solution has zero energy norm"):
         solve_problem(initial_mesh(0.1), Problem("const", ones, zeros), eps=0.01, p=1, dp=2)
+
+
+def test_problem_made_for_another_horizon_rejected(monkeypatch):
+    # the forcing of make_problem is derived for its own (eps, delta): a mesh
+    # at delta = 0.1 with a problem made for delta = 0.05 reported
+    # err_energy 0.1167 against 0.0690 without an error
+    def not_reached(*args):
+        raise AssertionError("assembled before the horizon check")
+
+    mesh = uniform_mesh(0.1, 10)
+    build = nlpg.driver.mixed_system_from_parts
+    monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", not_reached)
+    for eps, delta in ((0.01, 0.05), (0.02, 0.1)):
+        with pytest.raises(ValueError, match=r"made for \(eps, delta\) = "):
+            solve_problem(mesh, make_problem("smooth-nonlocal", eps, delta), eps=0.01, p=1,
+                          dp=2)
+    # a problem built by hand records no (eps, delta) and is not checked
+    monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", build)
+    made = make_problem("smooth-nonlocal", 0.01, 0.05)
+    res = solve_problem(mesh, Problem(made.name, made.u_exact, made.forcing), eps=0.01, p=1,
+                        dp=2)["app"]
+    assert res.err_energy > 0.1
 
 
 def test_memory_limit_is_a_plausible_size():

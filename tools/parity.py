@@ -13,12 +13,13 @@ checkout's ``src/``, each in its own process:
     x test norms app and eng                                  (144 cases)
 
 The 80-element mesh has delta/h = 8, so most of its pieces are of the
-CONTAINED case, and at (p, dp) = (1, 6) its 559 test DOFs span three row
-bands of the in-place Gram build.  At (p, dp) = (1, 8) the test space has
-order 9, ten basis functions per element, so the barycentric sum of
-``space.lagrange_basis`` runs its eight-accumulator branch with a tail.
+CONTAINED case, and its Gram band is wide: a half-bandwidth of 81 of its
+559 test DOFs at (p, dp) = (1, 6).  At (p, dp) = (1, 8) the test space has order 9, ten basis
+functions per element, so the barycentric sum of ``space.lagrange_basis``
+runs its eight-accumulator branch with a tail.
 
-For each case it keeps G, B and F of the mixed system, the relative energy
+For each case it keeps G (densified: a tree that holds G by its band has
+``toarray``), B and F of the mixed system, the relative energy
 and L2 errors, the squared indicators eta^2, and the energy seminorm of the
 residual representer psi (the square root of the summed ``pair_energies``
 of psi over the whole piece table of the test space).  It
@@ -168,11 +169,13 @@ def dump(path):
                     coeffs[res.test.free_dofs] = psi
                     seminorm2, = pair_energies(res.test, [(coeffs, None)], kernel,
                                                mesh_pieces(mesh))
-                    values = (res.system.G, res.system.B, res.system.F,
+                    G = res.system.G
+                    G = G.toarray() if hasattr(G, "toarray") else G
+                    values = (G, res.system.B, res.system.F,
                               res.err_energy, res.err_l2, eta2, np.sqrt(seminorm2.sum()))
                     for q, v in zip(QUANTITIES, values):
                         out[f"{case}|{q}"] = np.asarray(v, dtype=float)
-                    _, u = refined_solve(res.system.G, res.system.B, res.system.F)
+                    _, u = refined_solve(G, res.system.B, res.system.F)
                     coeffs = res.coeffs.copy()
                     coeffs[res.trial.free_dofs] = u
                     err, exact = energy_error_norms(res.trial, coeffs, problem.u_exact)
