@@ -40,24 +40,31 @@ The mass matrix, the mean vector and the load are summed the same way: the
 products of all interior elements at once, then one unbuffered ``np.add.at``
 in element order.
 
-Every test x test matrix is a ``Band``: in 1-D two DOFs couple only when
-their supports lie within the horizon, so with the free test DOFs in
-position order each matrix is its band, in the position order and of the
-half-bandwidth that ``kkt_layout`` computes (the mean term of 'app' aside).
-The diffusion block A_vv and the mass matrix M are scattered into their
-bands by the same unbuffered ``np.add.at`` in table order; only the target
-index differs from a dense matrix, so every entry keeps its additions and
-their order.  No n_test x n_test array is ever formed.
+Every matrix is a ``Band``: in 1-D two DOFs couple only when their
+supports lie within the horizon, so in the position order and of the
+half-bandwidth that ``kkt_layout`` computes each matrix is its band (the
+mean term of 'app' aside).  A test x test matrix has the free test DOFs in
+position order; a trial block, A_vu or C_vu, has 2k + 1 slots for each free
+trial column, at the test rows within k positions of it in the order of
+all the unknowns, and keeps its few constrained columns dense (its
+``edge``).  A_vv, A_vu, C_vu and the mass matrix M are scattered into their
+storage by the same unbuffered ``np.add.at`` in table order; only the
+target index differs from a dense matrix, so every entry keeps its
+additions and their order.  No n_test x n_test or n_test x n_trial array is
+ever formed.
 
 One call builds the discrete problem of a step, ``mixed_system_from_parts``.
 It checks the norm list (``check_norms``) and the spaces before it assembles
-anything.  It builds the lift, B and F once per mesh, forming
-op = eps A_vu + C_vu in the storage of A_vu and freeing op before the Gram
-builds, and then the Gram matrix of each test norm of the step from A_vv,
-which no build changes, so the systems of the norms share B and F.  The Gram
-build is elementwise on the band, each entry getting the same IEEE
-operations as in the dense G = 0.5 (X + X^T),
-X = eps^2 A_vv + M - m m^T / |Omega| ('eng': X = A_vv):
+anything, and takes the step's layout from its caller or computes it once.
+It builds the lift, B and F once per mesh: op = eps A_vu + C_vu is formed
+entry by entry in the storage of A_vu, B is op's band, and op @ lift takes
+the rows of op that meet a constrained column, dense over all trial
+columns, so that BLAS sums them as it summed the dense op.  Then it builds
+the Gram matrix of each test norm of the step from A_vv, which no build
+changes, so the systems of the norms share B and F.  The Gram build is
+elementwise on the band, each entry getting the same IEEE operations as in
+the dense G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
+('eng': X = A_vv):
 
 1. 'app' only: X = A_vv eps^2, then X += M, then X -= c with
    c_ab = (m_a m_b) / |Omega| on the band.
@@ -75,7 +82,7 @@ taken out.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -104,18 +111,31 @@ FORMS = (_Form(-2.0, KernelPair.eval_diffusion, 0),
 
 @dataclass
 class Band:
-    """An n x n matrix on the free test DOFs, held by its band.
+    """A matrix whose rows are the free test DOFs, held by its band.
 
-    With the DOFs in position order ``order`` and half-bandwidth k, entry
-    (order[a], order[b]), |a - b| <= k, is data[k + a - b, b] (LAPACK's
-    general band storage); the slots past the matrix's corners hold zeros.
-    Off the band the matrix is -m m^T / |Omega| for mean = (m, |Omega|),
-    the mean term of the 'app' Gram matrix, and zero for mean None.
+    Its unknowns lie in position order, ``order`` holding the unknown at
+    each position.  On the free test DOFs alone (``rows`` None) each unknown
+    is a row and a column.  A trial block has the unknowns of
+    ``kkt_layout``: the first ``rows`` are the free test DOFs, its rows, and
+    unknown rows + j is free trial DOF j, its column j.  With half-bandwidth
+    k, each column holds one slot for each position within k of its own:
+    entry (u, v), at positions a and b with |a - b| <= k, is
+    data[k + a - b, c], c the rank of column v in position order.  That is
+    LAPACK's general band storage when the rows are the columns.  The slots
+    past either end of the order and those at a position that holds no row
+    are zero.  Off the band the matrix is -m m^T / |Omega| for mean =
+    (m, |Omega|), the mean term of the 'app' Gram matrix, and zero for mean
+    None.  The trial blocks of the assembly also hold ``edge``, their dense
+    columns of the constrained trial DOFs, which only the boundary lift
+    multiplies; B holds none.  ``T`` is the transpose, on the same data.
     """
 
-    data: np.ndarray    # (2k + 1, n)
-    order: np.ndarray   # the free test DOF at each position
+    data: np.ndarray            # (2k + 1, columns)
+    order: np.ndarray           # the unknown at each position
     mean: tuple = None
+    rows: int = None            # of a trial block; None: the rows are the columns
+    edge: np.ndarray = None     # (rows, constrained trial DOFs)
+    transposed: bool = False
 
     @classmethod
     def zeros(cls, test, half_band):
@@ -126,18 +146,42 @@ class Band:
     def half_band(self):
         return len(self.data) // 2
 
+    @property
+    def shape(self):
+        shape = (len(self._rows), len(self._cols))
+        return shape[::-1] if self.transposed else shape
+
     @cached_property
     def _position(self):
         position = np.empty_like(self.order)
         position[self.order] = np.arange(len(self.order))
         return position
 
+    @cached_property
+    def _rows(self):
+        """The position of each row."""
+        return self._position if self.rows is None else self._position[:self.rows]
+
+    @cached_property
+    def _cols(self):
+        """The position of each column."""
+        return self._position if self.rows is None else self._position[self.rows:]
+
+    @cached_property
+    def _at(self):
+        """The position of each column of data."""
+        return np.sort(self._cols)
+
+    @cached_property
+    def _rank(self):
+        """The column of data of each column."""
+        return np.searchsorted(self._at, self._cols)
+
     def slot(self, rows, cols):
         """The band slots (row, column of data) of the entries (rows, cols),
         which must lie on the band (``kkt_layout`` takes its pairs by the
         rule of ``mesh_pieces``)."""
-        a, b = self._position[rows], self._position[cols]
-        return self.half_band + a - b, b
+        return self.half_band + self._rows[rows] - self._cols[cols], self._rank[cols]
 
     def mean_band(self):
         """(m_a m_b) / |Omega| on every slot, with m = 0 past the corners."""
@@ -147,37 +191,55 @@ class Band:
         return window * m / omega
 
     @cached_property
-    def shifted(self):
-        """The band of S = G + m m^T / |Omega| (the data for mean None), in
-        Fortran order and padded with zero columns to at least 2k + 1 of
-        them, as scipy's dgbmv takes no fewer rows; made on first use, so
-        the data must not change after it."""
-        k, n = self.half_band, len(self.order)
-        S = np.zeros((2 * k + 1, max(n, 2 * k + 1)), order="F")
-        S[:, :n] = self.data if self.mean is None else self.data + self.mean_band()
+    def banded(self):
+        """The matrix on all its unknowns in LAPACK band storage: the data
+        in the columns of the column positions, plus the mean term, so the
+        band of S = G + m m^T / |Omega| for a Gram matrix.  It is in Fortran
+        order and padded with zero columns to at least 2k + 1 of them, as
+        scipy's dgbmv takes no fewer rows; made on first use, so the data
+        must not change after it."""
+        k, N = self.half_band, len(self.order)
+        S = np.zeros((2 * k + 1, max(N, 2 * k + 1)), order="F")
+        S[:, self._at] = self.data if self.mean is None else self.data + self.mean_band()
         return S
 
+    @property
+    def T(self):
+        """The transpose, on the same data and the same ``banded``."""
+        out = replace(self, transposed=not self.transposed)
+        out.__dict__["banded"] = self.banded
+        return out
+
     def __matmul__(self, x):
-        """(S - m m^T / |Omega|) x for a vector x."""
-        n, S = len(self.order), self.shifted
+        """(S - m m^T / |Omega|) x, or its transpose's, for a vector x."""
+        rows, cols = (self._cols, self._rows) if self.transposed else (self._rows, self._cols)
+        S = self.banded
         k, N = self.half_band, S.shape[1]
-        y = np.empty(n)
-        y[self.order] = dgbmv(N, N, k, k, 1.0, S, np.pad(x[self.order], (0, N - n)))[:n]
+        x_at = np.zeros(N)
+        x_at[cols] = x
+        y = dgbmv(N, N, k, k, 1.0, S, x_at, trans=int(self.transposed))[rows]
         if self.mean is not None:
             y -= self.mean[0] * ((self.mean[0] @ x) / self.mean[1])
         return y
 
-    def toarray(self):
-        """The dense matrix: 0.0 - m m^T / |Omega| (the bits of 0.5 (X + X^T)
-        where X is 0.0 - (m_a m_b) / |Omega|) or zero, and the band on it."""
-        k, n = self.half_band, len(self.order)
-        out = np.zeros((n, n))
+    def toarray(self, rows=None):
+        """The dense matrix, or these of its rows: 0.0 - m m^T / |Omega| (the
+        bits of 0.5 (X + X^T) where X is 0.0 - (m_a m_b) / |Omega|) or zero,
+        and the band on it."""
+        k, N = self.half_band, len(self.order)
+        rows = np.arange(len(self._rows)) if rows is None else rows
+        out = np.zeros((len(rows), len(self._cols)))
         if self.mean is not None:
-            out -= np.outer(self.mean[0], self.mean[0]) / self.mean[1]
-        a = np.arange(n) + np.arange(-k, k + 1)[:, None]   # the row position of each slot
-        inside = (a >= 0) & (a < n)
-        out[self.order[a[inside]], np.broadcast_to(self.order, a.shape)[inside]] = self.data[inside]
-        return out
+            out -= np.outer(self.mean[0][rows], self.mean[0]) / self.mean[1]
+        # the place of each wanted row at its position, shifted by k; -1 at
+        # any other position
+        row_at = np.full(N + 2 * k, -1)
+        row_at[k + self._rows[rows]] = np.arange(len(rows))
+        col = np.argsort(self._rank)   # the column of each column of data
+        row = row_at[self._at + np.arange(2 * k + 1)[:, None]]
+        on = row >= 0
+        out[row[on], np.broadcast_to(col, row.shape)[on]] = self.data[on]
+        return out.T if self.transposed else out
 
 
 def _signed_weights(kernel, xs, y, wy):
@@ -186,20 +248,22 @@ def _signed_weights(kernel, xs, y, wy):
     return [form.factor * form.signed(kernel, s) * wy for form in FORMS]
 
 
-def assemble_nonlocal_forms(test, trial):
+def assemble_nonlocal_forms(test, trial, layout=None):
     """Assemble the operator matrices of the mixed system in one sweep.
 
     Returns (A_vu, C_vu, A_vv): (-L_delta u, v) and (b.G_delta u, v) for u in
-    the trial space, and (-L_delta w, v) for w in the test space.  Rows are
-    free test DOFs; the columns of A_vu and C_vu are all trial DOFs.  A_vv,
-    on the free test DOFs, is a ``Band`` of the half-bandwidth of
-    ``kkt_layout(test, trial)``.
+    the trial space, and (-L_delta w, v) for w in the test space, each a
+    ``Band`` in the layout ``kkt_layout(test, trial)`` (computed unless
+    given).  Rows are free test DOFs.  A_vu and C_vu are trial blocks: their
+    bands hold the free trial columns and their ``edge`` the constrained
+    ones.  A_vv is on the free test DOFs.
     """
     mesh = test.mesh
     delta = mesh.delta
     kernel = KernelPair(delta)
     if trial.mesh is not mesh and not np.array_equal(trial.mesh.nodes, mesh.nodes):
         raise ValueError("trial and test spaces must share one mesh")
+    unknowns, half_band = kkt_layout(test, trial) if layout is None else layout
 
     order = max(test.order, trial.order)
     n_out, n_in = test.order + N_OVER, order + N_OVER
@@ -213,19 +277,25 @@ def assemble_nonlocal_forms(test, trial):
     t = delta * q_in
     wK_in = [form.factor * form.signed(kernel, t) * (delta * w_in) for form in FORMS]
 
-    # each column space with the column of each of its DOFs (-1 for one not
-    # added), its basis at the Gauss points elem_y of every element (the
-    # inner nodes of a CONTAINED piece), its matrices, in the order of FORMS,
-    # and the map from (row, column) to their index: the trial space gets
-    # both forms on all its DOFs, the test space the diffusion form on its
-    # free DOFs only, in the slots of the band
-    A_vu, C_vu = (np.zeros((test.n_free, trial.n_dofs)) for _ in FORMS)
-    A_vv = Band.zeros(test, kkt_layout(test, trial)[1])
-    columns = [(space, col_of, space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y),
-                mats, index)
-               for space, col_of, mats, index in (
-                   (trial, np.arange(trial.n_dofs), (A_vu, C_vu), lambda r, c: (r, c)),
-                   (test, test.free_row, (A_vv.data,), A_vv.slot))]
+    # each column space with its basis at the Gauss points elem_y of every
+    # element (the inner nodes of a CONTAINED piece) and its targets: the
+    # column of each of its DOFs (-1 for one the target does not hold), the
+    # target's matrices, in the order of FORMS, and the map from (row,
+    # column) to their index.  The trial space gets both forms, its free DOFs
+    # in the slots of the trial bands and its constrained DOFs in their dense
+    # edges; the test space the diffusion form on its free DOFs, in the slots
+    # of A_vv's band
+    n_edge = len(trial.constrained_dofs)
+    A_vu, C_vu = (Band(np.zeros((2 * half_band + 1, trial.n_free)), unknowns, rows=test.n_free,
+                       edge=np.zeros((test.n_free, n_edge))) for _ in FORMS)
+    A_vv = Band.zeros(test, half_band)
+    edge_col = np.full(trial.n_dofs, -1)
+    edge_col[trial.constrained_dofs] = np.arange(n_edge)
+    columns = [(space, space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y), targets)
+               for space, targets in (
+                   (trial, ((trial.free_row, (A_vu.data, C_vu.data), A_vu.slot),
+                            (edge_col, (A_vu.edge, C_vu.edge), lambda r, c: (r, c)))),
+                   (test, ((test.free_row, (A_vv.data,), A_vv.slot),)))]
 
     i, j, lo, hi, case = mesh_pieces(mesh)
     interior = np.flatnonzero((i > 0) & (i < mesh.n_elements - 1))
@@ -260,7 +330,7 @@ def assemble_nonlocal_forms(test, trial):
         # pair is -(wBtx * sK)^T @ Bx with sK the row sums of the weights
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
-        for space, col_of, elem_basis, mats, index in columns:
+        for space, elem_basis, targets in columns:
             # a copy: the clipped-pair shift below changes Bx in place
             Bx = Btx.copy() if space is test else space.local_basis(ib[:, None], xs)
             Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
@@ -279,12 +349,16 @@ def assemble_nonlocal_forms(test, trial):
             By_cl[left[cl], ..., -1] -= 1.0
             Bx[right, :, -1] -= 1.0
             Bx[left, :, 0] -= 1.0
-            cols = col_of[np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)]
-            R, C, K = np.broadcast_arrays(rows[:, None, :, None], cols[:, :, None, :],
-                                          keep & (cols >= 0)[:, :, None, :])
-            target = index(R[K], C[K])
+            dofs = np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)
+            scatter = []
+            for col_of, mats, index in targets:
+                cols = col_of[dofs]
+                R, C, K = np.broadcast_arrays(rows[:, None, :, None], cols[:, :, None, :],
+                                              keep & (cols >= 0)[:, :, None, :])
+                if K.any():
+                    scatter.append((mats, index(R[K], C[K]), K))
 
-            for f, mat in enumerate(mats):
+            for f in range(len(targets[0][1])):
                 parity = FORMS[f].parity
                 M = np.zeros((taylor.sum(), space.order + 1, space.order + 1))
                 wt = np.broadcast_to(wK_in[f], tau[taylor].shape)
@@ -305,7 +379,8 @@ def assemble_nonlocal_forms(test, trial):
                 blocks = np.stack((wBt @ Zj, sign * (wBs @ Zi)), axis=1)
                 # unbuffered and in table order: every entry receives the
                 # additions of its pieces one by one, in the order of the table
-                np.add.at(mat, target, blocks[K])
+                for mats, target, K in scatter:
+                    np.add.at(mats[f], target, blocks[K])
     return A_vu, C_vu, A_vv
 
 
@@ -406,7 +481,7 @@ class MixedSystem:
     the layout of its banded KKT matrix (see ``kkt_layout``)."""
 
     G: Band             # with its mean term (m, |Omega|) for 'app'
-    B: np.ndarray
+    B: Band             # a trial block, on the free trial columns
     F: np.ndarray
     order: np.ndarray   # KKT unknowns (free test DOFs, then free trial DOFs) by position
     half_band: int      # of [[G + m m^T / |Omega|, B], [B^T, 0]] in that order
@@ -482,28 +557,41 @@ def kkt_layout(test, trial):
     return order, int((last - np.arange(len(order))).max())
 
 
-def mixed_system_from_parts(trial, test, eps, problem, norms):
+def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
     """The discrete mixed problem of every test norm: (lift, {norm: MixedSystem}).
 
     The systems share B = op on the free trial columns and
     F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu, and the KKT layout
-    of ``kkt_layout``.  Each Gram matrix is built on the band of the
-    diffusion block A_vv.  The norms and the spaces are checked before
-    anything is assembled.
+    ``kkt_layout(test, trial)`` (computed unless given).  B is op's band.
+    The lift is nonzero only at the constrained trial DOFs, so op @ lift
+    comes from the rows of op that meet one.  Each Gram matrix is built on
+    the band of the diffusion block A_vv.  The norms and the spaces are
+    checked before anything is assembled.
     """
     norms = check_norms(norms)
     if not 0 < trial.n_free < test.n_free:
         raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
-    op, C_vu, A_vv = assemble_nonlocal_forms(test, trial)
+    if layout is None:
+        layout = kkt_layout(test, trial)
+    order, half_band = layout
+    op, C_vu, A_vv = assemble_nonlocal_forms(test, trial, layout)
     lift = boundary_lift(trial, problem.u_exact)
-    # op = eps A_vu + C_vu, in the storage of A_vu
-    op *= eps
-    op += C_vu
+    # op = eps A_vu + C_vu, entry by entry in the storage of A_vu
+    for mine, theirs in ((op.data, C_vu.data), (op.edge, C_vu.edge)):
+        mine *= eps
+        mine += theirs
     del C_vu
-    F = (load_vector(test, problem.forcing) - op @ lift
+    # op @ lift from the rows of op that meet a constrained column, dense
+    # over all trial columns: BLAS sums each row as it sums a row of the
+    # dense op, and every other row is zero
+    near = np.flatnonzero(op.edge.any(axis=1))
+    strip = np.zeros((len(near), trial.n_dofs))
+    strip[:, trial.free_dofs] = op.toarray(near)
+    strip[:, trial.constrained_dofs] = op.edge[near]
+    op_lift = np.zeros(test.n_free)
+    op_lift[near] = strip @ lift
+    F = (load_vector(test, problem.forcing) - op_lift
          - boundary_defect_load(test, trial, lift, problem.u_exact, eps))
-    B = op[:, trial.free_dofs]
-    del op   # before the Gram builds
-    order, half_band = kkt_layout(test, trial)
+    B = replace(op, edge=None)
     return lift, {norm: MixedSystem(_gram(test, A_vv, eps, norm), B, F, order, half_band)
                   for norm in norms}

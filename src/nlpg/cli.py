@@ -84,7 +84,7 @@ def _run_command(args):
         print(f"wrote {args.mesh_out}")
     if args.dump_matrices:
         system = last["system"]
-        for name, arr in (("G", system.G.toarray()), ("B", system.B), ("F", system.F)):
+        for name, arr in (("G", system.G.toarray()), ("B", system.B.toarray()), ("F", system.F)):
             path = f"{args.dump_matrices}{name}.txt"
             np.savetxt(path, np.atleast_2d(arr))
             print(f"wrote {path}")

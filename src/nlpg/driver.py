@@ -52,26 +52,32 @@ def _check_memory(n_test, n_trial, n_norms, half_band):
     """Raise MemoryError if the arrays of the step cannot fit.
 
     With n = n_test, t = n_trial, N = n + t and k = half_band, in float64
-    values, a band being (2k + 1) n of them: the assembly holds the dense
-    trial-column blocks A_vu and C_vu, 2 n t, and then op and B as long.  B
-    (n t) stays alive, and so do every norm's Gram band and, once the norm
-    is solved, the band of its S, as the StepResults keep them.  The Gram
-    builds come first: the one of a norm holds A_vv, its own band, the mass
-    matrix and two temporaries of the mean term, besides the earlier
+    values; every matrix is a band of 2k + 1 slots per column.  The
+    assembly holds the trial bands A_vu and C_vu, (2k + 1) t each, and then
+    the strip of op that the lift multiplies: the rows that meet a
+    constrained column, dense over all trial columns.  Those rows lie
+    within the band of the first or last free trial column, so the strip
+    is about one trial band.  B keeps the storage of A_vu and stays alive,
+    and so does its product band, (2k + 1) N, made by its first product in
+    the solve.  Every norm's Gram band and, once the norm is solved, the
+    band of its S stay alive too, as the StepResults keep them.  The Gram
+    builds come first: the one of a norm holds A_vv, its own band, the
+    mass matrix and two temporaries of the mean term, besides the earlier
     norms' bands.  Each solve then holds its S and the temporaries that
-    make it (three bands), the Cholesky factor of S (k + 1 of its rows) and
-    the KKT band, (3k + 1) N.  So 2 n t + (2k' + 4) bands + (3k + 1) N
-    values bound a k'-norm step, the assembly and the rest summed, not
-    maximized.  Left out: the chunk temporaries of the assembly, at most a
-    few tens of MB, and the zero columns that pad S to 2k + 1 columns when
-    n is smaller.
+    make it (three test bands), the Cholesky factor of S (k + 1 of its
+    rows) and the KKT band, (3k + 1) N.  So (2k + 1) (3t + N) values, with
+    (2k' + 4) test bands of (2k + 1) n and (3k + 1) N, bound a k'-norm
+    step, the assembly and the rest summed, not maximized.  Left out: the
+    chunk temporaries of the assembly, at most a few tens of MB, the dense
+    edge columns of the constrained trial DOFs, and the zero columns that
+    pad a band to 2k + 1 columns when it has fewer.
     """
-    need = 8 * (2 * n_test * n_trial + (2 * n_norms + 4) * (2 * half_band + 1) * n_test
-                + (3 * half_band + 1) * (n_test + n_trial))
+    n, t, k = n_test, n_trial, half_band
+    need = 8 * ((2 * k + 1) * (3 * t + (n + t) + (2 * n_norms + 4) * n) + (3 * k + 1) * (n + t))
     limit = _memory_limit()
     if need > limit:
         raise MemoryError(
-            f"the dense arrays need about {need / 2**30:.2f} GiB (n_test = {n_test}, "
+            f"the step's bands need about {need / 2**30:.2f} GiB (n_test = {n_test}, "
             f"n_trial = {n_trial}), more than the {limit / 2**30:.2f} GiB of memory available")
 
 
@@ -87,8 +93,9 @@ def solve_problem(mesh, problem, *, eps, p, dp, norms=("app",)):
                          f"{problem.made_for}, not ({eps}, {mesh.delta})")
     trial = Space(mesh, p)
     test = Space(mesh, p + dp)
-    _check_memory(test.n_free, trial.n_free, len(norms), kkt_layout(test, trial)[1])
-    lift, systems = mixed_system_from_parts(trial, test, eps, problem, norms)
+    layout = kkt_layout(test, trial)
+    _check_memory(test.n_free, trial.n_free, len(norms), layout[1])
+    lift, systems = mixed_system_from_parts(trial, test, eps, problem, norms, layout)
     out = {}
     for norm, system in systems.items():
         solution = solve_mixed(system)

@@ -10,22 +10,24 @@ Sherman-Morrison formula: with K0 = [[S, B], [B^T, 0]] and e = [m; 0],
 
     x = y + z (e^T y) / (|Omega| - e^T z),   K0 y = [F; 0],   K0 z = e.
 
-K0 is put in band storage from the band of S, which ``assembly.Band``
-holds, and from B, and factored once with LAPACK's banded LU with partial
+K0 is put in band storage from the bands of S and of B, both held by
+``assembly.Band``, and factored once with LAPACK's banded LU with partial
 pivoting (``dgbtrf``, Golub & Van Loan section 4.3); ``dgbtrs`` solves for
 [F; 0] and e.  One step of iterative refinement follows, its residual taken
-with G @ psi = S psi - m (m^T psi) / |Omega|, S applied by its band.  The LU
-pivots across the indefinite matrix: on the grid of ``tools/parity.py`` its
-u was up to 1.2e-13 (relative) from a longdouble-refined solve without the
-step, and is within 9e-15 with it.
+with G @ psi = S psi - m (m^T psi) / |Omega|, B @ u and B^T @ psi, each
+band applied by LAPACK's ``dgbmv``.  The LU pivots across the indefinite
+matrix: on the grid of ``tools/parity.py`` its u was up to 1.2e-13
+(relative) from a longdouble-refined solve without the step, and is within
+9e-15 with it.
 
 G is SPD exactly when the banded Cholesky factorization of S succeeds and
 |Omega| - m^T S^-1 m > 0, by Haynsworth inertia additivity applied to
 [[S, m], [m^T, |Omega|]] (a failure is an ``IndefiniteGramError``).  Given
 that, K is nonsingular exactly when B has full column rank; a zero pivot of
-the LU is an ``InfSupError``.  The residuals are taken with that G @ psi,
-and the condition estimate of the Schur complement B^T G^-1 B is the product
-of two 1-norm estimates, one over products with it and one over KKT solves.
+the LU is an ``InfSupError``.  The residuals are taken with those band
+products, and the condition estimate of the Schur complement B^T G^-1 B is
+the product of two 1-norm estimates, one over products with it and one over
+KKT solves.  No n_test x n_trial or n_test x n_test array is formed.
 """
 
 from dataclasses import dataclass
@@ -78,41 +80,40 @@ def _norm1(apply, n):
     return est
 
 
-def _kkt_band(system, S, lead):
+def _kkt_band(system, lead):
     """LAPACK band storage of K0[order][:, order], K0 = [[S, B], [B^T, 0]], of
     half-bandwidth k: entry (a, b) in row lead + k + a - b of column b, below
     lead rows of zeros.
 
-    Unknown i < n is test unknown i, n + j trial unknown j; S is the band of
-    ``Band.shifted``.  A pass takes a run of test positions: their columns
-    of S, each slot moved to the positions of its unknowns, and the trial
-    rows of the same columns, read along the rows of B.  The test-row,
-    trial-column entries are the mirror of those.
+    Unknown i < n is test unknown i, n + j trial unknown j.  A test column
+    takes the slots of its column of S (``Band.banded`` of G) whose unknowns
+    lie within k of it, a run of test positions found by ``searchsorted``,
+    each moved to the position of its unknown.  A trial column is B's column
+    as it is, since B is held in this layout, and its mirror, the trial row
+    of the test columns, is moved one diagonal at a time.
     """
     G, B, order, k = system.G, system.B, system.order, system.half_band
-    n, N = B.shape[0], len(order)
-    # the position of the unknown of each test position (G.order is
-    # order[order < n]), and of none past either end: 3N is never within k
-    col = np.pad(np.flatnonzero(order < n), k, constant_values=3 * N)
-    # the trial DOF at each position, -1 for a test unknown and past either end
-    trial = np.pad(np.where(order >= n, order - n, -1), k, constant_values=-1)
-    off = np.arange(2 * k + 1)
+    n, N, S = len(G.order), len(order), G.banded
+    # the position of each test unknown, by test position (G.order is
+    # order[order < n]), and the run of test positions within k of each
+    col = np.flatnonzero(order < n)
+    lo, hi = np.searchsorted(col, col - k), np.searchsorted(col, col + k, side="right")
     ab = np.zeros((lead + 2 * k + 1, N), order="F")
     width = max(1, GATHER // (2 * k + 1))
     for q0 in range(0, n, width):
         q = np.arange(q0, min(q0 + width, n))
-        b = col[k + q, None]
-        # slots of S; one whose unknowns lie farther apart than k is zero
-        a = col[q[:, None] + off] - b
-        keep = np.abs(a) <= k
-        ab[lead + k + a[keep], np.broadcast_to(b, a.shape)[keep]] = S[:, q0:q[-1] + 1].T[keep]
-        # trial rows of these columns: one row of B per column
-        j = trial[b + off]
-        keep = j >= 0
-        vals = B[np.broadcast_to(G.order[q, None], j.shape)[keep], j[keep]]
-        a, b = (b - k + off)[keep], np.broadcast_to(b, j.shape)[keep]
-        ab[lead + k + a - b, b] = vals
-        ab[lead + k + b - a, a] = vals
+        count = hi[q] - lo[q]
+        b = np.repeat(q, count)
+        # the test position of each kept slot: run q of lo[q] .. hi[q] - 1
+        a = np.arange(len(b)) + np.repeat(lo[q] - np.cumsum(count) + count, count)
+        ab[lead + k + col[a] - col[b], col[b]] = S[k + a - b, b]
+    at = np.flatnonzero(order >= n)   # the position of each column of B
+    ab[lead:, at] = B.data
+    for s in range(2 * k + 1):
+        # slot s of trial column b, in row at[b] + s - k, mirrored
+        c = at + (s - k)
+        run = slice(*np.searchsorted(c, (0, N)))
+        ab[lead + 2 * k - s, c[run]] = B.data[s, run]
     return ab
 
 
@@ -122,7 +123,7 @@ def solve_mixed(system):
     (n, nt), k, order = B.shape, system.half_band, system.order
     # SPD test of G: banded Cholesky of S, whose lower band is S[k:], in the
     # position order of the test unknowns
-    S, test = G.shifted, G.order
+    S, test = G.banded, G.order
     try:
         chol = (cholesky_banded(S[k:, :n], lower=True), True)
     except LinAlgError as exc:
@@ -138,7 +139,7 @@ def solve_mixed(system):
                 "Gram matrix is not positive definite (its mean term); "
                 "the test-norm assembly is broken")
 
-    lu, piv, info = dgbtrf(_kkt_band(system, S, lead=k), k, k, overwrite_ab=True)
+    lu, piv, info = dgbtrf(_kkt_band(system, lead=k), k, k, overwrite_ab=True)
     if info > 0:
         raise InfSupError(
             "the KKT matrix is singular: discrete inf-sup failure; "

@@ -7,8 +7,10 @@ discrete optimal test norm, the energy seminorm of a discrete function, a
 least-squares log-log slope, a dense quadrature of one hat function's
 energy, the graded mesh that several tests share, the interpolant of a
 function in a space, and the barycentric Lagrange basis as the plain
-expression whose bits ``space.lagrange_basis`` keeps.  The refined solve of
-the mixed system, ``refined_solve``, is the one of ``tools/parity.py``.
+expression whose bits ``space.lagrange_basis`` keeps.  ``dense_block`` and
+``dense_B`` give the trial blocks of the assembly and B as the dense
+matrices the band storage replaced.  The refined solve of the mixed system,
+``refined_solve``, is the one of ``tools/parity.py``.
 
 Import with ``from reference import ...``; pytest puts this directory on the
 path of the test modules beside it.
@@ -112,6 +114,23 @@ def gram(test, diffusion_vv, eps, norm):
     return 0.5 * (X + X.T)
 
 
+def dense_block(block, space):
+    """A trial block of ``assemble_nonlocal_forms`` as the dense matrix on
+    every DOF of its column space: the band at the free DOFs and the dense
+    edge at the constrained ones."""
+    out = np.zeros((block.shape[0], space.n_dofs))
+    out[:, space.free_dofs] = block.toarray()
+    out[:, space.constrained_dofs] = block.edge
+    return out
+
+
+def dense_B(test, trial, eps):
+    """B as the plain dense expression (eps A_vu + C_vu) on the free trial
+    columns, with the dense trial blocks of ``dense_block``."""
+    A, C = (dense_block(M, trial) for M in assemble_nonlocal_forms(test, trial)[:2])
+    return (eps * A + C)[:, trial.free_dofs]
+
+
 def compute_discrete_optimal_norm(v, test, eps):
     """Discrete optimal test norm of a free test-space vector.
 
@@ -120,9 +139,9 @@ def compute_discrete_optimal_norm(v, test, eps):
     """
     v = np.asarray(v, dtype=float)
     A, C, _ = assemble_nonlocal_forms(test, test)
-    Aff = A[:, test.free_dofs]
+    Aff = A.toarray()
     Aff = 0.5 * (Aff + Aff.T)
-    w = C[:, test.free_dofs] @ v
+    w = C.toarray() @ v
     z = cho_solve(cho_factor(Aff, lower=True), w)
     return float(math.sqrt(eps**2 * (v @ Aff @ v) + w @ z))
 

@@ -17,8 +17,8 @@ from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
 from nlpg.quadrature import CONTAINED, N_OVER, gauss_legendre, mesh_pieces
 from nlpg.space import Space, boundary_lift
-from reference import (graded_mesh, gram, hat, hat_energy_by_quad, interpolate,
-                       nested_integrate)
+from reference import (dense_B, dense_block, graded_mesh, gram, hat, hat_energy_by_quad,
+                       interpolate, nested_integrate)
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.02, 1e-4])
@@ -27,8 +27,8 @@ def setup(request):
     mesh = refine_uniform(initial_mesh(delta))
     trial = Space(mesh, 1)
     test = Space(mesh, 3)
-    A, C, _ = assemble_nonlocal_forms(test, trial)
-    Avv, Cvv, _ = assemble_nonlocal_forms(test, test)
+    A, C = (dense_block(M, trial) for M in assemble_nonlocal_forms(test, trial)[:2])
+    Avv, Cvv = (dense_block(M, test) for M in assemble_nonlocal_forms(test, test)[:2])
     return mesh, trial, test, A, C, Avv, Cvv
 
 
@@ -52,8 +52,8 @@ def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
     def assemble():
         A_vu, C_vu, A_vv = assemble_nonlocal_forms(test, trial)
         _, C_ww, A_ww = assemble_nonlocal_forms(test, test)
-        return (A_vu, C_vu, A_vv.data, C_ww, A_ww.data,
-                boundary_defect_load(test, trial, lift, g, 0.01))
+        return (A_vu.data, A_vu.edge, C_vu.data, C_vu.edge, A_vv.data, C_ww.data, C_ww.edge,
+                A_ww.data, boundary_defect_load(test, trial, lift, g, 0.01))
 
     runs = []   # the run count of every walk over the table
 
@@ -101,7 +101,7 @@ def test_test_space_as_trial_space_gives_the_diffusion_block(mesh):
         A_vv = assemble_nonlocal_forms(test, trial)[2]
         k = kkt_layout(test, trial)[1]
         assert A_vv.data.shape == (2 * k + 1, test.n_free) and A_vv.mean is None
-        assert np.array_equal(assemble_nonlocal_forms(test, test)[0][:, test.free_dofs],
+        assert np.array_equal(assemble_nonlocal_forms(test, test)[0].toarray(),
                               A_vv.toarray())
 
 
@@ -234,9 +234,11 @@ def test_gram_equals_the_plain_expression(norm):
 
 @pytest.mark.parametrize("norm", ["app", "eng"])
 def test_system_build_holds_no_dense_test_array(norm):
-    # delta = 1e-4 on 640 elements, dp = 6: n_test = 4479, so one
-    # n_test x n_test array takes 160 MB, where the build holds the dense
-    # trial-column blocks A_vu and C_vu (46 MB), B and bands of 35 rows
+    # delta = 1e-4 on 640 elements, dp = 6: n_test = 4479 and n_trial = 639,
+    # so one n_test x n_test array takes 160 MB and one n_test x n_trial
+    # array 23 MB, where the build holds bands of 35 rows and the chunk
+    # temporaries of the assembly (6.7 MB in all; 51 MB with the dense
+    # trial blocks)
     mesh = uniform_mesh(1e-4, 640)
     trial, test = Space(mesh, 1), Space(mesh, 7)
     problem = make_problem("smooth-nonlocal", 0.01, 1e-4)
@@ -247,6 +249,7 @@ def test_system_build_holds_no_dense_test_array(norm):
     finally:
         tracemalloc.stop()
     assert test.n_free == 4479 and peak <= 0.4 * 8 * test.n_free**2
+    assert trial.n_free == 639 and peak <= 0.5 * 8 * test.n_free * trial.n_free
 
 
 def test_systems_share_B_and_F():
@@ -259,7 +262,29 @@ def test_systems_share_B_and_F():
         assert list(systems) == list(norms) and lift.shape == (trial.n_dofs,)
         first, last = systems.values()
         assert first.B is last.B and first.F is last.F and first.G is not last.G
-        assert first.B.shape == (test.n_free, trial.n_free)
+        assert first.B.shape == (test.n_free, trial.n_free) and first.B.edge is None
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 20), graded_mesh(0.01),
+                                  uniform_mesh(1e-4, 40), uniform_mesh(0.3, 8)],
+                         ids=["uniform", "graded", "small-horizon", "horizon-past-elements"])
+@pytest.mark.parametrize("p, dp", [(1, 2), (2, 3)])
+def test_B_is_the_band_of_the_dense_B(mesh, p, dp):
+    # B is op's band on the free trial columns: densified, the plain dense
+    # expression bit for bit; its products and its transpose's, the dense
+    # ones up to the order of the sums.  The last mesh's band is wider than
+    # B has rows
+    trial, test = Space(mesh, p), Space(mesh, p + dp)
+    problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
+    B = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"].B
+    expected = dense_B(test, trial, 0.01)
+    assert B.shape == expected.shape and B.T.shape == expected.T.shape
+    assert B.toarray().tobytes() == expected.tobytes()
+    assert np.array_equal(B.T.toarray(), expected.T)
+    rng = np.random.default_rng(5)
+    u, psi = rng.standard_normal(trial.n_free), rng.standard_normal(test.n_free)
+    for band, dense, x in ((B, expected, u), (B.T, expected.T, psi)):
+        assert np.abs(band @ x - dense @ x).max() <= 1e-14 * (np.abs(dense) @ np.abs(x)).max()
 
 
 @pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 20), graded_mesh(0.01),
@@ -290,7 +315,7 @@ def test_kkt_band_holds_every_coupling(mesh, p, dp):
             K0[:n, :n] += np.outer(m, m) / omega
         else:
             assert system.G.mean is None
-        K0[:n, n:], K0[n:, :n] = system.B, system.B.T
+        K0[:n, n:], K0[n:, :n] = system.B.toarray(), system.B.T.toarray()
         rows, cols = np.nonzero(K0[np.ix_(order, order)])
         reach = np.abs(rows - cols).max()
         assert reach <= half_band <= reach + (p + dp) + p
@@ -311,7 +336,7 @@ def test_two_calls_give_bit_equal_systems():
     for norm in ("app", "eng"):
         for name in ("G", "B", "F"):
             one, two = (getattr(s[norm], name) for s in (first, second))
-            if name == "G":
+            if name != "F":
                 one, two = one.toarray(), two.toarray()
             assert one.tobytes() == two.tobytes(), (norm, name)
 

@@ -12,9 +12,9 @@ from nlpg.assembly import mixed_system_from_parts
 from nlpg.driver import solve_problem
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
-from nlpg.solver import IndefiniteGramError, InfSupError, solve_mixed
+from nlpg.solver import IndefiniteGramError, InfSupError, _kkt_band, solve_mixed
 from nlpg.space import Space
-from reference import interpolate, refined_solve
+from reference import graded_mesh, interpolate, refined_solve
 
 
 @pytest.mark.parametrize("delta", [0.1, 1e-4])
@@ -92,7 +92,8 @@ def test_rank_deficient_B_reported(norm):
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     trial, test = Space(mesh, 1), Space(mesh, 3)
     system = mixed_system_from_parts(trial, test, 0.01, problem, (norm,))[1][norm]
-    system.B[:, 1] = 0.0
+    # trial column 1: the column of B's band that holds its slots
+    system.B.data[:, system.B.slot(0, 1)[1]] = 0.0
     with pytest.raises(InfSupError):
         solve_mixed(system)
 
@@ -103,7 +104,7 @@ def test_small_horizon_solve_is_the_refined_solve():
     mesh = uniform_mesh(1e-4, 640)
     problem = make_problem("smooth-nonlocal", 0.01, 1e-4)
     res = solve_problem(mesh, problem, eps=0.01, p=1, dp=2)["app"]
-    _, u = refined_solve(res.system.G.toarray(), res.system.B, res.system.F)
+    _, u = refined_solve(res.system.G.toarray(), res.system.B.toarray(), res.system.F)
     assert np.abs(res.solution.u - u).max() <= 1e-12 * np.abs(u).max()
 
 
@@ -134,7 +135,7 @@ def test_schur_cond_estimate_tracks_the_1norm_condition(name, delta, n_interior,
     problem = make_problem(name, 0.01, delta)
     res = solve_problem(uniform_mesh(delta, n_interior), problem, eps=0.01, p=1,
                         dp=dp)["app"]
-    B = res.system.B
+    B = res.system.B.toarray()
     kappa = np.linalg.cond(B.T @ np.linalg.solve(res.system.G.toarray(), B), 1)
     assert kappa / 10 <= res.solution.schur_cond_estimate <= kappa * (1 + 1e-10)
 
@@ -175,9 +176,10 @@ def test_two_norm_step_equals_two_one_norm_steps(norms):
     both = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
     for norm in norms:
         one = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=(norm,))[norm]
-        for name in ("B", "F"):
-            assert np.array_equal(getattr(both[norm].system, name), getattr(one.system, name))
-        assert np.array_equal(both[norm].system.G.toarray(), one.system.G.toarray())
+        assert np.array_equal(both[norm].system.F, one.system.F)
+        for name in ("G", "B"):
+            assert np.array_equal(getattr(both[norm].system, name).toarray(),
+                                  getattr(one.system, name).toarray())
         assert both[norm].err_energy == one.err_energy
 
 
@@ -199,10 +201,10 @@ def test_a_norms_results_do_not_depend_on_the_order_of_the_norms(delta, n_interi
 
 def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4 and a KKT
-    # half-band of 9, so a band of 2 * 9 + 1 = 19 rows.  By the bound of
+    # half-band of 9, so bands of 2 * 9 + 1 = 19 rows.  By the bound of
     # _check_memory a k-norm step takes
-    # 8 (2 * 14 * 4 + (2k + 4) * 19 * 14 + 28 * 18) bytes: 17696 for one
-    # norm, 21952 for two
+    # 8 (19 (3 * 4 + 18 + (2k + 4) * 14) + 28 * 18) bytes: 21360 for one
+    # norm, 25616 for two
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     build = nlpg.driver.mixed_system_from_parts
@@ -210,7 +212,7 @@ def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     def not_reached(*args):
         raise AssertionError("assembled before the memory check")
 
-    for norms, need in ((("app",), 17696), (("app", "eng"), 21952)):
+    for norms, need in ((("app",), 21360), (("app", "eng"), 25616)):
         monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", not_reached)
         monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need - 1)
         with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
@@ -269,6 +271,50 @@ def test_problem_made_for_another_horizon_rejected(monkeypatch):
     res = solve_problem(mesh, Problem(made.name, made.u_exact, made.forcing), eps=0.01, p=1,
                         dp=2)["app"]
     assert res.err_energy > 0.1
+
+
+def test_one_layout_per_solve(monkeypatch):
+    # the memory guard, the assembly and the systems share the KKT layout
+    # that solve_problem computes once
+    calls = Counter()
+    layout = nlpg.assembly.kkt_layout
+
+    def counted(*args):
+        calls["kkt_layout"] += 1
+        return layout(*args)
+
+    for module in (nlpg.assembly, nlpg.driver):
+        monkeypatch.setattr(module, "kkt_layout", counted)
+    mesh = uniform_mesh(0.1, 10)
+    solve_problem(mesh, make_problem("smooth-nonlocal", 0.01, 0.1), eps=0.01, p=1, dp=2,
+                  norms=("app", "eng"))
+    assert calls == {"kkt_layout": 1}
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 40), graded_mesh(0.01), uniform_mesh(0.3, 8)],
+                         ids=["uniform", "graded", "horizon-past-elements"])
+@pytest.mark.parametrize("norm", ["app", "eng"])
+def test_kkt_band_is_the_band_of_the_dense_kkt_matrix(mesh, norm):
+    # the band that the solve factors holds K0 = [[S, B], [B^T, 0]] in
+    # position order, S = G + m m^T / |Omega|, byte for byte as taken from
+    # the dense K0, and zeros in its lead rows and past either end
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
+    system = mixed_system_from_parts(trial, test, 0.01, problem, (norm,))[1][norm]
+    n, order, k = test.n_free, system.order, system.half_band
+    K0 = np.zeros((len(order),) * 2)
+    K0[:n, :n] = system.G.toarray()
+    if norm == "app":
+        m, omega = system.G.mean
+        K0[:n, :n] += np.outer(m, m) / omega
+    K0[:n, n:] = system.B.toarray()
+    K0[n:, :n] = K0[:n, n:].T
+    K0 = K0[np.ix_(order, order)]
+    expected = np.zeros((3 * k + 1, len(order)), order="F")
+    a = np.arange(len(order)) + np.arange(-k, k + 1)[:, None]   # the row of each slot
+    inside = (a >= 0) & (a < len(order))
+    expected[k:][inside] = K0[a[inside], np.broadcast_to(np.arange(len(order)), a.shape)[inside]]
+    assert _kkt_band(system, lead=k).tobytes() == expected.tobytes()
 
 
 def test_memory_limit_is_a_plausible_size():

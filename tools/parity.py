@@ -18,8 +18,8 @@ CONTAINED case, and its Gram band is wide: a half-bandwidth of 81 of its
 functions per element, so the barycentric sum of ``space.lagrange_basis``
 runs its eight-accumulator branch with a tail.
 
-For each case it keeps G (densified: a tree that holds G by its band has
-``toarray``), B and F of the mixed system, the relative energy
+For each case it keeps G, B (both densified: a tree that holds a matrix by
+its band has ``toarray``) and F of the mixed system, the relative energy
 and L2 errors, the squared indicators eta^2, and the energy seminorm of the
 residual representer psi (the square root of the summed ``pair_energies``
 of psi over the whole piece table of the test space).  It
@@ -28,8 +28,8 @@ over the grid and the number of cases that are not bit-identical.
 
 A change that moves the numbers on purpose, to make them more accurate, is
 judged by a second table: for each case and each tree, the relative distance
-of u, err_l2 and err_energy to those of the refined solve of that tree's own
-(G, B, F) (``refined_solve``: a dense LU of the KKT matrix and iterative
+of u, psi, err_l2 and err_energy to those of the refined solve of that tree's
+own (G, B, F) (``refined_solve``: a dense LU of the KKT matrix and iterative
 refinement with residuals in ``np.longdouble``).  It counts, per quantity,
 the cases whose new distance exceeds the old one by more than 1e-13, and
 the small-horizon cases (delta 1e-4 and 1e-5) that moved closer.  These
@@ -69,7 +69,7 @@ PROBLEMS = ("smooth-nonlocal", "sharp")
 ORDERS = ((1, 2), (2, 3), (1, 6), (1, 8))
 NORMS = ("app", "eng")
 QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2", "seminorm")
-REFINED = ("u", "err_l2", "err_energy")   # distances to the refined solve
+REFINED = ("u", "psi", "err_l2", "err_energy")   # distances to the refined solve
 REFINED_SLACK = 1e-13                    # a distance that grows by more is counted
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -169,18 +169,19 @@ def dump(path):
                     coeffs[res.test.free_dofs] = psi
                     seminorm2, = pair_energies(res.test, [(coeffs, None)], kernel,
                                                mesh_pieces(mesh))
-                    G = res.system.G
-                    G = G.toarray() if hasattr(G, "toarray") else G
-                    values = (G, res.system.B, res.system.F,
+                    G, B = (M.toarray() if hasattr(M, "toarray") else M
+                            for M in (res.system.G, res.system.B))
+                    values = (G, B, res.system.F,
                               res.err_energy, res.err_l2, eta2, np.sqrt(seminorm2.sum()))
                     for q, v in zip(QUANTITIES, values):
                         out[f"{case}|{q}"] = np.asarray(v, dtype=float)
-                    _, u = refined_solve(G, res.system.B, res.system.F)
+                    psi_ref, u = refined_solve(G, B, res.system.F)
                     coeffs = res.coeffs.copy()
                     coeffs[res.trial.free_dofs] = u
                     err, exact = energy_error_norms(res.trial, coeffs, problem.u_exact)
-                    refined = (u, error_l2(res.trial, coeffs, problem.u_exact), err / exact)
-                    computed = (res.solution.u, res.err_l2, res.err_energy)
+                    refined = (u, psi_ref, error_l2(res.trial, coeffs, problem.u_exact),
+                               err / exact)
+                    computed = (res.solution.u, psi, res.err_l2, res.err_energy)
                     for q, value, ref in zip(REFINED, computed, refined):
                         distance = _drift(np.asarray(value), np.asarray(ref))
                         out[f"{case}|refined {q}"] = np.asarray(distance)
