@@ -40,14 +40,17 @@ The mass matrix, the mean vector and the load are summed the same way: the
 products of all interior elements at once, then one unbuffered ``np.add.at``
 in element order.
 
-Every matrix is a ``Band``: in 1-D two DOFs couple only when their
-supports lie within the horizon, so in the position order and of the
-half-bandwidth that ``kkt_layout`` computes each matrix is its band (the
-mean term of 'app' aside).  A test x test matrix has the free test DOFs in
-position order; a trial block, A_vu or C_vu, has 2k + 1 slots for each free
-trial column, at the test rows within k positions of it in the order of
-all the unknowns, and keeps its few constrained columns dense (its
-``edge``).  A_vv, A_vu, C_vu and the mass matrix M are scattered into their
+Every matrix is a ``Band`` in the one layout of ``kkt_layout``: in 1-D two
+DOFs couple only when their supports lie within the horizon, so in the
+position order of all the unknowns (free test DOFs, then free trial DOFs,
+sorted by position) and of the half-bandwidth k that ``kkt_layout``
+computes, each matrix is its band (the mean term of 'app' aside).  Every
+column holds 2k + 1 slots, at the rows within k positions of it: a test x
+test matrix (A_vv, M, G) has the free test DOFs as its columns, a trial
+block (A_vu, C_vu, B) the free trial DOFs, and keeps its few constrained
+columns dense (its ``edge``).  So each band, put in the columns of its
+positions, is a part of the band of the KKT matrix, which the solve copies
+as it is.  A_vv, A_vu, C_vu and the mass matrix M are scattered into their
 storage by the same unbuffered ``np.add.at`` in table order; only the
 target index differs from a dense matrix, so every entry keeps its
 additions and their order.  No n_test x n_test or n_test x n_trial array is
@@ -68,22 +71,18 @@ the dense G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
 
 1. 'app' only: X = A_vv eps^2, then X += M, then X -= c with
    c_ab = (m_a m_b) / |Omega| on the band.
-2. For each diagonal d, the slots of the entries (b + d, b) and (b, b + d)
-   both get 0.5 (X_(b+d, b) + X_(b, b+d)); a + b == b + a in IEEE
-   arithmetic, so each pair of mirror entries gets the bits of
-   0.5 (X + X^T).
+2. X += X^T on the band, its transpose taken by ``Band.transpose_on``,
+   which only moves values, then X *= 0.5: the slot of entry (a, b) gets
+   0.5 (X_ab + X_ba), and a + b == b + a in IEEE arithmetic, so each pair
+   of mirror entries gets the bits of 0.5 (X + X^T).
 
 Off the band X is 0.0 - c_ab for 'app', so G is 0.0 - c_ab there (two equal
-values halved), the ``mean`` of the Band; for 'eng' it is zero.  Beside G,
-B and F each system carries what the banded solve needs (``kkt_layout``):
-the unknowns of [[G, B], [B^T, 0]] in position order and the
-half-bandwidth of that matrix in this order once the mean term of 'app' is
-taken out.
+values halved), the ``mean`` of the Band; for 'eng' it is zero.  The solve
+reads the layout from G and B: a system is G, B and F.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -111,36 +110,51 @@ FORMS = (_Form(-2.0, KernelPair.eval_diffusion, 0),
 
 @dataclass
 class Band:
-    """A matrix whose rows are the free test DOFs, held by its band.
+    """A matrix whose rows are the free test DOFs, held by its band in the
+    layout of ``kkt_layout``.
 
-    Its unknowns lie in position order, ``order`` holding the unknown at
-    each position.  On the free test DOFs alone (``rows`` None) each unknown
-    is a row and a column.  A trial block has the unknowns of
-    ``kkt_layout``: the first ``rows`` are the free test DOFs, its rows, and
-    unknown rows + j is free trial DOF j, its column j.  With half-bandwidth
-    k, each column holds one slot for each position within k of its own:
-    entry (u, v), at positions a and b with |a - b| <= k, is
-    data[k + a - b, c], c the rank of column v in position order.  That is
-    LAPACK's general band storage when the rows are the columns.  The slots
-    past either end of the order and those at a position that holds no row
-    are zero.  Off the band the matrix is -m m^T / |Omega| for mean =
-    (m, |Omega|), the mean term of the 'app' Gram matrix, and zero for mean
-    None.  The trial blocks of the assembly also hold ``edge``, their dense
-    columns of the constrained trial DOFs, which only the boundary lift
-    multiplies; B holds none.  ``T`` is the transpose, on the same data.
+    ``order`` holds the unknown at each position: unknown u < ``rows`` is
+    free test DOF u, a row, and unknown rows + j is free trial DOF j.  The
+    columns are the rows again (``square``: A_vv, M, G) or the free trial
+    DOFs (a trial block: A_vu, C_vu, B).  With half-bandwidth k, each column
+    holds one slot for each position within k of its own: entry (u, v), at
+    positions a and b with |a - b| <= k, is data[k + a - b, c], c the rank
+    of v's position among the columns' positions.  So every band of a step
+    numbers its slots as the band of the KKT matrix does: put in the columns
+    of their positions, the data of B and of G (its mean term aside) are
+    the KKT band's columns there.  The slots past either end of the order
+    and those at a position that holds no row are zero.  Off the band the
+    matrix is -m m^T / |Omega| for mean = (m, |Omega|), the mean term of the
+    'app' Gram matrix, and zero for mean None.  The trial blocks of the
+    assembly also hold ``edge``, their dense columns of the constrained
+    trial DOFs, which only the boundary lift multiplies; B holds none.
+    ``T`` is the transpose, on the same data.
     """
 
     data: np.ndarray            # (2k + 1, columns)
     order: np.ndarray           # the unknown at each position
+    rows: int                   # the free test DOFs
+    square: bool = False        # the columns are the rows; else the free trial DOFs
     mean: tuple = None
-    rows: int = None            # of a trial block; None: the rows are the columns
     edge: np.ndarray = None     # (rows, constrained trial DOFs)
     transposed: bool = False
 
+    def __post_init__(self):
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(len(self.order))
+        # the position of each row and of each column, that of each column of
+        # data, and the column of data of each column
+        self._rows = position[:self.rows]
+        self._cols = self._rows if self.square else position[self.rows:]
+        self.at = np.sort(self._cols)
+        self._rank = np.searchsorted(self.at, self._cols)
+
     @classmethod
-    def zeros(cls, test, half_band):
-        order = np.argsort(test.dof_positions[test.free_dofs], kind="stable")
-        return cls(np.zeros((2 * half_band + 1, test.n_free)), order)
+    def zeros(cls, layout, rows, square=False, **fields):
+        """The zero matrix with these rows in the layout (order, k) of ``kkt_layout``."""
+        order, k = layout
+        return cls(np.zeros((2 * k + 1, rows if square else len(order) - rows)), order, rows,
+                   square, **fields)
 
     @property
     def half_band(self):
@@ -151,32 +165,6 @@ class Band:
         shape = (len(self._rows), len(self._cols))
         return shape[::-1] if self.transposed else shape
 
-    @cached_property
-    def _position(self):
-        position = np.empty_like(self.order)
-        position[self.order] = np.arange(len(self.order))
-        return position
-
-    @cached_property
-    def _rows(self):
-        """The position of each row."""
-        return self._position if self.rows is None else self._position[:self.rows]
-
-    @cached_property
-    def _cols(self):
-        """The position of each column."""
-        return self._position if self.rows is None else self._position[self.rows:]
-
-    @cached_property
-    def _at(self):
-        """The position of each column of data."""
-        return np.sort(self._cols)
-
-    @cached_property
-    def _rank(self):
-        """The column of data of each column."""
-        return np.searchsorted(self._at, self._cols)
-
     def slot(self, rows, cols):
         """The band slots (row, column of data) of the entries (rows, cols),
         which must lie on the band (``kkt_layout`` takes its pairs by the
@@ -184,40 +172,55 @@ class Band:
         return self.half_band + self._rows[rows] - self._cols[cols], self._rank[cols]
 
     def mean_band(self):
-        """(m_a m_b) / |Omega| on every slot, with m = 0 past the corners."""
-        m, omega = self.mean[0][self.order], self.mean[1]
+        """(m_a m_b) / |Omega| on every slot, with m = 0 at the trial
+        positions and past the corners."""
+        m_at = np.zeros(len(self.order))
+        m_at[self._rows] = self.mean[0]
         # row r of the window is m at the positions b + r - k
-        window = np.lib.stride_tricks.sliding_window_view(np.pad(m, self.half_band), len(m))
-        return window * m / omega
+        out = np.lib.stride_tricks.sliding_window_view(np.pad(m_at, self.half_band),
+                                                       len(m_at))[:, self.at]
+        out *= m_at[self.at]
+        out /= self.mean[1]
+        return out
 
-    @cached_property
-    def banded(self):
-        """The matrix on all its unknowns in LAPACK band storage: the data
-        in the columns of the column positions, plus the mean term, so the
-        band of S = G + m m^T / |Omega| for a Gram matrix.  It is in Fortran
-        order and padded with zero columns to at least 2k + 1 of them, as
-        scipy's dgbmv takes no fewer rows; made on first use, so the data
-        must not change after it."""
-        k, N = self.half_band, len(self.order)
-        S = np.zeros((2 * k + 1, max(N, 2 * k + 1)), order="F")
-        S[:, self._at] = self.data if self.mean is None else self.data + self.mean_band()
+    def core(self):
+        """The data of the banded part: of S = G + m m^T / |Omega| for a Gram
+        matrix, the data itself without a mean term."""
+        if self.mean is None:
+            return self.data
+        S = self.mean_band()
+        S += self.data
         return S
+
+    def transpose_on(self, at):
+        """The band of the transpose, without the mean term, in the columns at
+        the positions ``at``: entry (a, b), in slot k + a - b of b's column,
+        goes to slot k + b - a of a's column.  Only values move, so a band
+        plus its transpose has the bits of X + X^T, as a + b == b + a."""
+        k = self.half_band
+        # the column of data at each position, shifted by k; one past the
+        # last column (dropped) at any other position
+        col = np.full(len(self.order) + 2 * k, len(at))
+        col[at + k] = np.arange(len(at))
+        out = np.zeros((2 * k + 1, len(at) + 1))
+        for s in range(2 * k + 1):
+            out[2 * k - s, col[self.at + s]] = self.data[s]
+        return out[:, :-1]
 
     @property
     def T(self):
-        """The transpose, on the same data and the same ``banded``."""
-        out = replace(self, transposed=not self.transposed)
-        out.__dict__["banded"] = self.banded
-        return out
+        """The transpose, on the same data."""
+        return replace(self, transposed=not self.transposed)
 
     def __matmul__(self, x):
-        """(S - m m^T / |Omega|) x, or its transpose's, for a vector x."""
+        """(S - m m^T / |Omega|) x, or its transpose's, for a vector x: the
+        ``core`` in the columns of its positions, by ``band_times``."""
         rows, cols = (self._cols, self._rows) if self.transposed else (self._rows, self._cols)
-        S = self.banded
-        k, N = self.half_band, S.shape[1]
-        x_at = np.zeros(N)
+        S = np.zeros((len(self.data), len(self.order)), order="F")
+        S[:, self.at] = self.core()
+        x_at = np.zeros(len(self.order))
         x_at[cols] = x
-        y = dgbmv(N, N, k, k, 1.0, S, x_at, trans=int(self.transposed))[rows]
+        y = band_times(S, x_at, int(self.transposed))[rows]
         if self.mean is not None:
             y -= self.mean[0] * ((self.mean[0] @ x) / self.mean[1])
         return y
@@ -236,10 +239,21 @@ class Band:
         row_at = np.full(N + 2 * k, -1)
         row_at[k + self._rows[rows]] = np.arange(len(rows))
         col = np.argsort(self._rank)   # the column of each column of data
-        row = row_at[self._at + np.arange(2 * k + 1)[:, None]]
+        row = row_at[self.at + np.arange(2 * k + 1)[:, None]]
         on = row >= 0
         out[row[on], np.broadcast_to(col, row.shape)[on]] = self.data[on]
         return out.T if self.transposed else out
+
+
+def band_times(S, x, trans=0):
+    """S x, or S^T x for trans 1, for a square matrix S in LAPACK band storage
+    with one column per position (Fortran order), by LAPACK's dgbmv.
+    scipy's dgbmv takes no fewer than 2k + 1 columns, so a narrower band is
+    padded with zero columns."""
+    k, N = len(S) // 2, S.shape[1]
+    if N < 2 * k + 1:
+        S, x = np.pad(S, ((0, 0), (0, 2 * k + 1 - N))), np.pad(x, (0, 2 * k + 1 - N))
+    return dgbmv(len(x), len(x), k, k, 1.0, S, x, trans=trans)[:N]
 
 
 def _signed_weights(kernel, xs, y, wy):
@@ -263,7 +277,7 @@ def assemble_nonlocal_forms(test, trial, layout=None):
     kernel = KernelPair(delta)
     if trial.mesh is not mesh and not np.array_equal(trial.mesh.nodes, mesh.nodes):
         raise ValueError("trial and test spaces must share one mesh")
-    unknowns, half_band = kkt_layout(test, trial) if layout is None else layout
+    layout = kkt_layout(test, trial) if layout is None else layout
 
     order = max(test.order, trial.order)
     n_out, n_in = test.order + N_OVER, order + N_OVER
@@ -286,9 +300,9 @@ def assemble_nonlocal_forms(test, trial, layout=None):
     # edges; the test space the diffusion form on its free DOFs, in the slots
     # of A_vv's band
     n_edge = len(trial.constrained_dofs)
-    A_vu, C_vu = (Band(np.zeros((2 * half_band + 1, trial.n_free)), unknowns, rows=test.n_free,
-                       edge=np.zeros((test.n_free, n_edge))) for _ in FORMS)
-    A_vv = Band.zeros(test, half_band)
+    A_vu, C_vu = (Band.zeros(layout, test.n_free, edge=np.zeros((test.n_free, n_edge)))
+                  for _ in FORMS)
+    A_vv = Band.zeros(layout, test.n_free, square=True)
     edge_col = np.full(trial.n_dofs, -1)
     edge_col[trial.constrained_dofs] = np.arange(n_edge)
     columns = [(space, space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y), targets)
@@ -413,14 +427,14 @@ def _interior_products(test, n_points, weights):
     return rows, mass, vec
 
 
-def assemble_mass_mean(test, half_band):
-    """L2(Omega) mass matrix, a ``Band`` of this half-bandwidth, and mean
-    vector on the free test DOFs."""
+def assemble_mass_mean(test, layout):
+    """L2(Omega) mass matrix, a ``Band`` in the layout (order, k) of
+    ``kkt_layout``, and mean vector on the free test DOFs."""
     rows, mass, vec = _interior_products(test, test.order + 1, np.ones_like)
     keep = rows >= 0
     both = keep[:, :, None] & keep[:, None, :]
     R, C = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
-    M = Band.zeros(test, half_band)
+    M = Band.zeros(layout, test.n_free, square=True)
     m = np.zeros(test.n_free)
     # unbuffered and in element order, as a loop over the elements adds them
     np.add.at(M.data, M.slot(R[both], C[both]), mass[both])
@@ -477,14 +491,12 @@ def boundary_defect_load(test, trial, lift, boundary, eps):
 
 @dataclass
 class MixedSystem:
-    """Gram + bilinear-form matrix + load of the discrete mixed problem, with
-    the layout of its banded KKT matrix (see ``kkt_layout``)."""
+    """Gram + bilinear-form matrix + load of the discrete mixed problem; G and
+    B hold the layout of its banded KKT matrix (see ``kkt_layout``)."""
 
     G: Band             # with its mean term (m, |Omega|) for 'app'
     B: Band             # a trial block, on the free trial columns
     F: np.ndarray
-    order: np.ndarray   # KKT unknowns (free test DOFs, then free trial DOFs) by position
-    half_band: int      # of [[G + m m^T / |Omega|, B], [B^T, 0]] in that order
 
 
 NORMS = ("app", "eng")
@@ -507,20 +519,15 @@ def check_norms(norms):
 def _gram(test, A_vv, eps, norm):
     """The norm's Gram matrix, a ``Band`` like the diffusion block A_vv,
     which is left as it is; the steps are in the module docstring."""
-    G = Band(A_vv.data.copy(), A_vv.order)
+    G = replace(A_vv, data=A_vv.data.copy())
     if norm == "app":
-        M, m = assemble_mass_mean(test, G.half_band)
+        M, m = assemble_mass_mean(test, (G.order, G.half_band))
         G.mean = (m, test.mesh.nodes[-2] - test.mesh.nodes[1])
         G.data *= eps**2
         G.data += M.data
         G.data -= G.mean_band()
-    # entries (b + d, b) and (b, b + d) of X, in slots (k + d, b) and (k - d, b + d)
-    k, n, X = G.half_band, len(G.order), G.data
-    for d in range(min(k + 1, n)):
-        S = X[k + d, :n - d] + X[k - d, d:]
-        S *= 0.5
-        X[k + d, :n - d] = S
-        X[k - d, d:] = S
+    G.data += G.transpose_on(G.at)
+    G.data *= 0.5
     return G
 
 
@@ -554,7 +561,7 @@ def kkt_layout(test, trial):
     lo, hi = (np.concatenate(ends)[order]
               for ends in zip(_free_supports(test), _free_supports(trial)))
     last = np.searchsorted(lo - test.mesh.delta, hi) - 1
-    return order, int((last - np.arange(len(order))).max())
+    return order, int((last - np.arange(len(order))).max(initial=0))
 
 
 def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
@@ -571,9 +578,6 @@ def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
     norms = check_norms(norms)
     if not 0 < trial.n_free < test.n_free:
         raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
-    if layout is None:
-        layout = kkt_layout(test, trial)
-    order, half_band = layout
     op, C_vu, A_vv = assemble_nonlocal_forms(test, trial, layout)
     lift = boundary_lift(trial, problem.u_exact)
     # op = eps A_vu + C_vu, entry by entry in the storage of A_vu
@@ -593,5 +597,4 @@ def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
     F = (load_vector(test, problem.forcing) - op_lift
          - boundary_defect_load(test, trial, lift, problem.u_exact, eps))
     B = replace(op, edge=None)
-    return lift, {norm: MixedSystem(_gram(test, A_vv, eps, norm), B, F, order, half_band)
-                  for norm in norms}
+    return lift, {norm: MixedSystem(_gram(test, A_vv, eps, norm), B, F) for norm in norms}

@@ -52,28 +52,27 @@ def _check_memory(n_test, n_trial, n_norms, half_band):
     """Raise MemoryError if the arrays of the step cannot fit.
 
     With n = n_test, t = n_trial, N = n + t and k = half_band, in float64
-    values; every matrix is a band of 2k + 1 slots per column.  The
-    assembly holds the trial bands A_vu and C_vu, (2k + 1) t each, and then
-    the strip of op that the lift multiplies: the rows that meet a
-    constrained column, dense over all trial columns.  Those rows lie
-    within the band of the first or last free trial column, so the strip
-    is about one trial band.  B keeps the storage of A_vu and stays alive,
-    and so does its product band, (2k + 1) N, made by its first product in
-    the solve.  Every norm's Gram band and, once the norm is solved, the
-    band of its S stay alive too, as the StepResults keep them.  The Gram
-    builds come first: the one of a norm holds A_vv, its own band, the
-    mass matrix and two temporaries of the mean term, besides the earlier
-    norms' bands.  Each solve then holds its S and the temporaries that
-    make it (three test bands), the Cholesky factor of S (k + 1 of its
-    rows) and the KKT band, (3k + 1) N.  So (2k + 1) (3t + N) values, with
-    (2k' + 4) test bands of (2k + 1) n and (3k + 1) N, bound a k'-norm
-    step, the assembly and the rest summed, not maximized.  Left out: the
-    chunk temporaries of the assembly, at most a few tens of MB, the dense
-    edge columns of the constrained trial DOFs, and the zero columns that
-    pad a band to 2k + 1 columns when it has fewer.
+    values; every matrix is a band of w = 2k + 1 slots per column.  The
+    assembly holds A_vv, w n, the trial bands A_vu and C_vu, w t each, and
+    then the strip of op that the lift multiplies: the rows that meet a
+    constrained column, dense over all trial columns, about one trial band
+    as those rows lie within the band of the first or last free trial
+    column.  B keeps the storage of A_vu.  The Gram builds follow, all
+    before the first solve; each holds A_vv, B, the earlier norms' bands,
+    its own, the mass matrix and the mean term, and then the band over all
+    positions that is symmetrized and its transpose, 2 w N.  The solves come
+    last, one at a time, with B and every norm's Gram band alive, as the
+    StepResults keep them: a solve holds the Cholesky factor of S + I, (k +
+    1) N, and the KKT band, (3k + 1) N, and at most one more band over all
+    positions, w N, beside three test bands for S and its mean term.
+    Nothing N-wide outlives its solve.  So w (t + (k' + 3) n + 3 N) values
+    bound a k'-norm step: the solves' peak, which is above the assembly's,
+    w (3t + n), and the Gram builds', w (t + (k' + 2) n + 2 N).  Left out:
+    the chunk temporaries of the assembly, at most a few tens of MB, the
+    dense edge columns of the constrained trial DOFs, the vectors, and the
+    zero columns that pad a band to 2k + 1 columns when it has fewer.
     """
-    n, t, k = n_test, n_trial, half_band
-    need = 8 * ((2 * k + 1) * (3 * t + (n + t) + (2 * n_norms + 4) * n) + (3 * k + 1) * (n + t))
+    need = 8 * (2 * half_band + 1) * (n_trial + (n_norms + 3) * n_test + 3 * (n_test + n_trial))
     limit = _memory_limit()
     if need > limit:
         raise MemoryError(

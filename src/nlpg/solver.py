@@ -10,33 +10,42 @@ Sherman-Morrison formula: with K0 = [[S, B], [B^T, 0]] and e = [m; 0],
 
     x = y + z (e^T y) / (|Omega| - e^T z),   K0 y = [F; 0],   K0 z = e.
 
-K0 is put in band storage from the bands of S and of B, both held by
-``assembly.Band``, and factored once with LAPACK's banded LU with partial
+G and B hold their bands (``assembly.Band``) in the position order and
+half-bandwidth of the KKT matrix, so K0 is put in band storage by copying
+them: B's columns as they are, B^T as B's band transposed, and S's columns
+beside it.  K0 is factored once with LAPACK's banded LU with partial
 pivoting (``dgbtrf``, Golub & Van Loan section 4.3); ``dgbtrs`` solves for
 [F; 0] and e.  One step of iterative refinement follows, its residual taken
-with G @ psi = S psi - m (m^T psi) / |Omega|, B @ u and B^T @ psi, each
-band applied by LAPACK's ``dgbmv``.  The LU pivots across the indefinite
-matrix: on the grid of ``tools/parity.py`` its u was up to 1.2e-13
+with G psi = S psi - m (m^T psi) / |Omega|, B u and B^T psi apart, each
+band product a LAPACK ``dgbmv`` on K0's band, which the solve keeps beside
+the LU: with the other block's part of the vector zero, it sums as the
+products of ``assembly.Band`` do (``assembly.band_times``), plus zero
+terms.  The LU pivots across
+the indefinite matrix: on the grid of ``tools/parity.py`` its u was up to 1.2e-13
 (relative) from a longdouble-refined solve without the step, and is within
 9e-15 with it.
 
 G is SPD exactly when the banded Cholesky factorization of S succeeds and
 |Omega| - m^T S^-1 m > 0, by Haynsworth inertia additivity applied to
-[[S, m], [m^T, |Omega|]] (a failure is an ``IndefiniteGramError``).  Given
-that, K is nonsingular exactly when B has full column rank; a zero pivot of
-the LU is an ``InfSupError``.  The residuals are taken with those band
-products, and the condition estimate of the Schur complement B^T G^-1 B is
-the product of two 1-norm estimates, one over products with it and one over
-KKT solves.  No n_test x n_trial or n_test x n_test array is formed.
+[[S, m], [m^T, |Omega|]] (a failure is an ``IndefiniteGramError``).  The
+factorization is of S + I on all positions, S at the test positions and
+the identity at the trial ones, which is SPD exactly when S is, so that it
+takes S's band in its own columns.  Given that, K is nonsingular exactly
+when B has full column rank; a zero pivot of the LU is an ``InfSupError``.
+The residuals are taken with those band products, and the condition
+estimate of the Schur complement B^T G^-1 B is the product of two 1-norm
+estimates, one over products with it and one over KKT solves.  No
+n_test x n_trial or n_test x n_test array is formed, and no band over all
+the unknowns outlives the solve.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-GATHER = 2**16   # band slots filled per pass
+from .assembly import band_times
 
 
 class IndefiniteGramError(RuntimeError):
@@ -85,72 +94,76 @@ def _kkt_band(system, lead):
     half-bandwidth k: entry (a, b) in row lead + k + a - b of column b, below
     lead rows of zeros.
 
-    Unknown i < n is test unknown i, n + j trial unknown j.  A test column
-    takes the slots of its column of S (``Band.banded`` of G) whose unknowns
-    lie within k of it, a run of test positions found by ``searchsorted``,
-    each moved to the position of its unknown.  A trial column is B's column
-    as it is, since B is held in this layout, and its mirror, the trial row
-    of the test columns, is moved one diagonal at a time.
+    G and B hold their bands in this layout, so each trial column is B's
+    column as it is, and each test column holds the slots of S plus those of
+    B^T (``Band.transpose_on``); the two never share a slot.
     """
-    G, B, order, k = system.G, system.B, system.order, system.half_band
-    n, N, S = len(G.order), len(order), G.banded
-    # the position of each test unknown, by test position (G.order is
-    # order[order < n]), and the run of test positions within k of each
-    col = np.flatnonzero(order < n)
-    lo, hi = np.searchsorted(col, col - k), np.searchsorted(col, col + k, side="right")
-    ab = np.zeros((lead + 2 * k + 1, N), order="F")
-    width = max(1, GATHER // (2 * k + 1))
-    for q0 in range(0, n, width):
-        q = np.arange(q0, min(q0 + width, n))
-        count = hi[q] - lo[q]
-        b = np.repeat(q, count)
-        # the test position of each kept slot: run q of lo[q] .. hi[q] - 1
-        a = np.arange(len(b)) + np.repeat(lo[q] - np.cumsum(count) + count, count)
-        ab[lead + k + col[a] - col[b], col[b]] = S[k + a - b, b]
-    at = np.flatnonzero(order >= n)   # the position of each column of B
-    ab[lead:, at] = B.data
-    for s in range(2 * k + 1):
-        # slot s of trial column b, in row at[b] + s - k, mirrored
-        c = at + (s - k)
-        run = slice(*np.searchsorted(c, (0, N)))
-        ab[lead + 2 * k - s, c[run]] = B.data[s, run]
+    G, B = system.G, system.B
+    ab = np.zeros((lead + 2 * B.half_band + 1, len(B.order)), order="F")
+    ab[lead:, B.at] = B.data
+    ab[lead:, G.at] = G.core() + B.transpose_on(G.at)
     return ab
 
 
 def solve_mixed(system):
     """Solve G psi + B u = F, B^T psi = 0 by one banded LU of the KKT matrix."""
     G, B, F = system.G, system.B, system.F
-    (n, nt), k, order = B.shape, system.half_band, system.order
-    # SPD test of G: banded Cholesky of S, whose lower band is S[k:], in the
-    # position order of the test unknowns
-    S, test = G.banded, G.order
+    (n, nt), k, order = B.shape, B.half_band, B.order
+    N = n + nt
+
+    def by_position(apply, x):
+        """apply, which works in position order, for x in the unknowns' numbering."""
+        out = np.empty(N)
+        out[order] = apply(x[order])
+        return out
+
+    # K0's blocks: S = G + m m^T / |Omega|, by its band, made once, for G
+    system0 = replace(system, G=replace(G, data=G.core(), mean=None))
+    # SPD test of G: banded Cholesky of S + I on all positions, S at the
+    # test positions and the identity at the trial ones, so SPD exactly when
+    # S is; its lower band is S[k:] in the test columns
+    lower = np.zeros((k + 1, N), order="F")
+    lower[:, G.at] = system0.G.data[k:]
+    lower[0, B.at] = 1.0
     try:
-        chol = (cholesky_banded(S[k:, :n], lower=True), True)
+        chol = (cholesky_banded(lower, lower=True, overwrite_ab=True), True)
     except LinAlgError as exc:
         raise IndefiniteGramError(
             "Gram matrix is not positive definite; the test-norm assembly is broken") from exc
+
+    def S_solve(w):
+        """S^-1 w for w on the test unknowns."""
+        return by_position(lambda x: cho_solve_banded(chol, x),
+                           np.concatenate((w, np.zeros(nt))))[:n]
+
     if G.mean is not None:
         m, omega = G.mean
-        Sinv_m = np.empty(n)
-        Sinv_m[test] = cho_solve_banded(chol, m[test])
+        Sinv_m = S_solve(m)
         border = omega - m @ Sinv_m
         if not border > 0.0:
             raise IndefiniteGramError(
                 "Gram matrix is not positive definite (its mean term); "
                 "the test-norm assembly is broken")
 
-    lu, piv, info = dgbtrf(_kkt_band(system, lead=k), k, k, overwrite_ab=True)
+    ab = _kkt_band(system0, lead=k)
+    del system0
+    K0 = ab[k:].copy(order="F")   # for the products of the solve
+    lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
     if info > 0:
         raise InfSupError(
             "the KKT matrix is singular: discrete inf-sup failure; "
             "raise the test-space enrichment dp")
 
+    def times(x, trans=0):
+        """K0 x, or K0^T x for trans 1, in the unknowns' numbering.  For x
+        zero on the trial (test) unknowns the test rows of K0 x are S x
+        (B x), and the trial rows of K0^T x are B^T x, with the bits of the
+        products of ``assembly.Band``: the same dgbmv sums, plus zero terms."""
+        return by_position(lambda y: band_times(K0, y, trans), x)
+
     def band_solve(rhs):
         """K0^-1 rhs, in the unknowns' numbering."""
-        x, _ = dgbtrs(lu, k, k, rhs[order], piv)
-        out = np.empty_like(x)
-        out[order] = x
-        return out
+        return by_position(lambda x: dgbtrs(lu, k, k, x, piv)[0], rhs)
 
     if G.mean is not None:
         z = band_solve(np.concatenate((m, np.zeros(nt))))
@@ -163,11 +176,16 @@ def solve_mixed(system):
         return y if G.mean is None else y + z * ((m @ y[:n]) / denom)
 
     b = np.concatenate((F, np.zeros(nt)))
+    test = np.arange(N) < n
 
     def residual(x):
-        """[F; 0] - K [psi; u]."""
-        psi, u = x[:n], x[n:]
-        return b - np.concatenate((G @ psi + B @ u, B.T @ psi))
+        """[F; 0] - K [psi; u], with G psi = S psi - m (m^T psi) / |Omega|,
+        B u and B^T psi taken apart."""
+        psi, u = np.where(test, x, 0.0), np.where(test, 0.0, x)
+        G_psi = times(psi)[:n]
+        if G.mean is not None:
+            G_psi -= m * ((m @ x[:n]) / omega)
+        return b - np.concatenate((G_psi + times(u)[:n], times(psi, trans=1)[n:]))
 
     x = kkt_solve(b)
     # one step of iterative refinement in working precision (Skeel, Math.
@@ -184,14 +202,14 @@ def solve_mixed(system):
     # apply G^-1 by the Cholesky factor of S and the border, and its inverse
     # is -u of the KKT solve with right-hand side [0; r]
     def gram_solve(w):
-        out = np.empty_like(w)
-        out[test] = cho_solve_banded(chol, w[test])
+        out = S_solve(w)
         if G.mean is not None:
             out += Sinv_m * ((m @ out) / border)
         return out
 
     def schur(v):
-        return B.T @ gram_solve(B @ v)
+        B_v = times(np.concatenate((np.zeros(n), v)))[:n]
+        return times(np.concatenate((gram_solve(B_v), np.zeros(nt))), trans=1)[n:]
 
     def schur_inv(r):
         return -kkt_solve(np.concatenate((np.zeros(n), r)))[n:]

@@ -159,7 +159,7 @@ def test_convection_annihilates_constants(setup):
 
 def test_convection_of_identity_is_mass_vector(setup):
     _, trial, test, _, C, _, _ = setup
-    _, m = assemble_mass_mean(test, test.order)
+    _, m = assemble_mass_mean(test, kkt_layout(test, trial))
     np.testing.assert_allclose(C @ interpolate(trial, lambda x: x), m,
                                rtol=0, atol=1e-12 * np.abs(m).max())
 
@@ -226,7 +226,7 @@ def test_gram_equals_the_plain_expression(norm):
     rng = np.random.default_rng(3)
     for mesh in (uniform_mesh(1e-4, 200), uniform_mesh(0.3, 8)):
         test = Space(mesh, 3)
-        A = Band.zeros(test, kkt_layout(test, Space(mesh, 1))[1])
+        A = Band.zeros(kkt_layout(test, Space(mesh, 1)), test.n_free, square=True)
         A.data[:] = rng.standard_normal(A.data.shape)
         expected = gram(test, A.toarray(), 0.01, norm)
         assert _gram(test, A, 0.01, norm).toarray().tobytes() == expected.tobytes()
@@ -305,9 +305,9 @@ def test_kkt_band_holds_every_coupling(mesh, p, dp):
     order, half_band = kkt_layout(test, trial)
     n = test.n_free
     for norm, system in systems.items():
-        assert np.array_equal(system.order, order) and system.half_band == half_band
-        # the solve reads G's band by this: G.order is the test unknowns of order
-        assert np.array_equal(system.G.order, order[order < n])
+        # the solve copies the bands as they are: both hold the step's layout
+        for band in (system.G, system.B):
+            assert np.array_equal(band.order, order) and band.half_band == half_band
         K0 = np.zeros((len(order),) * 2)
         K0[:n, :n] = system.G.toarray()
         if norm == "app":
@@ -372,7 +372,7 @@ def test_mass_mean_and_load_equal_the_element_loop(mesh, order):
         forcing = make_problem(name, 0.01, mesh.delta).forcing
         M, m, F = _mass_mean_load_by_elements(test, forcing)
         assert np.array_equal(load_vector(test, forcing), F)
-    Mb, mb = assemble_mass_mean(test, test.order)
+    Mb, mb = assemble_mass_mean(test, kkt_layout(test, test))
     assert np.array_equal(Mb.toarray(), M) and np.array_equal(mb, m)
 
 

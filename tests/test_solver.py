@@ -84,6 +84,24 @@ def test_indefinite_gram_reported():
         solve_mixed(system)
 
 
+def test_indefinite_mean_term_reported():
+    # S = G + m m^T / |Omega| stays SPD, but |Omega| shrinks to half of
+    # m^T S^-1 m, so the border |Omega| - m^T S^-1 m of the SPD test is
+    # negative and G is indefinite
+    mesh = initial_mesh(0.1)
+    problem = make_problem("linear", 0.01, 0.1)
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
+    G = system.G
+    m, omega = G.mean
+    mSm = m @ np.linalg.solve(G.toarray() + np.outer(m, m) / omega, m)
+    assert 0.0 < mSm <= omega
+    system.G = replace(G, mean=(m, 0.5 * mSm))
+    system.G.data = G.data + G.mean_band() - system.G.mean_band()
+    with pytest.raises(IndefiniteGramError, match="its mean term"):
+        solve_mixed(system)
+
+
 @pytest.mark.parametrize("norm", ["app", "eng"])
 def test_rank_deficient_B_reported(norm):
     # a zero column of B: the trial function it multiplies never meets the
@@ -112,7 +130,7 @@ def test_solution_reports_the_half_band_of_its_system():
     mesh = uniform_mesh(0.1, 40)
     res = solve_problem(mesh, make_problem("smooth-nonlocal", 0.01, 0.1), eps=0.01, p=1,
                         dp=2)["app"]
-    assert res.solution.half_band == res.system.half_band > 0
+    assert res.solution.half_band == res.system.B.half_band > 0
 
 
 def test_residual_diagnostics_small():
@@ -202,9 +220,8 @@ def test_a_norms_results_do_not_depend_on_the_order_of_the_norms(delta, n_interi
 def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     # initial mesh, p = 1, dp = 2: n_test = 14, n_trial = 4 and a KKT
     # half-band of 9, so bands of 2 * 9 + 1 = 19 rows.  By the bound of
-    # _check_memory a k-norm step takes
-    # 8 (19 (3 * 4 + 18 + (2k + 4) * 14) + 28 * 18) bytes: 21360 for one
-    # norm, 25616 for two
+    # _check_memory a k-norm step takes 8 * 19 (4 + (k + 3) * 14 + 3 * 18)
+    # bytes: 17328 for one norm, 19456 for two
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
     build = nlpg.driver.mixed_system_from_parts
@@ -212,7 +229,7 @@ def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     def not_reached(*args):
         raise AssertionError("assembled before the memory check")
 
-    for norms, need in ((("app",), 21360), (("app", "eng"), 25616)):
+    for norms, need in ((("app",), 17328), (("app", "eng"), 19456)):
         monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", not_reached)
         monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need - 1)
         with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
@@ -301,7 +318,7 @@ def test_kkt_band_is_the_band_of_the_dense_kkt_matrix(mesh, norm):
     trial, test = Space(mesh, 1), Space(mesh, 3)
     problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
     system = mixed_system_from_parts(trial, test, 0.01, problem, (norm,))[1][norm]
-    n, order, k = test.n_free, system.order, system.half_band
+    n, order, k = test.n_free, system.B.order, system.B.half_band
     K0 = np.zeros((len(order),) * 2)
     K0[:n, :n] = system.G.toarray()
     if norm == "app":

@@ -24,7 +24,10 @@ and L2 errors, the squared indicators eta^2, and the energy seminorm of the
 residual representer psi (the square root of the summed ``pair_energies``
 of psi over the whole piece table of the test space).  It
 prints, per quantity, the largest relative drift max|new - old| / max|old|
-over the grid and the number of cases that are not bit-identical.
+over the grid and the number of cases that are not bit-identical.  It
+prints the same for the solver's diagnostics ``schur_cond_estimate``,
+``residual_primal`` and ``residual_orthogonality``, for information only:
+they do not enter the verdict below.
 
 A change that moves the numbers on purpose, to make them more accurate, is
 judged by a second table: for each case and each tree, the relative distance
@@ -69,6 +72,8 @@ PROBLEMS = ("smooth-nonlocal", "sharp")
 ORDERS = ((1, 2), (2, 3), (1, 6), (1, 8))
 NORMS = ("app", "eng")
 QUANTITIES = ("G", "B", "F", "err_energy", "err_l2", "eta2", "seminorm")
+# the solver's own diagnostics, printed for information, outside the verdict
+DIAGNOSTICS = ("schur_cond_estimate", "residual_primal", "residual_orthogonality")
 REFINED = ("u", "psi", "err_l2", "err_energy")   # distances to the refined solve
 REFINED_SLACK = 1e-13                    # a distance that grows by more is counted
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -175,6 +180,8 @@ def dump(path):
                               res.err_energy, res.err_l2, eta2, np.sqrt(seminorm2.sum()))
                     for q, v in zip(QUANTITIES, values):
                         out[f"{case}|{q}"] = np.asarray(v, dtype=float)
+                    for q in DIAGNOSTICS:
+                        out[f"{case}|{q}"] = np.asarray(getattr(res.solution, q))
                     psi_ref, u = refined_solve(G, B, res.system.F)
                     coeffs = res.coeffs.copy()
                     coeffs[res.trial.free_dofs] = u
@@ -291,6 +298,11 @@ def main(argv):
         differing = sum(not np.array_equal(new[f"{c}|{q}"], old[f"{c}|{q}"]) for c in cases)
         worst = max(worst, max(drifts))
         print(f"{q:<12}{max(drifts):>15.3e}{differing:>18d}")
+    print("solver diagnostics, for information only (not in the verdict):")
+    for q in DIAGNOSTICS:
+        drifts = [_drift(new[f"{c}|{q}"], old[f"{c}|{q}"]) for c in cases]
+        differing = sum(not np.array_equal(new[f"{c}|{q}"], old[f"{c}|{q}"]) for c in cases)
+        print(f"{q:<24}{max(drifts):>15.3e}{differing:>18d}")
     names = sorted(old_files.keys() | new_files.keys())
     differ = [name for name in names
               if old_files.get(name) is None or new_files.get(name) != old_files[name]]
