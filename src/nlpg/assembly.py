@@ -41,37 +41,41 @@ products of all interior elements at once, then one unbuffered ``np.add.at``
 in element order.
 
 Every matrix is a ``Band`` in the one layout of ``kkt_layout``: in 1-D two
-DOFs couple only when their supports lie within the horizon, so in the
-position order of all the unknowns (free test DOFs, then free trial DOFs,
-sorted by position) and of the half-bandwidth k that ``kkt_layout``
-computes, each matrix is its band (the mean term of 'app' aside).  Every
-column holds 2k + 1 slots, at the rows within k positions of it: a test x
-test matrix (A_vv, M, G) has the free test DOFs as its columns, a trial
-block (A_vu, C_vu, B) the free trial DOFs, and keeps its few constrained
-columns dense (its ``edge``).  So each band, put in the columns of its
-positions, is a part of the band of the KKT matrix, which the solve copies
-as it is.  A_vv, A_vu, C_vu and the mass matrix M are scattered into their
-storage by the same unbuffered ``np.add.at`` in table order; only the
-target index differs from a dense matrix, so every entry keeps its
-additions and their order.  No n_test x n_test or n_test x n_trial array is
-ever formed.
+DOFs couple only when their supports lie within the horizon, so with all
+the unknowns (free test DOFs, then free trial DOFs) at the positions that
+sort them by ``Space.dof_positions``, and with the half-bandwidth k that
+``kkt_layout`` computes, each matrix is its band (the mean term of 'app'
+aside).  A band holds the positions of its rows and of its columns, and
+each of its columns, in DOF order, holds 2k + 1 slots, at the rows within k
+positions of it: a test x test matrix (A_vv, M, G) has the free test DOFs
+as its columns, a trial block (A_vu, C_vu, B) the free trial DOFs, and
+keeps its few constrained columns dense (its ``edge``).  So each band, put
+in the columns of its positions, is a part of the band of the KKT matrix,
+which the solve copies as it is.  A_vv, A_vu, C_vu and the mass matrix M
+are scattered into their storage by the same unbuffered ``np.add.at`` in
+table order; only the target index differs from a dense matrix, so every
+entry keeps its additions and their order.  No n_test x n_test or n_test x
+n_trial array is ever formed.
 
-One call builds the discrete problem of a step, ``mixed_system_from_parts``.
-It checks the norm list (``check_norms``) and the spaces before it assembles
-anything, and takes the step's layout from its caller or computes it once.
-It builds the lift, B and F once per mesh: op = eps A_vu + C_vu is formed
-entry by entry in the storage of A_vu, B is op's band, and op @ lift takes
-the rows of op that meet a constrained column, dense over all trial
-columns, so that BLAS sums them as it summed the dense op.  Then it builds
-the Gram matrix of each test norm of the step from A_vv, which no build
-changes, so the systems of the norms share B and F.  The Gram build is
-elementwise on the band, each entry getting the same IEEE operations as in
-the dense G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
+One call builds the discrete problem of a step,
+``mixed_system_from_parts``.  It checks the norm list (``check_norms``) and
+the spaces before it assembles anything, and takes the step's layout from
+its caller or computes it once.  It builds the lift, B and F once per mesh:
+op = eps A_vu + C_vu is formed entry by entry in the storage of A_vu, B is
+op's band, and op @ lift takes the rows of op that meet a constrained
+column, over all trial columns with zeros at the free ones: the lift is
+zero there, so each product there is zero, as with the dense op, and the
+nonzero terms keep their column indices, so BLAS sums each row as it sums a
+row of the dense op.  Then it
+builds the Gram matrix of each test norm of the step from A_vv, which no
+build changes, so the systems of the norms share B and F.  The Gram build
+is elementwise on the band, each entry getting the same IEEE operations as
+in the dense G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
 ('eng': X = A_vv):
 
 1. 'app' only: X = A_vv eps^2, then X += M, then X -= c with
    c_ab = (m_a m_b) / |Omega| on the band.
-2. X += X^T on the band, its transpose taken by ``Band.transpose_on``,
+2. X += X^T on the band, its transpose taken by ``Band.transpose_band``,
    which only moves values, then X *= 0.5: the slot of entry (a, b) gets
    0.5 (X_ab + X_ba), and a + b == b + a in IEEE arithmetic, so each pair
    of mirror entries gets the bits of 0.5 (X + X^T).
@@ -113,48 +117,40 @@ class Band:
     """A matrix whose rows are the free test DOFs, held by its band in the
     layout of ``kkt_layout``.
 
-    ``order`` holds the unknown at each position: unknown u < ``rows`` is
-    free test DOF u, a row, and unknown rows + j is free trial DOF j.  The
-    columns are the rows again (``square``: A_vv, M, G) or the free trial
-    DOFs (a trial block: A_vu, C_vu, B).  With half-bandwidth k, each column
-    holds one slot for each position within k of its own: entry (u, v), at
-    positions a and b with |a - b| <= k, is data[k + a - b, c], c the rank
-    of v's position among the columns' positions.  So every band of a step
-    numbers its slots as the band of the KKT matrix does: put in the columns
-    of their positions, the data of B and of G (its mean term aside) are
-    the KKT band's columns there.  The slots past either end of the order
-    and those at a position that holds no row are zero.  Off the band the
-    matrix is -m m^T / |Omega| for mean = (m, |Omega|), the mean term of the
-    'app' Gram matrix, and zero for mean None.  The trial blocks of the
-    assembly also hold ``edge``, their dense columns of the constrained
-    trial DOFs, which only the boundary lift multiplies; B holds none.
-    ``T`` is the transpose, on the same data.
+    ``rows`` and ``cols`` hold the position of each row and of each column
+    among the ``size`` unknowns of the step.  The columns are the rows again
+    (A_vv, M, G) or the free trial DOFs (a trial block: A_vu, C_vu, B).  With
+    half-bandwidth k, column c holds one slot for each position within k of
+    its own: entry (r, c), at positions a = rows[r] and b = cols[c] with
+    |a - b| <= k, is data[k + a - b, c].  So every band of a step numbers its
+    slots as the band of the KKT matrix does: put in the columns of their
+    positions, the data of B and of G (its mean term aside) are the KKT
+    band's columns there.  The slots past either end of the positions and
+    those at a position that holds no row are zero.  Off the band the matrix
+    is -m m^T / |Omega| for mean = (m, |Omega|), the mean term of the 'app'
+    Gram matrix, and zero for mean None.  The trial blocks of the assembly
+    also hold ``edge``, their dense columns of the constrained trial DOFs,
+    which only the boundary lift multiplies; B holds none.  ``T`` is the
+    transpose, on the same data.
     """
 
     data: np.ndarray            # (2k + 1, columns)
-    order: np.ndarray           # the unknown at each position
-    rows: int                   # the free test DOFs
-    square: bool = False        # the columns are the rows; else the free trial DOFs
+    rows: np.ndarray            # the position of each row
+    cols: np.ndarray            # the position of each column
+    size: int                   # the positions: the free unknowns of the step
     mean: tuple = None
     edge: np.ndarray = None     # (rows, constrained trial DOFs)
     transposed: bool = False
 
-    def __post_init__(self):
-        position = np.empty_like(self.order)
-        position[self.order] = np.arange(len(self.order))
-        # the position of each row and of each column, that of each column of
-        # data, and the column of data of each column
-        self._rows = position[:self.rows]
-        self._cols = self._rows if self.square else position[self.rows:]
-        self.at = np.sort(self._cols)
-        self._rank = np.searchsorted(self.at, self._cols)
-
     @classmethod
     def zeros(cls, layout, rows, square=False, **fields):
-        """The zero matrix with these rows in the layout (order, k) of ``kkt_layout``."""
-        order, k = layout
-        return cls(np.zeros((2 * k + 1, rows if square else len(order) - rows)), order, rows,
-                   square, **fields)
+        """The zero matrix on the first ``rows`` unknowns of the layout
+        (position, k) of ``kkt_layout``, with these as its columns too
+        (square) or the rest."""
+        position, k = layout
+        cols = position[:rows] if square else position[rows:]
+        return cls(np.zeros((2 * k + 1, len(cols))), position[:rows], cols, len(position),
+                   **fields)
 
     @property
     def half_band(self):
@@ -162,24 +158,24 @@ class Band:
 
     @property
     def shape(self):
-        shape = (len(self._rows), len(self._cols))
+        shape = (len(self.rows), len(self.cols))
         return shape[::-1] if self.transposed else shape
 
-    def slot(self, rows, cols):
-        """The band slots (row, column of data) of the entries (rows, cols),
-        which must lie on the band (``kkt_layout`` takes its pairs by the
-        rule of ``mesh_pieces``)."""
-        return self.half_band + self._rows[rows] - self._cols[cols], self._rank[cols]
+    def slot(self, r, c):
+        """The band slots (row, column of data) of the entries (r, c), which
+        must lie on the band (``kkt_layout`` takes its pairs by the rule of
+        ``mesh_pieces``)."""
+        return self.half_band + self.rows[r] - self.cols[c], c
 
     def mean_band(self):
         """(m_a m_b) / |Omega| on every slot, with m = 0 at the trial
         positions and past the corners."""
-        m_at = np.zeros(len(self.order))
-        m_at[self._rows] = self.mean[0]
+        m_at = np.zeros(self.size)
+        m_at[self.rows] = self.mean[0]
         # row r of the window is m at the positions b + r - k
         out = np.lib.stride_tricks.sliding_window_view(np.pad(m_at, self.half_band),
-                                                       len(m_at))[:, self.at]
-        out *= m_at[self.at]
+                                                       self.size)[:, self.cols]
+        out *= m_at[self.cols]
         out /= self.mean[1]
         return out
 
@@ -192,19 +188,19 @@ class Band:
         S += self.data
         return S
 
-    def transpose_on(self, at):
-        """The band of the transpose, without the mean term, in the columns at
-        the positions ``at``: entry (a, b), in slot k + a - b of b's column,
+    def transpose_band(self):
+        """The band of the transpose, without the mean term, in columns at
+        the rows' positions: entry (a, b), in slot k + a - b of b's column,
         goes to slot k + b - a of a's column.  Only values move, so a band
         plus its transpose has the bits of X + X^T, as a + b == b + a."""
         k = self.half_band
-        # the column of data at each position, shifted by k; one past the
-        # last column (dropped) at any other position
-        col = np.full(len(self.order) + 2 * k, len(at))
-        col[at + k] = np.arange(len(at))
-        out = np.zeros((2 * k + 1, len(at) + 1))
+        # the row at each position, shifted by k; one past the last row
+        # (dropped) at any other position
+        row = np.full(self.size + 2 * k, len(self.rows))
+        row[self.rows + k] = np.arange(len(self.rows))
+        out = np.zeros((2 * k + 1, len(self.rows) + 1))
         for s in range(2 * k + 1):
-            out[2 * k - s, col[self.at + s]] = self.data[s]
+            out[2 * k - s, row[self.cols + s]] = self.data[s]
         return out[:, :-1]
 
     @property
@@ -215,33 +211,29 @@ class Band:
     def __matmul__(self, x):
         """(S - m m^T / |Omega|) x, or its transpose's, for a vector x: the
         ``core`` in the columns of its positions, by ``band_times``."""
-        rows, cols = (self._cols, self._rows) if self.transposed else (self._rows, self._cols)
-        S = np.zeros((len(self.data), len(self.order)), order="F")
-        S[:, self.at] = self.core()
-        x_at = np.zeros(len(self.order))
+        rows, cols = (self.cols, self.rows) if self.transposed else (self.rows, self.cols)
+        S = np.zeros((len(self.data), self.size), order="F")
+        S[:, self.cols] = self.core()
+        x_at = np.zeros(self.size)
         x_at[cols] = x
         y = band_times(S, x_at, int(self.transposed))[rows]
         if self.mean is not None:
             y -= self.mean[0] * ((self.mean[0] @ x) / self.mean[1])
         return y
 
-    def toarray(self, rows=None):
-        """The dense matrix, or these of its rows: 0.0 - m m^T / |Omega| (the
-        bits of 0.5 (X + X^T) where X is 0.0 - (m_a m_b) / |Omega|) or zero,
-        and the band on it."""
-        k, N = self.half_band, len(self.order)
-        rows = np.arange(len(self._rows)) if rows is None else rows
-        out = np.zeros((len(rows), len(self._cols)))
+    def toarray(self):
+        """The dense matrix: 0.0 - m m^T / |Omega| (the bits of 0.5 (X + X^T)
+        where X is 0.0 - (m_a m_b) / |Omega|) or zero, and the band on it."""
+        k = self.half_band
+        out = np.zeros((len(self.rows), len(self.cols)))
         if self.mean is not None:
-            out -= np.outer(self.mean[0][rows], self.mean[0]) / self.mean[1]
-        # the place of each wanted row at its position, shifted by k; -1 at
-        # any other position
-        row_at = np.full(N + 2 * k, -1)
-        row_at[k + self._rows[rows]] = np.arange(len(rows))
-        col = np.argsort(self._rank)   # the column of each column of data
-        row = row_at[self.at + np.arange(2 * k + 1)[:, None]]
-        on = row >= 0
-        out[row[on], np.broadcast_to(col, row.shape)[on]] = self.data[on]
+            out -= np.outer(self.mean[0], self.mean[0]) / self.mean[1]
+        # the row at each position, shifted by k; -1 at any other position
+        row_at = np.full(self.size + 2 * k, -1)
+        row_at[k + self.rows] = np.arange(len(self.rows))
+        row = row_at[self.cols + np.arange(2 * k + 1)[:, None]]
+        s, c = np.nonzero(row >= 0)
+        out[row[s, c], c] = self.data[s, c]
         return out.T if self.transposed else out
 
 
@@ -427,14 +419,14 @@ def _interior_products(test, n_points, weights):
     return rows, mass, vec
 
 
-def assemble_mass_mean(test, layout):
-    """L2(Omega) mass matrix, a ``Band`` in the layout (order, k) of
-    ``kkt_layout``, and mean vector on the free test DOFs."""
+def assemble_mass_mean(test, like):
+    """L2(Omega) mass matrix, a ``Band`` in the layout of the test x test
+    band ``like``, and mean vector on the free test DOFs."""
     rows, mass, vec = _interior_products(test, test.order + 1, np.ones_like)
     keep = rows >= 0
     both = keep[:, :, None] & keep[:, None, :]
     R, C = np.broadcast_arrays(rows[:, :, None], rows[:, None, :])
-    M = Band.zeros(layout, test.n_free, square=True)
+    M = replace(like, data=np.zeros(like.data.shape))
     m = np.zeros(test.n_free)
     # unbuffered and in element order, as a loop over the elements adds them
     np.add.at(M.data, M.slot(R[both], C[both]), mass[both])
@@ -521,12 +513,12 @@ def _gram(test, A_vv, eps, norm):
     which is left as it is; the steps are in the module docstring."""
     G = replace(A_vv, data=A_vv.data.copy())
     if norm == "app":
-        M, m = assemble_mass_mean(test, (G.order, G.half_band))
+        M, m = assemble_mass_mean(test, A_vv)
         G.mean = (m, test.mesh.nodes[-2] - test.mesh.nodes[1])
         G.data *= eps**2
         G.data += M.data
         G.data -= G.mean_band()
-    G.data += G.transpose_on(G.at)
+    G.data += G.transpose_band()
     G.data *= 0.5
     return G
 
@@ -544,14 +536,14 @@ def _free_supports(space):
 
 
 def kkt_layout(test, trial):
-    """The unknowns of [[G, B], [B^T, 0]] in position order and the matrix's
-    half-bandwidth in that order, the mean term of 'app' taken out of G.
+    """The position of each unknown of [[G, B], [B^T, 0]] and the matrix's
+    half-bandwidth in position order, the mean term of 'app' taken out of G.
 
     Unknown k < test.n_free is free test DOF k, unknown test.n_free + j free
-    trial DOF j; they are sorted stably by ``Space.dof_positions``.  Two
-    unknowns couple only if their supports are within the horizon, by the
-    rule that ``quadrature.mesh_pieces`` selects its candidate pairs with,
-    a_j - delta < b_i.  In position order both ends of the supports are
+    trial DOF j; their positions sort them stably by ``Space.dof_positions``.
+    Two unknowns couple only if their supports are within the horizon, by
+    the rule that ``quadrature.mesh_pieces`` selects its candidate pairs
+    with, a_j - delta < b_i.  In position order both ends of the supports are
     nondecreasing, so each unknown couples to a run of the unknowns after it,
     up to the last whose support starts less than delta past its own end.
     """
@@ -561,7 +553,7 @@ def kkt_layout(test, trial):
     lo, hi = (np.concatenate(ends)[order]
               for ends in zip(_free_supports(test), _free_supports(trial)))
     last = np.searchsorted(lo - test.mesh.delta, hi) - 1
-    return order, int((last - np.arange(len(order))).max(initial=0))
+    return np.argsort(order), int((last - np.arange(len(order))).max(initial=0))
 
 
 def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
@@ -571,9 +563,9 @@ def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
     F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu, and the KKT layout
     ``kkt_layout(test, trial)`` (computed unless given).  B is op's band.
     The lift is nonzero only at the constrained trial DOFs, so op @ lift
-    comes from the rows of op that meet one.  Each Gram matrix is built on
-    the band of the diffusion block A_vv.  The norms and the spaces are
-    checked before anything is assembled.
+    comes from the edge columns of the rows of op that meet one.  Each Gram
+    matrix is built on the band of the diffusion block A_vv.  The norms and
+    the spaces are checked before anything is assembled.
     """
     norms = check_norms(norms)
     if not 0 < trial.n_free < test.n_free:
@@ -585,12 +577,12 @@ def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
         mine *= eps
         mine += theirs
     del C_vu
-    # op @ lift from the rows of op that meet a constrained column, dense
-    # over all trial columns: BLAS sums each row as it sums a row of the
-    # dense op, and every other row is zero
+    # op @ lift from the rows of op that meet a constrained column, over all
+    # trial columns with zeros at the free ones, where the lift is zero: the
+    # nonzero terms keep their column indices, so BLAS sums each row as it
+    # sums a row of the dense op; every other row is zero
     near = np.flatnonzero(op.edge.any(axis=1))
     strip = np.zeros((len(near), trial.n_dofs))
-    strip[:, trial.free_dofs] = op.toarray(near)
     strip[:, trial.constrained_dofs] = op.edge[near]
     op_lift = np.zeros(test.n_free)
     op_lift[near] = strip @ lift

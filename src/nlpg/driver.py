@@ -55,7 +55,7 @@ def _check_memory(n_test, n_trial, n_norms, half_band):
     values; every matrix is a band of w = 2k + 1 slots per column.  The
     assembly holds A_vv, w n, the trial bands A_vu and C_vu, w t each, and
     then the strip of op that the lift multiplies: the rows that meet a
-    constrained column, dense over all trial columns, about one trial band
+    constrained column, over all trial columns, about one trial band
     as those rows lie within the band of the first or last free trial
     column.  B keeps the storage of A_vu.  The Gram builds follow, all
     before the first solve; each holds A_vv, B, the earlier norms' bands,

@@ -10,20 +10,23 @@ Sherman-Morrison formula: with K0 = [[S, B], [B^T, 0]] and e = [m; 0],
 
     x = y + z (e^T y) / (|Omega| - e^T z),   K0 y = [F; 0],   K0 z = e.
 
-G and B hold their bands (``assembly.Band``) in the position order and
+G and B hold their bands (``assembly.Band``) in the positions and
 half-bandwidth of the KKT matrix, so K0 is put in band storage by copying
 them: B's columns as they are, B^T as B's band transposed, and S's columns
-beside it.  K0 is factored once with LAPACK's banded LU with partial
-pivoting (``dgbtrf``, Golub & Van Loan section 4.3); ``dgbtrs`` solves for
-[F; 0] and e.  One step of iterative refinement follows, its residual taken
-with G psi = S psi - m (m^T psi) / |Omega|, B u and B^T psi apart, each
-band product a LAPACK ``dgbmv`` on K0's band, which the solve keeps beside
-the LU: with the other block's part of the vector zero, it sums as the
-products of ``assembly.Band`` do (``assembly.band_times``), plus zero
-terms.  The LU pivots across
-the indefinite matrix: on the grid of ``tools/parity.py`` its u was up to 1.2e-13
-(relative) from a longdouble-refined solve without the step, and is within
-9e-15 with it.
+beside it.  The solve works in that numbering: F is placed at the test
+positions once, psi and u are gathered from theirs at the end, and every
+dot product and norm is taken over the test or the trial positions in DOF
+order, so it sums as over the DOFs.  K0 is factored once with LAPACK's
+banded LU with partial pivoting (``dgbtrf``, Golub & Van Loan section 4.3);
+``dgbtrs`` solves for [F; 0] and e.  One step of iterative refinement
+follows, its residual taken with G psi = S psi - m (m^T psi) / |Omega|,
+B u and B^T psi apart, each band product a LAPACK ``dgbmv`` on K0's band,
+which the solve keeps beside the LU: with the other block's part of the
+vector zero, it sums as the products of ``assembly.Band`` do
+(``assembly.band_times``), plus zero terms.  The LU pivots across the
+indefinite matrix: on the grid of ``tools/parity.py`` its u was up to
+1.2e-13 (relative) from a longdouble-refined solve without the step, and is
+within 9e-15 with it.
 
 G is SPD exactly when the banded Cholesky factorization of S succeeds and
 |Omega| - m^T S^-1 m > 0, by Haynsworth inertia additivity applied to
@@ -39,7 +42,7 @@ n_test x n_trial or n_test x n_test array is formed, and no band over all
 the unknowns outlives the solve.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
@@ -89,64 +92,59 @@ def _norm1(apply, n):
     return est
 
 
-def _kkt_band(system, lead):
-    """LAPACK band storage of K0[order][:, order], K0 = [[S, B], [B^T, 0]], of
-    half-bandwidth k: entry (a, b) in row lead + k + a - b of column b, below
-    lead rows of zeros.
+def _kkt_band(S, B, lead):
+    """LAPACK band storage of K0 = [[S, B], [B^T, 0]] in position order, of
+    half-bandwidth k, for the data S of S's band: entry (a, b) in row
+    lead + k + a - b of column b, below lead rows of zeros.
 
-    G and B hold their bands in this layout, so each trial column is B's
+    S and B hold their bands in this layout, so each trial column is B's
     column as it is, and each test column holds the slots of S plus those of
-    B^T (``Band.transpose_on``); the two never share a slot.
+    B^T (``Band.transpose_band``); the two never share a slot.
     """
-    G, B = system.G, system.B
-    ab = np.zeros((lead + 2 * B.half_band + 1, len(B.order)), order="F")
-    ab[lead:, B.at] = B.data
-    ab[lead:, G.at] = G.core() + B.transpose_on(G.at)
+    ab = np.zeros((lead + 2 * B.half_band + 1, B.size), order="F")
+    ab[lead:, B.cols] = B.data
+    ab[lead:, B.rows] = S + B.transpose_band()
     return ab
 
 
 def solve_mixed(system):
     """Solve G psi + B u = F, B^T psi = 0 by one banded LU of the KKT matrix."""
     G, B, F = system.G, system.B, system.F
-    (n, nt), k, order = B.shape, B.half_band, B.order
-    N = n + nt
+    k, N, rows, cols = B.half_band, B.size, B.rows, B.cols
 
-    def by_position(apply, x):
-        """apply, which works in position order, for x in the unknowns' numbering."""
-        out = np.empty(N)
-        out[order] = apply(x[order])
+    def place(at, v):
+        """The vector over all positions that is v at the positions at and
+        zero elsewhere."""
+        out = np.zeros(N)
+        out[at] = v
         return out
 
-    # K0's blocks: S = G + m m^T / |Omega|, by its band, made once, for G
-    system0 = replace(system, G=replace(G, data=G.core(), mean=None))
+    # K0's test block: S = G + m m^T / |Omega|, by its band, made once
+    S = G.core()
     # SPD test of G: banded Cholesky of S + I on all positions, S at the
     # test positions and the identity at the trial ones, so SPD exactly when
     # S is; its lower band is S[k:] in the test columns
     lower = np.zeros((k + 1, N), order="F")
-    lower[:, G.at] = system0.G.data[k:]
-    lower[0, B.at] = 1.0
+    lower[:, rows] = S[k:]
+    lower[0, cols] = 1.0
     try:
         chol = (cholesky_banded(lower, lower=True, overwrite_ab=True), True)
     except LinAlgError as exc:
         raise IndefiniteGramError(
             "Gram matrix is not positive definite; the test-norm assembly is broken") from exc
 
-    def S_solve(w):
-        """S^-1 w for w on the test unknowns."""
-        return by_position(lambda x: cho_solve_banded(chol, x),
-                           np.concatenate((w, np.zeros(nt))))[:n]
-
     if G.mean is not None:
         m, omega = G.mean
-        Sinv_m = S_solve(m)
-        border = omega - m @ Sinv_m
+        m_at = place(rows, m)
+        Sinv_m = cho_solve_banded(chol, m_at)
+        border = omega - m @ Sinv_m[rows]
         if not border > 0.0:
             raise IndefiniteGramError(
                 "Gram matrix is not positive definite (its mean term); "
                 "the test-norm assembly is broken")
 
-    ab = _kkt_band(system0, lead=k)
-    del system0
+    ab = _kkt_band(S, B, lead=k)
+    del S
     K0 = ab[k:].copy(order="F")   # for the products of the solve
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
     if info > 0:
@@ -154,67 +152,55 @@ def solve_mixed(system):
             "the KKT matrix is singular: discrete inf-sup failure; "
             "raise the test-space enrichment dp")
 
-    def times(x, trans=0):
-        """K0 x, or K0^T x for trans 1, in the unknowns' numbering.  For x
-        zero on the trial (test) unknowns the test rows of K0 x are S x
-        (B x), and the trial rows of K0^T x are B^T x, with the bits of the
-        products of ``assembly.Band``: the same dgbmv sums, plus zero terms."""
-        return by_position(lambda y: band_times(K0, y, trans), x)
-
-    def band_solve(rhs):
-        """K0^-1 rhs, in the unknowns' numbering."""
-        return by_position(lambda x: dgbtrs(lu, k, k, x, piv)[0], rhs)
-
     if G.mean is not None:
-        z = band_solve(np.concatenate((m, np.zeros(nt))))
-        denom = omega - m @ z[:n]
+        z = dgbtrs(lu, k, k, m_at, piv)[0]
+        denom = omega - m @ z[rows]
 
     def kkt_solve(rhs):
         """K^-1 rhs: the solve with K0, then the border unknown
         lambda = m^T psi / |Omega| eliminated."""
-        y = band_solve(rhs)
-        return y if G.mean is None else y + z * ((m @ y[:n]) / denom)
-
-    b = np.concatenate((F, np.zeros(nt)))
-    test = np.arange(N) < n
+        y = dgbtrs(lu, k, k, rhs, piv)[0]
+        return y if G.mean is None else y + z * ((m @ y[rows]) / denom)
 
     def residual(x):
         """[F; 0] - K [psi; u], with G psi = S psi - m (m^T psi) / |Omega|,
-        B u and B^T psi taken apart."""
-        psi, u = np.where(test, x, 0.0), np.where(test, 0.0, x)
-        G_psi = times(psi)[:n]
+        B u and B^T psi taken apart.  For x zero at the trial (test)
+        positions the test rows of K0 x are S x (B x), and the trial rows of
+        K0^T x are B^T x, with the bits of the products of ``assembly.Band``:
+        the same dgbmv sums, plus zero terms."""
+        psi, u = place(rows, x[rows]), place(cols, x[cols])
+        G_psi = band_times(K0, psi)[rows]
         if G.mean is not None:
-            G_psi -= m * ((m @ x[:n]) / omega)
-        return b - np.concatenate((G_psi + times(u)[:n], times(psi, trans=1)[n:]))
+            G_psi -= m * ((m @ x[rows]) / omega)
+        out = np.empty(N)
+        out[rows] = G_psi + band_times(K0, u)[rows]
+        out[cols] = band_times(K0, psi, trans=1)[cols]
+        return F_at - out
 
-    x = kkt_solve(b)
+    F_at = place(rows, F)
+    x = kkt_solve(F_at)
     # one step of iterative refinement in working precision (Skeel, Math.
     # Comp. 35, 1980; Higham 2002, ch. 12) wins back what the pivot growth
     # of the indefinite LU costs; see the module docstring
     x += kkt_solve(residual(x))
-    psi, u = x[:n], x[n:]
     r = residual(x)
     scale = 1.0 + np.linalg.norm(F)
-    res1 = np.linalg.norm(r[:n]) / scale
-    res2 = np.linalg.norm(r[n:]) / scale
+    res1 = np.linalg.norm(r[rows]) / scale
+    res2 = np.linalg.norm(r[cols]) / scale
 
     # kappa_1 of the Schur complement B^T G^-1 B (symmetric): its products
     # apply G^-1 by the Cholesky factor of S and the border, and its inverse
     # is -u of the KKT solve with right-hand side [0; r]
-    def gram_solve(w):
-        out = S_solve(w)
-        if G.mean is not None:
-            out += Sinv_m * ((m @ out) / border)
-        return out
-
     def schur(v):
-        B_v = times(np.concatenate((np.zeros(n), v)))[:n]
-        return times(np.concatenate((gram_solve(B_v), np.zeros(nt))), trans=1)[n:]
+        G_inv_B_v = cho_solve_banded(chol, place(rows, band_times(K0, place(cols, v))[rows]))
+        if G.mean is not None:
+            G_inv_B_v += Sinv_m * ((m @ G_inv_B_v[rows]) / border)
+        return band_times(K0, place(rows, G_inv_B_v[rows]), trans=1)[cols]
 
     def schur_inv(r):
-        return -kkt_solve(np.concatenate((np.zeros(n), r)))[n:]
+        return -kkt_solve(place(cols, r))[cols]
 
-    cond = _norm1(schur, nt) * _norm1(schur_inv, nt)
-    return MixedSolution(u=u, psi=psi, residual_primal=float(res1),
+    cond = _norm1(schur, len(cols)) * _norm1(schur_inv, len(cols))
+    return MixedSolution(u=x[cols], psi=x[rows], residual_primal=float(res1),
                          residual_orthogonality=float(res2),
                          schur_cond_estimate=float(cond), half_band=k)

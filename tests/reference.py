@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
 from nlpg.analysis import pair_energies
-from nlpg.assembly import assemble_mass_mean, assemble_nonlocal_forms, kkt_layout
+from nlpg.assembly import Band, assemble_mass_mean, assemble_nonlocal_forms, kkt_layout
 from nlpg.kernels import constant_kernel_pair
 from nlpg.mesh import horizon_neighbors, refine_marked, uniform_mesh
 from nlpg.quadrature import gauss_legendre, mesh_pieces
@@ -107,7 +107,8 @@ def gram(test, diffusion_vv, eps, norm):
     if norm == "app":
         # M in the layout of the test space beside itself, whose band holds
         # every pair within the horizon
-        M, m = assemble_mass_mean(test, kkt_layout(test, test))
+        M, m = assemble_mass_mean(
+            test, Band.zeros(kkt_layout(test, test), test.n_free, square=True))
         M = M.toarray()
         omega = test.mesh.nodes[-2] - test.mesh.nodes[1]
         X = eps**2 * diffusion_vv + M - np.outer(m, m) / omega

@@ -159,7 +159,8 @@ def test_convection_annihilates_constants(setup):
 
 def test_convection_of_identity_is_mass_vector(setup):
     _, trial, test, _, C, _, _ = setup
-    _, m = assemble_mass_mean(test, kkt_layout(test, trial))
+    _, m = assemble_mass_mean(test, Band.zeros(kkt_layout(test, trial), test.n_free,
+                                               square=True))
     np.testing.assert_allclose(C @ interpolate(trial, lambda x: x), m,
                                rtol=0, atol=1e-12 * np.abs(m).max())
 
@@ -221,7 +222,8 @@ def test_gram_rejects_unknown_norm(setup, monkeypatch):
 def test_gram_equals_the_plain_expression(norm):
     # a random, unsymmetric band checks every slot of the symmetrization on
     # the band, and the densified G every entry off it (the mean term of
-    # 'app'), byte for byte.  The second mesh's band is wider than its
+    # 'app'), byte for byte; G @ x, with the mean term, is the dense product
+    # up to the order of the sums.  The second mesh's band is wider than its
     # matrix, so slots lie past both corners.
     rng = np.random.default_rng(3)
     for mesh in (uniform_mesh(1e-4, 200), uniform_mesh(0.3, 8)):
@@ -229,7 +231,10 @@ def test_gram_equals_the_plain_expression(norm):
         A = Band.zeros(kkt_layout(test, Space(mesh, 1)), test.n_free, square=True)
         A.data[:] = rng.standard_normal(A.data.shape)
         expected = gram(test, A.toarray(), 0.01, norm)
-        assert _gram(test, A, 0.01, norm).toarray().tobytes() == expected.tobytes()
+        G = _gram(test, A, 0.01, norm)
+        assert G.toarray().tobytes() == expected.tobytes()
+        x = rng.standard_normal(test.n_free)
+        assert np.abs(G @ x - expected @ x).max() <= 1e-14 * (np.abs(expected) @ np.abs(x)).max()
 
 
 @pytest.mark.parametrize("norm", ["app", "eng"])
@@ -288,6 +293,27 @@ def test_B_is_the_band_of_the_dense_B(mesh, p, dp):
 
 
 @pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 20), graded_mesh(0.01),
+                                  uniform_mesh(1e-4, 40), uniform_mesh(0.3, 8),
+                                  uniform_mesh(0.6, 5)],
+                         ids=["uniform", "graded", "small-horizon", "horizon-past-elements",
+                              "rows-meet-both-ends"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_F_is_the_plain_dense_expression(mesh, p):
+    # F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu, byte for byte as
+    # the plain dense expression with the dense trial blocks: op @ lift is
+    # taken over the rows that meet a constrained column only.  On the last
+    # mesh some rows meet both ends
+    trial, test = Space(mesh, p), Space(mesh, p + 2)
+    A, C = (dense_block(M, trial) for M in assemble_nonlocal_forms(test, trial)[:2])
+    for name in ("smooth-nonlocal", "sharp"):
+        problem = make_problem(name, 0.01, mesh.delta)
+        lift, systems = mixed_system_from_parts(trial, test, 0.01, problem, ("eng",))
+        expected = (load_vector(test, problem.forcing) - (0.01 * A + C) @ lift
+                    - boundary_defect_load(test, trial, lift, problem.u_exact, 0.01))
+        assert systems["eng"].F.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 20), graded_mesh(0.01),
                                   uniform_mesh(1e-4, 12), uniform_mesh(0.3, 8)],
                          ids=["wide", "graded", "small-horizon", "horizon-past-elements"])
 @pytest.mark.parametrize("p, dp", [(1, 2), (2, 3), (1, 6)])
@@ -302,12 +328,15 @@ def test_kkt_band_holds_every_coupling(mesh, p, dp):
     trial, test = Space(mesh, p), Space(mesh, p + dp)
     problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
     _, systems = mixed_system_from_parts(trial, test, 0.01, problem, ("app", "eng"))
-    order, half_band = kkt_layout(test, trial)
+    position, half_band = kkt_layout(test, trial)
     n = test.n_free
+    order = np.argsort(position)
     for norm, system in systems.items():
-        # the solve copies the bands as they are: both hold the step's layout
-        for band in (system.G, system.B):
-            assert np.array_equal(band.order, order) and band.half_band == half_band
+        # the solve copies the bands as they are: both hold the step's layout,
+        # their rows and columns at the positions of their unknowns
+        for band, cols in ((system.G, position[:n]), (system.B, position[n:])):
+            assert (np.array_equal(band.rows, position[:n]) and np.array_equal(band.cols, cols)
+                    and band.size == len(position) and band.half_band == half_band)
         K0 = np.zeros((len(order),) * 2)
         K0[:n, :n] = system.G.toarray()
         if norm == "app":
@@ -372,7 +401,8 @@ def test_mass_mean_and_load_equal_the_element_loop(mesh, order):
         forcing = make_problem(name, 0.01, mesh.delta).forcing
         M, m, F = _mass_mean_load_by_elements(test, forcing)
         assert np.array_equal(load_vector(test, forcing), F)
-    Mb, mb = assemble_mass_mean(test, kkt_layout(test, test))
+    Mb, mb = assemble_mass_mean(test, Band.zeros(kkt_layout(test, test), test.n_free,
+                                                 square=True))
     assert np.array_equal(Mb.toarray(), M) and np.array_equal(mb, m)
 
 
