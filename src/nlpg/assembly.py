@@ -75,8 +75,8 @@ in the dense G = 0.5 (X + X^T), X = eps^2 A_vv + M - m m^T / |Omega|
 
 1. 'app' only: X = A_vv eps^2, then X += M, then X -= c with
    c_ab = (m_a m_b) / |Omega| on the band.
-2. X += X^T on the band, its transpose taken by ``Band.transpose_band``,
-   which only moves values, then X *= 0.5: the slot of entry (a, b) gets
+2. X += X^T on the band, the data of its transpose ``Band.T``, which
+   only moves values, then X *= 0.5: the slot of entry (a, b) gets
    0.5 (X_ab + X_ba), and a + b == b + a in IEEE arithmetic, so each pair
    of mirror entries gets the bits of 0.5 (X + X^T).
 
@@ -131,7 +131,8 @@ class Band:
     Gram matrix, and zero for mean None.  The trial blocks of the assembly
     also hold ``edge``, their dense columns of the constrained trial DOFs,
     which only the boundary lift multiplies; B holds none.  ``T`` is the
-    transpose, on the same data.
+    transpose, a band again: its rows are these columns and its columns
+    these rows, its slots hold the values moved, and it holds no edge.
     """
 
     data: np.ndarray            # (2k + 1, columns)
@@ -140,7 +141,6 @@ class Band:
     size: int                   # the positions: the free unknowns of the step
     mean: tuple = None
     edge: np.ndarray = None     # (rows, constrained trial DOFs)
-    transposed: bool = False
 
     @classmethod
     def zeros(cls, layout, rows, square=False, **fields):
@@ -158,8 +158,7 @@ class Band:
 
     @property
     def shape(self):
-        shape = (len(self.rows), len(self.cols))
-        return shape[::-1] if self.transposed else shape
+        return len(self.rows), len(self.cols)
 
     def slot(self, r, c):
         """The band slots (row, column of data) of the entries (r, c), which
@@ -188,35 +187,37 @@ class Band:
         S += self.data
         return S
 
-    def transpose_band(self):
-        """The band of the transpose, without the mean term, in columns at
-        the rows' positions: entry (a, b), in slot k + a - b of b's column,
-        goes to slot k + b - a of a's column.  Only values move, so a band
-        plus its transpose has the bits of X + X^T, as a + b == b + a."""
+    def _row_at(self):
+        """The row at each position, shifted by k; len(rows), a row that is
+        dropped, at any other position."""
         k = self.half_band
-        # the row at each position, shifted by k; one past the last row
-        # (dropped) at any other position
         row = np.full(self.size + 2 * k, len(self.rows))
         row[self.rows + k] = np.arange(len(self.rows))
-        out = np.zeros((2 * k + 1, len(self.rows) + 1))
-        for s in range(2 * k + 1):
-            out[2 * k - s, row[self.cols + s]] = self.data[s]
-        return out[:, :-1]
+        return row
 
     @property
     def T(self):
-        """The transpose, on the same data."""
-        return replace(self, transposed=not self.transposed)
+        """The transpose, a band in columns at the rows' positions: entry
+        (a, b), in slot k + a - b of b's column, goes to slot k + b - a of
+        a's column.  Only values move, so a band plus its transpose has the
+        bits of X + X^T, as a + b == b + a."""
+        k, row = self.half_band, self._row_at()
+        out = np.zeros((2 * k + 1, len(self.rows) + 1))
+        for s in range(2 * k + 1):
+            out[2 * k - s, row[self.cols + s]] = self.data[s]
+        return Band(out[:, :-1], self.cols, self.rows, self.size, self.mean)
 
     def __matmul__(self, x):
-        """(S - m m^T / |Omega|) x, or its transpose's, for a vector x: the
-        ``core`` in the columns of its positions, by ``band_times``."""
-        rows, cols = (self.cols, self.rows) if self.transposed else (self.rows, self.cols)
+        """(S - m m^T / |Omega|) x for a vector x: the ``core`` in the
+        columns of its positions, by ``band_times``."""
+        if np.shape(x) != (len(self.cols),):
+            raise ValueError(f"expected a vector of length {len(self.cols)}, "
+                             f"got shape {np.shape(x)}")
         S = np.zeros((len(self.data), self.size), order="F")
         S[:, self.cols] = self.core()
         x_at = np.zeros(self.size)
-        x_at[cols] = x
-        y = band_times(S, x_at, int(self.transposed))[rows]
+        x_at[self.cols] = x
+        y = band_times(S, x_at)[self.rows]
         if self.mean is not None:
             y -= self.mean[0] * ((self.mean[0] @ x) / self.mean[1])
         return y
@@ -224,17 +225,12 @@ class Band:
     def toarray(self):
         """The dense matrix: 0.0 - m m^T / |Omega| (the bits of 0.5 (X + X^T)
         where X is 0.0 - (m_a m_b) / |Omega|) or zero, and the band on it."""
-        k = self.half_band
-        out = np.zeros((len(self.rows), len(self.cols)))
+        out = np.zeros((len(self.rows) + 1, len(self.cols)))
         if self.mean is not None:
-            out -= np.outer(self.mean[0], self.mean[0]) / self.mean[1]
-        # the row at each position, shifted by k; -1 at any other position
-        row_at = np.full(self.size + 2 * k, -1)
-        row_at[k + self.rows] = np.arange(len(self.rows))
-        row = row_at[self.cols + np.arange(2 * k + 1)[:, None]]
-        s, c = np.nonzero(row >= 0)
-        out[row[s, c], c] = self.data[s, c]
-        return out.T if self.transposed else out
+            out[:-1] -= np.outer(self.mean[0], self.mean[0]) / self.mean[1]
+        slots = self.cols + np.arange(len(self.data))[:, None]
+        out[self._row_at()[slots], np.arange(len(self.cols))] = self.data
+        return out[:-1]
 
 
 def band_times(S, x, trans=0):
@@ -518,7 +514,7 @@ def _gram(test, A_vv, eps, norm):
         G.data *= eps**2
         G.data += M.data
         G.data -= G.mean_band()
-    G.data += G.transpose_band()
+    G.data += G.T.data
     G.data *= 0.5
     return G
 

@@ -59,15 +59,20 @@ def _check_memory(n_test, n_trial, n_norms, half_band):
     as those rows lie within the band of the first or last free trial
     column.  B keeps the storage of A_vu.  The Gram builds follow, all
     before the first solve; each holds A_vv, B, the earlier norms' bands,
-    its own, the mass matrix and the mean term, and then the band over all
-    positions that is symmetrized and its transpose, 2 w N.  The solves come
+    its own and the mass matrix, and one more test band at a time: the
+    mean term, then the transpose ``G.T``.  Nothing N-wide is built there,
+    so the last of k' norms peaks at w (t + (k' + 3) n).  The solves come
     last, one at a time, with B and every norm's Gram band alive, as the
-    StepResults keep them: a solve holds the Cholesky factor of S + I, (k +
-    1) N, and the KKT band, (3k + 1) N, and at most one more band over all
-    positions, w N, beside three test bands for S and its mean term.
-    Nothing N-wide outlives its solve.  So w (t + (k' + 3) n + 3 N) values
-    bound a k'-norm step: the solves' peak, which is above the assembly's,
-    w (3t + n), and the Gram builds', w (t + (k' + 2) n + 2 N).  Left out:
+    StepResults keep them.  A solve peaks while it builds the KKT band: it
+    holds the Cholesky factor of S + I, (k + 1) N, and the KKT band,
+    (3k + 1) N, about 2 w N in all, beside three test bands: S, ``B.T``
+    and their sum.  Those three then go and the kept copy of K0, w N,
+    comes.  Nothing N-wide outlives its solve.  So w (t + (k' + 3) n + 3 N)
+    values bound a k'-norm step: the solves' peaks, w (t + (k' + 3) n +
+    2 N) and w (t + k' n + 3 N), are above the Gram builds' and the
+    assembly's, w (3t + n).  At the tenth delta = sqrt(h) step (n = 7679,
+    t = 2559, k = 209, one norm) tracemalloc reads 172 MiB at the solve's
+    peak against the bound's 205 MiB.  Left out:
     the chunk temporaries of the assembly, at most a few tens of MB, the
     dense edge columns of the constrained trial DOFs, the vectors, and the
     zero columns that pad a band to 2k + 1 columns when it has fewer.

@@ -12,21 +12,23 @@ Sherman-Morrison formula: with K0 = [[S, B], [B^T, 0]] and e = [m; 0],
 
 G and B hold their bands (``assembly.Band``) in the positions and
 half-bandwidth of the KKT matrix, so K0 is put in band storage by copying
-them: B's columns as they are, B^T as B's band transposed, and S's columns
-beside it.  The solve works in that numbering: F is placed at the test
-positions once, psi and u are gathered from theirs at the end, and every
-dot product and norm is taken over the test or the trial positions in DOF
-order, so it sums as over the DOFs.  K0 is factored once with LAPACK's
+them: B's columns as they are, B^T as the band of ``Band.T``, and S's
+columns beside it.  The solve works in that numbering: F is placed at the
+test positions once, psi and u are gathered from theirs at the end, and
+every dot product and norm is taken over the test or the trial positions
+in DOF order, so it sums as over the DOFs.  K0 is factored once with LAPACK's
 banded LU with partial pivoting (``dgbtrf``, Golub & Van Loan section 4.3);
 ``dgbtrs`` solves for [F; 0] and e.  One step of iterative refinement
 follows, its residual taken with G psi = S psi - m (m^T psi) / |Omega|,
 B u and B^T psi apart, each band product a LAPACK ``dgbmv`` on K0's band,
-which the solve keeps beside the LU: with the other block's part of the
-vector zero, it sums as the products of ``assembly.Band`` do
-(``assembly.band_times``), plus zero terms.  The LU pivots across the
-indefinite matrix: on the grid of ``tools/parity.py`` its u was up to
-1.2e-13 (relative) from a longdouble-refined solve without the step, and is
-within 9e-15 with it.
+which the solve keeps beside the LU.  With the other block's part of the
+vector zero, G psi and B u sum as ``G @ psi`` and ``B @ u`` do
+(``assembly.band_times``), plus zero terms, and keep their bits; B^T psi
+is the transposed ``dgbmv`` on K0, while ``B.T @ psi`` applies the plain
+one to the band of ``B.T``, so the two sum in other orders.  The LU pivots
+across the indefinite matrix: on the grid of ``tools/parity.py`` its u was
+up to 1.2e-13 (relative) from a longdouble-refined solve without the step,
+and is within 9e-15 with it.
 
 G is SPD exactly when the banded Cholesky factorization of S succeeds and
 |Omega| - m^T S^-1 m > 0, by Haynsworth inertia additivity applied to
@@ -99,11 +101,11 @@ def _kkt_band(S, B, lead):
 
     S and B hold their bands in this layout, so each trial column is B's
     column as it is, and each test column holds the slots of S plus those of
-    B^T (``Band.transpose_band``); the two never share a slot.
+    B^T (the data of ``B.T``); the two never share a slot.
     """
     ab = np.zeros((lead + 2 * B.half_band + 1, B.size), order="F")
     ab[lead:, B.cols] = B.data
-    ab[lead:, B.rows] = S + B.transpose_band()
+    ab[lead:, B.rows] = S + B.T.data
     return ab
 
 
@@ -165,9 +167,10 @@ def solve_mixed(system):
     def residual(x):
         """[F; 0] - K [psi; u], with G psi = S psi - m (m^T psi) / |Omega|,
         B u and B^T psi taken apart.  For x zero at the trial (test)
-        positions the test rows of K0 x are S x (B x), and the trial rows of
-        K0^T x are B^T x, with the bits of the products of ``assembly.Band``:
-        the same dgbmv sums, plus zero terms."""
+        positions the test rows of K0 x are S x (B x), with the bits of
+        ``G @ psi`` and ``B @ u``: the same dgbmv sums, plus zero terms.
+        The trial rows of K0^T x are B^T x, summed by the transposed dgbmv,
+        not in the order of ``B.T @ psi``."""
         psi, u = place(rows, x[rows]), place(cols, x[cols])
         G_psi = band_times(K0, psi)[rows]
         if G.mean is not None:

@@ -233,6 +233,9 @@ def test_gram_equals_the_plain_expression(norm):
         expected = gram(test, A.toarray(), 0.01, norm)
         G = _gram(test, A, 0.01, norm)
         assert G.toarray().tobytes() == expected.tobytes()
+        # mirror slots are bit-equal: G.T.T is G without the slots that
+        # hold no entry, which the random band fills and the transpose drops
+        assert G.T.data.tobytes() == G.T.T.data.tobytes()
         x = rng.standard_normal(test.n_free)
         assert np.abs(G @ x - expected @ x).max() <= 1e-14 * (np.abs(expected) @ np.abs(x)).max()
 
@@ -284,12 +287,31 @@ def test_B_is_the_band_of_the_dense_B(mesh, p, dp):
     B = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"].B
     expected = dense_B(test, trial, 0.01)
     assert B.shape == expected.shape and B.T.shape == expected.T.shape
+    assert B.T.rows is B.cols and B.T.cols is B.rows
+    assert all(getattr(B.T.T, f).tobytes() == getattr(B, f).tobytes()
+               for f in ("data", "rows", "cols"))
     assert B.toarray().tobytes() == expected.tobytes()
     assert np.array_equal(B.T.toarray(), expected.T)
     rng = np.random.default_rng(5)
     u, psi = rng.standard_normal(trial.n_free), rng.standard_normal(test.n_free)
     for band, dense, x in ((B, expected, u), (B.T, expected.T, psi)):
         assert np.abs(band @ x - dense @ x).max() <= 1e-14 * (np.abs(dense) @ np.abs(x)).max()
+
+
+@pytest.mark.parametrize("band", ["B", "B.T", "G"])
+def test_band_product_rejects_a_vector_of_the_wrong_shape(band, monkeypatch):
+    # a scalar or a vector of another length must not broadcast: the
+    # product raises before it builds anything
+    mesh = initial_mesh(0.1)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    system = mixed_system_from_parts(Space(mesh, 1), Space(mesh, 3), 0.01, problem,
+                                     ("app",))[1]["app"]
+    matrix = {"B": system.B, "B.T": system.B.T, "G": system.G}[band]
+    monkeypatch.setattr(Band, "core", _not_reached)
+    for x in (1.0, np.array([2.0]), np.ones(matrix.shape[1] + 1),
+              np.ones((matrix.shape[1], 1))):
+        with pytest.raises(ValueError, match=f"vector of length {matrix.shape[1]}"):
+            matrix @ x
 
 
 @pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 20), graded_mesh(0.01),
