@@ -24,7 +24,7 @@ B u and B^T psi apart, each band product a LAPACK ``dgbmv`` on K0's band,
 which the solve keeps beside the LU.  With the other block's part of the
 vector zero, G psi and B u sum as ``G @ psi`` and ``B @ u`` do
 (``assembly.band_times``), plus zero terms, and keep their bits; B^T psi
-is the transposed ``dgbmv`` on K0, while ``B.T @ psi`` applies the plain
+is ``dgbmv`` on K0 with trans 1, while ``B.T @ psi`` applies the plain
 one to the band of ``B.T``, so the two sum in other orders.  The LU pivots
 across the indefinite matrix: on the grid of ``tools/parity.py`` its u was
 up to 1.2e-13 (relative) from a longdouble-refined solve without the step,
@@ -169,7 +169,7 @@ def solve_mixed(system):
         B u and B^T psi taken apart.  For x zero at the trial (test)
         positions the test rows of K0 x are S x (B x), with the bits of
         ``G @ psi`` and ``B @ u``: the same dgbmv sums, plus zero terms.
-        The trial rows of K0^T x are B^T x, summed by the transposed dgbmv,
+        The trial rows of K0^T x are B^T x, summed by dgbmv with trans 1,
         not in the order of ``B.T @ psi``."""
         psi, u = place(rows, x[rows]), place(cols, x[cols])
         G_psi = band_times(K0, psi)[rows]
