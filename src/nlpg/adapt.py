@@ -35,9 +35,12 @@ def localize_indicator(psi, test, kernel, eps, norm):
     element, so the indicators sum exactly to the global quadratic form.  The
     app norm adds the mean-free L2 density with the *global* mean; the eng
     norm is the plain seminorm density (no eps^2 factor - constant scalings
-    do not change the marked set).  Any other norm raises ValueError.
+    do not change the marked set).  Any other norm, and a psi that is not a
+    vector over the free test DOFs, raise ValueError.
     """
     check_norms((norm,))
+    if np.shape(psi) != (test.n_free,):
+        raise ValueError(f"expected psi of length {test.n_free}, got shape {np.shape(psi)}")
     mesh = test.mesh
     interior = mesh.interior_elements
     coeffs = np.zeros(test.n_dofs)

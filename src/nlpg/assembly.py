@@ -233,15 +233,15 @@ class Band:
         return out[:-1]
 
 
-def band_times(S, x, trans=0):
-    """S x, or S^T x for trans 1, for a square matrix S in LAPACK band storage
-    with one column per position (Fortran order), by LAPACK's dgbmv.
-    scipy's dgbmv takes no fewer than 2k + 1 columns, so a narrower band is
-    padded with zero columns."""
+def band_times(S, x):
+    """S x for a square matrix S in LAPACK band storage with one column per
+    position (Fortran order), by LAPACK's dgbmv.  scipy's dgbmv takes no
+    fewer than 2k + 1 columns, so a narrower band is padded with zero
+    columns."""
     k, N = len(S) // 2, S.shape[1]
     if N < 2 * k + 1:
         S, x = np.pad(S, ((0, 0), (0, 2 * k + 1 - N))), np.pad(x, (0, 2 * k + 1 - N))
-    return dgbmv(len(x), len(x), k, k, 1.0, S, x, trans=trans)[:N]
+    return dgbmv(len(x), len(x), k, k, 1.0, S, x)[:N]
 
 
 def _signed_weights(kernel, xs, y, wy):

@@ -63,17 +63,20 @@ def _check_memory(n_test, n_trial, n_norms, half_band):
     mean term, then the transpose ``G.T``.  Nothing N-wide is built there,
     so the last of k' norms peaks at w (t + (k' + 3) n).  The solves come
     last, one at a time, with B and every norm's Gram band alive, as the
-    StepResults keep them.  A solve peaks while it builds the KKT band: it
-    holds the Cholesky factor of S + I, (k + 1) N, and the KKT band,
-    (3k + 1) N, about 2 w N in all, beside three test bands: S, ``B.T``
-    and their sum.  Those three then go and the kept copy of K0, w N,
-    comes.  Nothing N-wide outlives its solve.  So w (t + (k' + 3) n + 3 N)
-    values bound a k'-norm step: the solves' peaks, w (t + (k' + 3) n +
-    2 N) and w (t + k' n + 3 N), are above the Gram builds' and the
-    assembly's, w (3t + n).  At the tenth delta = sqrt(h) step (n = 7679,
-    t = 2559, k = 209, one norm) tracemalloc reads 172 MiB at the solve's
-    peak against the bound's 205 MiB.  Left out:
-    the chunk temporaries of the assembly, at most a few tens of MB, the
+    StepResults keep them.  A solve holds three bands over all the
+    positions: K0, w N, the Cholesky band of S + I, (k + 1) N, and the LU
+    band, (3k + 1) N, 3 w N in all.  Before the LU band, while it builds
+    K0, it holds K0, the Cholesky band and two test bands at a time (S,
+    then ``B.T`` and the test columns of K0 that it is added to),
+    w (3 N / 2 + 2 n), which is less than w (3 N + n) as n < N.  Nothing
+    N-wide outlives its solve.  So w (t + (k' + 3) n + 3 N) values bound a
+    k'-norm step, at least 2 w n above both the solves' peak, below
+    w (t + (k' + 1) n + 3 N), and the Gram builds', w (t + (k' + 3) n),
+    which are above the assembly's, w (3t + n); the margin covers what is
+    left out below.  At the tenth delta = sqrt(h) step (n = 7679,
+    t = 2559, k = 209, one norm) tracemalloc reads 113 MiB at the Gram
+    build's peak and 134 MiB at the solve's, against the bound's 205 MiB.
+    Left out: the chunk temporaries of the assembly, at most a few tens of MB, the
     dense edge columns of the constrained trial DOFs, the vectors, and the
     zero columns that pad a band to 2k + 1 columns when it has fewer.
     """

@@ -11,37 +11,39 @@ Sherman-Morrison formula: with K0 = [[S, B], [B^T, 0]] and e = [m; 0],
     x = y + z (e^T y) / (|Omega| - e^T z),   K0 y = [F; 0],   K0 z = e.
 
 G and B hold their bands (``assembly.Band``) in the positions and
-half-bandwidth of the KKT matrix, so K0 is put in band storage by copying
-them: B's columns as they are, B^T as the band of ``Band.T``, and S's
-columns beside it.  The solve works in that numbering: F is placed at the
-test positions once, psi and u are gathered from theirs at the end, and
-every dot product and norm is taken over the test or the trial positions
-in DOF order, so it sums as over the DOFs.  K0 is factored once with LAPACK's
+half-bandwidth of the KKT matrix, so K0 is built once in band storage over
+all positions by copying them: B's columns as they are, and S's columns with
+B^T, the band of ``Band.T``, added to them.  The solve works in that
+numbering: F is placed at the test positions once, psi and u are gathered
+from theirs at the end, and every dot product and norm is taken over the
+test or the trial positions in DOF order, so it sums as over the DOFs.  A
+copy of K0, below k rows for the fill-in, is factored once with LAPACK's
 banded LU with partial pivoting (``dgbtrf``, Golub & Van Loan section 4.3);
 ``dgbtrs`` solves for [F; 0] and e.  One step of iterative refinement
-follows, its residual taken with G psi = S psi - m (m^T psi) / |Omega|,
-B u and B^T psi apart, each band product a LAPACK ``dgbmv`` on K0's band,
-which the solve keeps beside the LU.  With the other block's part of the
-vector zero, G psi and B u sum as ``G @ psi`` and ``B @ u`` do
-(``assembly.band_times``), plus zero terms, and keep their bits; B^T psi
-is ``dgbmv`` on K0 with trans 1, while ``B.T @ psi`` applies the plain
-one to the band of ``B.T``, so the two sum in other orders.  The LU pivots
-across the indefinite matrix: on the grid of ``tools/parity.py`` its u was
-up to 1.2e-13 (relative) from a longdouble-refined solve without the step,
-and is within 9e-15 with it.
+follows, its residual taken by two products with K0
+(``assembly.band_times``, LAPACK's ``dgbmv``), each of a vector that is zero
+outside one block: of [psi; 0], whose test and trial rows are S psi and
+B^T psi, and of [0; u], whose test rows are B u; G psi is
+S psi - m (m^T psi) / |Omega|.  The products are those of ``G @ psi``,
+``B @ u`` and ``B.T @ psi``, whose bands are K0's columns at their own
+positions and zero elsewhere, plus zero terms, so they keep their bits.
+The LU pivots across the indefinite matrix: on the grid of
+``tools/parity.py`` its u was up to 1.2e-13 (relative) from a
+longdouble-refined solve without the step, and is within 9e-15 with it.
 
 G is SPD exactly when the banded Cholesky factorization of S succeeds and
 |Omega| - m^T S^-1 m > 0, by Haynsworth inertia additivity applied to
 [[S, m], [m^T, |Omega|]] (a failure is an ``IndefiniteGramError``).  The
-factorization is of S + I on all positions, S at the test positions and
-the identity at the trial ones, which is SPD exactly when S is, so that it
-takes S's band in its own columns.  Given that, K is nonsingular exactly
-when B has full column rank; a zero pivot of the LU is an ``InfSupError``.
-The residuals are taken with those band products, and the condition
-estimate of the Schur complement B^T G^-1 B is the product of two 1-norm
-estimates, one over products with it and one over KKT solves.  No
-n_test x n_trial or n_test x n_test array is formed, and no band over all
-the unknowns outlives the solve.
+factorization is of S + I on all positions, S at the test positions and the
+identity at the trial ones, which is SPD exactly when S is, so that it takes
+S's band in its own columns, copied from K0 before B^T is added.  Given
+that, K is nonsingular exactly when B has full column rank; a zero pivot of
+the LU is an ``InfSupError``.  The residuals are taken with those band
+products, and the condition estimate of the Schur complement B^T G^-1 B is
+the product of two 1-norm estimates, one over products with it and one over
+KKT solves.  No n_test x n_trial or n_test x n_test array is formed.  The
+solve holds three bands over all the unknowns, K0, the Cholesky band and the
+LU band, and none of them outlives it.
 """
 
 from dataclasses import dataclass
@@ -94,19 +96,24 @@ def _norm1(apply, n):
     return est
 
 
-def _kkt_band(S, B, lead):
-    """LAPACK band storage of K0 = [[S, B], [B^T, 0]] in position order, of
-    half-bandwidth k, for the data S of S's band: entry (a, b) in row
-    lead + k + a - b of column b, below lead rows of zeros.
+def _kkt_band(G, B):
+    """K0 = [[S, B], [B^T, 0]] in LAPACK band storage over all positions, of
+    half-bandwidth k, S = G + m m^T / |Omega|: entry (a, b) in row k + a - b
+    of column b; and the lower band of S + I, S at the test positions and
+    the identity at the trial ones, for the SPD test of G.
 
-    S and B hold their bands in this layout, so each trial column is B's
-    column as it is, and each test column holds the slots of S plus those of
-    B^T (the data of ``B.T``); the two never share a slot.
+    G and B hold their bands in this layout, so each trial column is B's
+    column as it is, and each test column holds the slots of S, then those of
+    B^T (the data of ``B.T``) added in place; the two never share a slot.
+    The lower band is copied from the test columns before B^T is added.
     """
-    ab = np.zeros((lead + 2 * B.half_band + 1, B.size), order="F")
-    ab[lead:, B.cols] = B.data
-    ab[lead:, B.rows] = S + B.T.data
-    return ab
+    K0 = np.zeros((2 * B.half_band + 1, B.size), order="F")
+    K0[:, B.rows] = G.core()
+    lower = K0[B.half_band:].copy(order="F")
+    lower[0, B.cols] = 1.0
+    K0[:, B.cols] = B.data
+    K0[:, B.rows] += B.T.data
+    return K0, lower
 
 
 def solve_mixed(system):
@@ -121,14 +128,10 @@ def solve_mixed(system):
         out[at] = v
         return out
 
-    # K0's test block: S = G + m m^T / |Omega|, by its band, made once
-    S = G.core()
     # SPD test of G: banded Cholesky of S + I on all positions, S at the
     # test positions and the identity at the trial ones, so SPD exactly when
-    # S is; its lower band is S[k:] in the test columns
-    lower = np.zeros((k + 1, N), order="F")
-    lower[:, rows] = S[k:]
-    lower[0, cols] = 1.0
+    # S is
+    K0, lower = _kkt_band(G, B)
     try:
         chol = (cholesky_banded(lower, lower=True, overwrite_ab=True), True)
     except LinAlgError as exc:
@@ -145,9 +148,9 @@ def solve_mixed(system):
                 "Gram matrix is not positive definite (its mean term); "
                 "the test-norm assembly is broken")
 
-    ab = _kkt_band(S, B, lead=k)
-    del S
-    K0 = ab[k:].copy(order="F")   # for the products of the solve
+    # dgbtrf's band: k rows for the fill-in, K0 below them
+    ab = np.zeros((3 * k + 1, N), order="F")
+    ab[k:] = K0
     lu, piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
     if info > 0:
         raise InfSupError(
@@ -165,19 +168,14 @@ def solve_mixed(system):
         return y if G.mean is None else y + z * ((m @ y[rows]) / denom)
 
     def residual(x):
-        """[F; 0] - K [psi; u], with G psi = S psi - m (m^T psi) / |Omega|,
-        B u and B^T psi taken apart.  For x zero at the trial (test)
-        positions the test rows of K0 x are S x (B x), with the bits of
-        ``G @ psi`` and ``B @ u``: the same dgbmv sums, plus zero terms.
-        The trial rows of K0^T x are B^T x, summed by dgbmv with trans 1,
-        not in the order of ``B.T @ psi``."""
-        psi, u = place(rows, x[rows]), place(cols, x[cols])
-        G_psi = band_times(K0, psi)[rows]
+        """[F; 0] - K [psi; u], by two products with K0: of psi, zero at the
+        trial positions, whose test and trial rows are S psi and B^T psi,
+        and of u, zero at the test positions, whose test rows are B u.
+        The mean term m (m^T psi) / |Omega| is taken off S psi."""
+        out = band_times(K0, place(rows, x[rows]))
         if G.mean is not None:
-            G_psi -= m * ((m @ x[rows]) / omega)
-        out = np.empty(N)
-        out[rows] = G_psi + band_times(K0, u)[rows]
-        out[cols] = band_times(K0, psi, trans=1)[cols]
+            out[rows] -= m * ((m @ x[rows]) / omega)
+        out += band_times(K0, place(cols, x[cols]))
         return F_at - out
 
     F_at = place(rows, F)
@@ -198,7 +196,7 @@ def solve_mixed(system):
         G_inv_B_v = cho_solve_banded(chol, place(rows, band_times(K0, place(cols, v))[rows]))
         if G.mean is not None:
             G_inv_B_v += Sinv_m * ((m @ G_inv_B_v[rows]) / border)
-        return band_times(K0, place(rows, G_inv_B_v[rows]), trans=1)[cols]
+        return band_times(K0, place(rows, G_inv_B_v[rows]))[cols]
 
     def schur_inv(r):
         return -kkt_solve(place(cols, r))[cols]

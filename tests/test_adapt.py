@@ -30,6 +30,21 @@ def test_localize_indicator_rejects_unknown_norm(norm):
         localize_indicator(np.zeros(test.n_free), test, constant_kernel_pair(0.1), 0.01, norm)
 
 
+@pytest.mark.parametrize("shape", ["scalar", "length 1", "length n + 1", "(n, 1)"])
+def test_localize_indicator_rejects_psi_of_the_wrong_shape(monkeypatch, shape):
+    # a scalar or a length-1 psi used to broadcast over every free DOF
+    def not_reached(*args):
+        raise AssertionError("swept with a psi of the wrong shape")
+
+    test = Space(initial_mesh(0.1), 3)
+    n = test.n_free
+    psi = {"scalar": 1.0, "length 1": np.array([2.0]), "length n + 1": np.ones(n + 1),
+           "(n, 1)": np.ones((n, 1))}[shape]
+    monkeypatch.setattr(nlpg.adapt, "mesh_pieces", not_reached)
+    with pytest.raises(ValueError, match=f"expected psi of length {n}, got shape"):
+        localize_indicator(psi, test, constant_kernel_pair(0.1), 0.01, "app")
+
+
 def test_indicator_support_locality():
     # a single bubble on element 3 only reaches its horizon neighbors (eng norm:
     # the app norm's global-mean term spreads over every element)

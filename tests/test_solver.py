@@ -1,5 +1,6 @@
 """Mixed saddle-point solves: consistency, uniqueness, norm-scaling invariance."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -312,9 +313,10 @@ def test_one_layout_per_solve(monkeypatch):
                          ids=["uniform", "graded", "horizon-past-elements"])
 @pytest.mark.parametrize("norm", ["app", "eng"])
 def test_kkt_band_is_the_band_of_the_dense_kkt_matrix(mesh, norm):
-    # the band that the solve factors holds K0 = [[S, B], [B^T, 0]] in
-    # position order, S = G + m m^T / |Omega|, byte for byte as taken from
-    # the dense K0, and zeros in its lead rows and past either end
+    # the band that the solve factors and multiplies holds K0 = [[S, B],
+    # [B^T, 0]] in position order, S = G + m m^T / |Omega|, byte for byte as
+    # taken from the dense K0, with zeros past either end; the Cholesky band
+    # is the lower band of S + I, the identity at the trial positions
     trial, test = Space(mesh, 1), Space(mesh, 3)
     problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
     system = mixed_system_from_parts(trial, test, 0.01, problem, (norm,))[1][norm]
@@ -328,11 +330,53 @@ def test_kkt_band_is_the_band_of_the_dense_kkt_matrix(mesh, norm):
     K0[:n, n:] = system.B.toarray()
     K0[n:, :n] = K0[:n, n:].T
     K0 = K0[np.ix_(order, order)]
-    expected = np.zeros((3 * k + 1, len(order)), order="F")
-    a = np.arange(len(order)) + np.arange(-k, k + 1)[:, None]   # the row of each slot
-    inside = (a >= 0) & (a < len(order))
-    expected[k:][inside] = K0[a[inside], np.broadcast_to(np.arange(len(order)), a.shape)[inside]]
-    assert _kkt_band(system.G.core(), system.B, lead=k).tobytes() == expected.tobytes()
+    S_plus_I = K0.copy()
+    S_plus_I[:, system.B.cols] = 0.0
+    S_plus_I[system.B.cols, :] = 0.0
+    S_plus_I[system.B.cols, system.B.cols] = 1.0
+
+    def band(A, slots):
+        out = np.zeros((len(slots), len(A)), order="F")
+        a = np.arange(len(A)) + slots[:, None]   # the row of each slot
+        inside = (a >= 0) & (a < len(A))
+        out[inside] = A[a[inside], np.broadcast_to(np.arange(len(A)), a.shape)[inside]]
+        return out
+
+    band_K0, lower = _kkt_band(system.G, system.B)
+    assert band_K0.tobytes() == band(K0, np.arange(-k, k + 1)).tobytes()
+    assert lower.tobytes() == band(S_plus_I, np.arange(k + 1)).tobytes()
+
+
+@pytest.mark.parametrize("delta, n_interior", [(0.1, 40), (1e-4, 40), (0.01, 20), (0.3, 8)])
+@pytest.mark.parametrize("norm", ["app", "eng"])
+def test_reported_residuals_are_those_of_the_returned_system(delta, n_interior, norm):
+    # the solve's residuals, bit for bit as recomputed from the system by the
+    # band products that the benchmark's residual check takes
+    mesh = uniform_mesh(delta, n_interior)
+    res = solve_problem(mesh, make_problem("smooth-nonlocal", 0.01, delta), eps=0.01, p=1,
+                        dp=2, norms=(norm,))[norm]
+    G, B, F = res.system.G, res.system.B, res.system.F
+    u, psi = res.solution.u, res.solution.psi
+    scale = 1.0 + np.linalg.norm(F)
+    assert res.solution.residual_primal == np.linalg.norm(G @ psi + B @ u - F) / scale
+    assert res.solution.residual_orthogonality == np.linalg.norm(B.T @ psi) / scale
+
+
+def test_solve_peaks_at_three_bands_over_all_unknowns():
+    # beside the system it is given, the solve holds K0, the Cholesky band
+    # and the LU band, about 3 w N values for N unknowns and w = 2k + 1
+    mesh = uniform_mesh(0.1, 320)
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.1)
+    system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
+    k, N = system.B.half_band, system.B.size
+    tracemalloc.start()
+    try:
+        solve_mixed(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * 8 * (2 * k + 1) * N
 
 
 def test_memory_limit_is_a_plausible_size():
