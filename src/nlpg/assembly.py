@@ -59,8 +59,9 @@ n_trial array is ever formed.
 
 One call builds the discrete problem of a step,
 ``mixed_system_from_parts``.  It checks the norm list (``check_norms``) and
-the spaces before it assembles anything, and takes the step's layout from
-its caller or computes it once.  It builds the lift, B and F once per mesh:
+the spaces, computes the step's layout once and checks that the step's
+bands fit in memory (``_check_memory``), all before it assembles anything.
+It builds the lift, B and F once per mesh:
 op = eps A_vu + C_vu is formed entry by entry in the storage of A_vu, B is
 op's band, and op @ lift takes the rows of op that meet a constrained
 column, over all trial columns with zeros at the free ones: the lift is
@@ -86,6 +87,7 @@ reads the layout from G and B: a system is G, B and F.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -231,6 +233,65 @@ class Band:
         slots = self.cols + np.arange(len(self.data))[:, None]
         out[self._row_at()[slots], np.arange(len(self.cols))] = self.data
         return out[:-1]
+
+
+def _memory_limit():
+    """Bytes of memory this process may use: the physical memory, or the
+    cgroup v2 ``memory.max`` of its cgroup where that is readable and smaller."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open("/proc/self/cgroup") as fh:
+            path = next((line[3:].strip() for line in fh if line.startswith("0::")), None)
+        if path is None:
+            return limit
+        with open(f"/sys/fs/cgroup{path.rstrip('/')}/memory.max") as fh:
+            value = fh.read().strip()
+    except OSError:
+        return limit
+    return min(limit, int(value)) if value.isdigit() else limit
+
+
+def _check_memory(n_test, n_trial, n_norms, half_band):
+    """Raise MemoryError if the arrays of the step cannot fit.
+
+    With n = n_test, t = n_trial, N = n + t and k = half_band, in float64
+    values; every matrix is a band of w = 2k + 1 slots per column.  The
+    assembly holds A_vv, w n, the trial bands A_vu and C_vu, w t each, and
+    then, for op @ lift only, the strip of op that the lift multiplies: the
+    rows that meet a constrained column, over all trial columns, about one
+    trial band as those rows lie within the band of the first or last free
+    trial column.  B keeps the storage of A_vu.  The Gram builds follow, all
+    before the first solve; each holds A_vv, B, the earlier norms' bands
+    and its own, and one more test band at a time: the mass matrix, let go
+    once it is added, then the mean term, then the transpose ``G.T``.
+    Nothing N-wide is built there, so the last of k' norms peaks at
+    w (t + (k' + 2) n).  The solves come
+    last, one at a time, with B and every norm's Gram band alive, as the
+    StepResults keep them.  A solve holds three bands over all the
+    positions: K0, w N, the Cholesky band of S + I, (k + 1) N, and the LU
+    band, (3k + 1) N, 3 w N in all.  Before the LU band, while it builds
+    K0, it holds K0, the Cholesky band and two test bands at a time (S,
+    then ``B.T`` and the test columns of K0 that it is added to),
+    w (3 N / 2 + 2 n), which is less than w (3 N + n) as n < N.  Nothing
+    N-wide outlives its solve.  So w (t + (k' + 3) n + 3 N) values bound a
+    k'-norm step: at least 2 w n above the solves' peak, below
+    w (t + (k' + 1) n + 3 N), and w (n + 3 N) above the Gram builds',
+    w (t + (k' + 2) n), which are above the assembly's, w (3t + n); the
+    margin covers what is left out below.  At the tenth delta = sqrt(h)
+    step (n = 7679, t = 2559, k = 209, one norm) tracemalloc reads 99 MiB
+    at the builder's peak, in the assembly while ``mesh_pieces`` builds the
+    piece table (84 MiB in the Gram build), and 134 MiB at the solve's,
+    against the bound's 205 MiB.
+    Left out: the chunk temporaries of the assembly, at most a few tens of MB, the
+    build of the piece table (55 MiB at that step), the dense edge columns of the constrained trial DOFs, the vectors, and the
+    zero columns that pad a band to 2k + 1 columns when it has fewer.
+    """
+    need = 8 * (2 * half_band + 1) * (n_trial + (n_norms + 3) * n_test + 3 * (n_test + n_trial))
+    limit = _memory_limit()
+    if need > limit:
+        raise MemoryError(
+            f"the step's bands need about {need / 2**30:.2f} GiB (n_test = {n_test}, "
+            f"n_trial = {n_trial}), more than the {limit / 2**30:.2f} GiB of memory available")
 
 
 def band_times(S, x):
@@ -513,6 +574,7 @@ def _gram(test, A_vv, eps, norm):
         G.mean = (m, test.mesh.nodes[-2] - test.mesh.nodes[1])
         G.data *= eps**2
         G.data += M.data
+        del M
         G.data -= G.mean_band()
     G.data += G.T.data
     G.data *= 0.5
@@ -552,20 +614,24 @@ def kkt_layout(test, trial):
     return np.argsort(order), int((last - np.arange(len(order))).max(initial=0))
 
 
-def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
+def mixed_system_from_parts(trial, test, eps, problem, norms):
     """The discrete mixed problem of every test norm: (lift, {norm: MixedSystem}).
 
     The systems share B = op on the free trial columns and
     F = (f, v) - op lift - b(w, v), op = eps A_vu + C_vu, and the KKT layout
-    ``kkt_layout(test, trial)`` (computed unless given).  B is op's band.
+    ``kkt_layout(test, trial)``, computed once here.  B is op's band.
     The lift is nonzero only at the constrained trial DOFs, so op @ lift
     comes from the edge columns of the rows of op that meet one.  Each Gram
     matrix is built on the band of the diffusion block A_vv.  The norms and
-    the spaces are checked before anything is assembled.
+    the spaces are checked before anything is assembled, and then the
+    memory of the step (``_check_memory``): a step whose bands cannot fit
+    raises ``MemoryError`` before the assembly starts.
     """
     norms = check_norms(norms)
     if not 0 < trial.n_free < test.n_free:
         raise ValueError(f"need 0 < trial < test free DOFs, got {trial.n_free}, {test.n_free}")
+    layout = kkt_layout(test, trial)
+    _check_memory(test.n_free, trial.n_free, len(norms), layout[1])
     op, C_vu, A_vv = assemble_nonlocal_forms(test, trial, layout)
     lift = boundary_lift(trial, problem.u_exact)
     # op = eps A_vu + C_vu, entry by entry in the storage of A_vu
@@ -582,6 +648,7 @@ def mixed_system_from_parts(trial, test, eps, problem, norms, layout=None):
     strip[:, trial.constrained_dofs] = op.edge[near]
     op_lift = np.zeros(test.n_free)
     op_lift[near] = strip @ lift
+    del strip
     F = (load_vector(test, problem.forcing) - op_lift
          - boundary_defect_load(test, trial, lift, problem.u_exact, eps))
     B = replace(op, edge=None)

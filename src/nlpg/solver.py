@@ -10,6 +10,11 @@ Sherman-Morrison formula: with K0 = [[S, B], [B^T, 0]] and e = [m; 0],
 
     x = y + z (e^T y) / (|Omega| - e^T z),   K0 y = [F; 0],   K0 z = e.
 
+The 'eng' Gram matrix has no mean term, G = S, and the solve runs the same
+formulas for it with m = 0 and |Omega| = 1: z = 0, so x = y + 0, the border
+is 1 and every mean correction adds or takes off zero, which leaves each
+value as it is.  So both norms take one path.
+
 G and B hold their bands (``assembly.Band``) in the positions and
 half-bandwidth of the KKT matrix, so K0 is built once in band storage over
 all positions by copying them: B's columns as they are, and S's columns with
@@ -120,6 +125,8 @@ def solve_mixed(system):
     """Solve G psi + B u = F, B^T psi = 0 by one banded LU of the KKT matrix."""
     G, B, F = system.G, system.B, system.F
     k, N, rows, cols = B.half_band, B.size, B.rows, B.cols
+    # the mean term of 'app'; 'eng' has none, the same formulas with m = 0
+    m, omega = G.mean if G.mean is not None else (np.zeros(len(rows)), 1.0)
 
     def place(at, v):
         """The vector over all positions that is v at the positions at and
@@ -138,15 +145,13 @@ def solve_mixed(system):
         raise IndefiniteGramError(
             "Gram matrix is not positive definite; the test-norm assembly is broken") from exc
 
-    if G.mean is not None:
-        m, omega = G.mean
-        m_at = place(rows, m)
-        Sinv_m = cho_solve_banded(chol, m_at)
-        border = omega - m @ Sinv_m[rows]
-        if not border > 0.0:
-            raise IndefiniteGramError(
-                "Gram matrix is not positive definite (its mean term); "
-                "the test-norm assembly is broken")
+    m_at = place(rows, m)
+    Sinv_m = cho_solve_banded(chol, m_at)
+    border = omega - m @ Sinv_m[rows]
+    if not border > 0.0:
+        raise IndefiniteGramError(
+            "Gram matrix is not positive definite (its mean term); "
+            "the test-norm assembly is broken")
 
     # dgbtrf's band: k rows for the fill-in, K0 below them
     ab = np.zeros((3 * k + 1, N), order="F")
@@ -157,15 +162,14 @@ def solve_mixed(system):
             "the KKT matrix is singular: discrete inf-sup failure; "
             "raise the test-space enrichment dp")
 
-    if G.mean is not None:
-        z = dgbtrs(lu, k, k, m_at, piv)[0]
-        denom = omega - m @ z[rows]
+    z = dgbtrs(lu, k, k, m_at, piv)[0]
+    denom = omega - m @ z[rows]
 
     def kkt_solve(rhs):
         """K^-1 rhs: the solve with K0, then the border unknown
         lambda = m^T psi / |Omega| eliminated."""
         y = dgbtrs(lu, k, k, rhs, piv)[0]
-        return y if G.mean is None else y + z * ((m @ y[rows]) / denom)
+        return y + z * ((m @ y[rows]) / denom)
 
     def residual(x):
         """[F; 0] - K [psi; u], by two products with K0: of psi, zero at the
@@ -173,8 +177,7 @@ def solve_mixed(system):
         and of u, zero at the test positions, whose test rows are B u.
         The mean term m (m^T psi) / |Omega| is taken off S psi."""
         out = band_times(K0, place(rows, x[rows]))
-        if G.mean is not None:
-            out[rows] -= m * ((m @ x[rows]) / omega)
+        out[rows] -= m * ((m @ x[rows]) / omega)
         out += band_times(K0, place(cols, x[cols]))
         return F_at - out
 
@@ -194,8 +197,7 @@ def solve_mixed(system):
     # is -u of the KKT solve with right-hand side [0; r]
     def schur(v):
         G_inv_B_v = cho_solve_banded(chol, place(rows, band_times(K0, place(cols, v))[rows]))
-        if G.mean is not None:
-            G_inv_B_v += Sinv_m * ((m @ G_inv_B_v[rows]) / border)
+        G_inv_B_v += Sinv_m * ((m @ G_inv_B_v[rows]) / border)
         return band_times(K0, place(rows, G_inv_B_v[rows]))[cols]
 
     def schur_inv(r):

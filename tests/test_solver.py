@@ -225,20 +225,34 @@ def test_memory_guard_stops_a_solve_that_cannot_fit(monkeypatch):
     # bytes: 17328 for one norm, 19456 for two
     mesh = initial_mesh(0.1)
     problem = make_problem("smooth-nonlocal", 0.01, 0.1)
-    build = nlpg.driver.mixed_system_from_parts
+    build = nlpg.assembly.assemble_nonlocal_forms
 
     def not_reached(*args):
         raise AssertionError("assembled before the memory check")
 
     for norms, need in ((("app",), 17328), (("app", "eng"), 19456)):
-        monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", not_reached)
-        monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need - 1)
+        monkeypatch.setattr(nlpg.assembly, "assemble_nonlocal_forms", not_reached)
+        monkeypatch.setattr(nlpg.assembly, "_memory_limit", lambda: need - 1)
         with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
             solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
-        monkeypatch.setattr(nlpg.driver, "mixed_system_from_parts", build)
-        monkeypatch.setattr(nlpg.driver, "_memory_limit", lambda: need)
+        monkeypatch.setattr(nlpg.assembly, "assemble_nonlocal_forms", build)
+        monkeypatch.setattr(nlpg.assembly, "_memory_limit", lambda: need)
         results = solve_problem(mesh, problem, eps=0.01, p=1, dp=2, norms=norms)
         assert [r.n_test for r in results.values()] == [14] * len(norms)
+
+
+def test_builder_called_directly_stops_a_step_that_cannot_fit(monkeypatch):
+    # the builder guards the step itself: a direct call past the memory
+    # limit used to go on to assemble
+    def not_reached(*args):
+        raise AssertionError("assembled before the memory check")
+
+    monkeypatch.setattr(nlpg.assembly, "assemble_nonlocal_forms", not_reached)
+    monkeypatch.setattr(nlpg.assembly, "_memory_limit", lambda: 17328 - 1)
+    mesh = initial_mesh(0.1)
+    with pytest.raises(MemoryError, match=r"n_test = 14, n_trial = 4\), more than"):
+        mixed_system_from_parts(Space(mesh, 1), Space(mesh, 3), 0.01,
+                                make_problem("smooth-nonlocal", 0.01, 0.1), ("app",))
 
 
 @pytest.mark.parametrize("norms, message", [
@@ -253,8 +267,9 @@ def test_norm_list_rejected_before_anything_is_built(monkeypatch, norms, message
     def not_reached(*args):
         raise AssertionError("reached with a bad norm list")
 
-    for name in ("Space", "_check_memory", "mixed_system_from_parts"):
-        monkeypatch.setattr(nlpg.driver, name, not_reached)
+    for module, name in ((nlpg.driver, "Space"), (nlpg.assembly, "_check_memory"),
+                         (nlpg.driver, "mixed_system_from_parts")):
+        monkeypatch.setattr(module, name, not_reached)
     with pytest.raises(ValueError, match=message):
         solve_problem(uniform_mesh(0.1, 160), make_problem("smooth-nonlocal", 0.01, 0.1),
                       eps=0.01, p=1, dp=2, norms=norms)
@@ -293,7 +308,7 @@ def test_problem_made_for_another_horizon_rejected(monkeypatch):
 
 def test_one_layout_per_solve(monkeypatch):
     # the memory guard, the assembly and the systems share the KKT layout
-    # that solve_problem computes once
+    # that mixed_system_from_parts computes once
     calls = Counter()
     layout = nlpg.assembly.kkt_layout
 
@@ -301,8 +316,7 @@ def test_one_layout_per_solve(monkeypatch):
         calls["kkt_layout"] += 1
         return layout(*args)
 
-    for module in (nlpg.assembly, nlpg.driver):
-        monkeypatch.setattr(module, "kkt_layout", counted)
+    monkeypatch.setattr(nlpg.assembly, "kkt_layout", counted)
     mesh = uniform_mesh(0.1, 10)
     solve_problem(mesh, make_problem("smooth-nonlocal", 0.01, 0.1), eps=0.01, p=1, dp=2,
                   norms=("app", "eng"))
@@ -379,5 +393,36 @@ def test_solve_peaks_at_three_bands_over_all_unknowns():
     assert peak <= 3.3 * 8 * (2 * k + 1) * N
 
 
+def test_builder_lets_the_mass_matrix_go_once_it_is_added():
+    # the 'app' Gram build held the mass matrix beside the mean term and the
+    # transpose, and the builder peaked at 4.73 w n values there
+    mesh = uniform_mesh(0.01, 1280)
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    problem = make_problem("smooth-nonlocal", 0.01, 0.01)
+    tracemalloc.start()
+    try:
+        system = mixed_system_from_parts(trial, test, 0.01, problem, ("app",))[1]["app"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * (2 * system.B.half_band + 1) * test.n_free
+
+
+@pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 40), uniform_mesh(1e-4, 40),
+                                  graded_mesh(0.01)], ids=["wide", "small", "graded"])
+def test_eng_solve_is_the_mean_term_solve_with_m_zero(mesh):
+    # both test norms take one path: an 'eng' solve has the bits of the
+    # same solve with the mean term m = 0, |Omega| = 1
+    trial, test = Space(mesh, 1), Space(mesh, 3)
+    problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
+    system = mixed_system_from_parts(trial, test, 0.01, problem, ("eng",))[1]["eng"]
+    bordered = replace(system, G=replace(system.G, mean=(np.zeros(test.n_free), 1.0)))
+    plain, zero = solve_mixed(system), solve_mixed(bordered)
+    for name in ("psi", "u"):
+        assert getattr(plain, name).tobytes() == getattr(zero, name).tobytes()
+    for name in ("residual_primal", "residual_orthogonality", "schur_cond_estimate"):
+        assert getattr(plain, name) == getattr(zero, name)
+
+
 def test_memory_limit_is_a_plausible_size():
-    assert 2**27 <= nlpg.driver._memory_limit() < 2**50
+    assert 2**27 <= nlpg.assembly._memory_limit() < 2**50
