@@ -5,10 +5,14 @@ The energy-norm errors and the indicators of ``adapt`` share one sweep,
 (``quadrature.mesh_pieces``); each caller masks the rows it needs.  The rows
 of all elements are evaluated together, in three array batches cut into
 chunks under the budget that the assembly uses too (``quadrature.chunks``),
-so the sweep has no fixed cost per element.  u_h is evaluated by
-``Space.values``, whose rows sum as a single element's do; the quadrature
-sums per piece (``quadrature.row_dots``) are dot products for the same
-reason.
+so the sweep has no fixed cost per element.  On a row with K_j contained in
+the ball every (x, y) lies inside the horizon (see
+``assembly.assemble_nonlocal_forms``), so its kernel weights are the
+diffusion kernel's one value there times w_y, with no kernel evaluation; an
+exact solution that several fields share is evaluated once per point set.
+u_h is evaluated by ``Space.values``, whose rows sum as a single element's
+do; the quadrature sums per piece (``quadrature.row_dots``) are dot products
+for the same reason.
 """
 
 import math
@@ -57,13 +61,19 @@ def step_record(step, mesh, result, prev, dof_rates=False):
         err_l2=result.err_l2, rate_l2=r_l)
 
 
-def _field_values(space, field, elems, pts):
-    """g = u_h - exact at pts, whose row k lies in element elems[k]."""
-    coeffs, exact = field
-    vals = np.zeros(pts.shape) if coeffs is None else space.values(coeffs, elems, pts)
-    if exact is not None:
-        vals = vals - exact(pts)
-    return vals
+def _field_values(space, fields, elems, pts):
+    """g = u_h - exact of every field at pts, whose row k lies in element
+    elems[k]; an exact function that several fields share is evaluated once."""
+    exact_at = {}
+    out = []
+    for coeffs, exact in fields:
+        vals = np.zeros(pts.shape) if coeffs is None else space.values(coeffs, elems, pts)
+        if exact is not None:
+            if exact not in exact_at:
+                exact_at[exact] = exact(pts)
+            vals = vals - exact_at[exact]
+        out.append(vals)
+    return out
 
 
 def pair_energies(space, fields, kernel, pieces):
@@ -94,7 +104,7 @@ def pair_energies(space, fields, kernel, pieces):
 
     # per-element grids and field values for the contained case
     elem_y, elem_w = rule.map_to(nodes[:-1, None], nodes[1:, None])
-    elem_vals = [_field_values(space, f, np.arange(mesh.n_elements), elem_y) for f in fields]
+    elem_vals = _field_values(space, fields, np.arange(mesh.n_elements), elem_y)
 
     values = [np.empty(len(i)) for _ in fields]
     contained, self_window = case == CONTAINED, i == j
@@ -111,17 +121,22 @@ def pair_energies(space, fields, kernel, pieces):
         if batch is contained:
             y, wy = elem_y[jb][:, None, :], elem_w[jb][:, None, :]
             fy = [v[jb][:, None, :] for v in elem_vals]
+            # every (x, y) lies inside the horizon (see
+            # ``assembly.assemble_nonlocal_forms``), where the kernel has one
+            # value: the weights of every outer point are the same
+            wK = kernel.diffusion_inside * wy
         else:
             # both self cases split the inner interval at x
             y, wy = inner_points(xb, (nodes[jb, None], nodes[jb + 1, None]), mesh.delta,
                                  q_in, w_in, split=batch is self_window)
-            fy = [_field_values(space, f, jb, y) for f in fields]
+            fy = _field_values(space, fields, jb, y)
         shape = xb.shape + y.shape[-1:]
         d, prod = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-        wK = kernel.eval_diffusion(np.subtract(y, xb[..., None], out=d))
-        wK *= wy
-        for f, v, out in zip(fields, fy, values):
-            np.subtract(v, _field_values(space, f, ib, xb)[..., None], out=d)
+        if batch is not contained:
+            wK = kernel.eval_diffusion(np.subtract(y, xb[..., None], out=d))
+            wK *= wy
+        for v, vx, out in zip(fy, _field_values(space, fields, ib, xb), values):
+            np.subtract(v, vx[..., None], out=d)
             np.multiply(wK, d, out=prod)
             prod *= d
             out[r] = row_dots(wb, prod.sum(axis=-1))

@@ -27,12 +27,19 @@ self window, K_j contained in the ball, and the clipped pair with its
 shared-vertex shift) evaluates all of its rows at once with stacked ``@``,
 and fills the two local blocks of every piece and wanted form: the j block,
 then the i block.  A CONTAINED row integrates over all of K_j at K_j's own
-Gauss points, so its basis values are gathered from a table that holds each
-column space's basis at every element's inner Gauss points, evaluated once
-per call; a gathered row has the bits of its own ``local_basis`` call.  One
-unbuffered ``np.add.at`` per chunk and matrix adds them in table order, so
-every entry receives its additions one by one in the order of the table, as a
-loop over the pieces would add them, whatever the chunk size.
+Gauss points, all inside the horizon, where the diffusion kernel has one
+value.  So its diffusion weights are those of K_j alone, and the row
+gathers the products and sums of its diffusion block from per-element
+tables, built once per call for the elements that such a row pairs with
+(none at a small horizon); only its convection weights are evaluated per
+row, by the kernel's formula inside the horizon.  Its basis values are
+gathered from a table of each column space's basis at those elements'
+Gauss points; a gathered row has the bits of its own ``local_basis`` call,
+and every CONTAINED value those of the kernel evaluation it replaces (see
+``assemble_nonlocal_forms``).  One unbuffered ``np.add.at`` per chunk and
+matrix adds the blocks in table order, so every entry receives its additions
+one by one in the order of the table, as a loop over the pieces would add
+them, whatever the chunk size.
 ``boundary_defect_load`` walks the collar rows of the same table the same way
 and builds its density from the same form table.
 
@@ -270,9 +277,9 @@ def _check_memory(n_test, n_trial, n_norms, half_band):
     StepResults keep them.  A solve holds three bands over all the
     positions: K0, w N, the Cholesky band of S + I, (k + 1) N, and the LU
     band, (3k + 1) N, 3 w N in all.  Before the LU band, while it builds
-    K0, it holds K0, the Cholesky band and two test bands at a time (S,
-    then ``B.T`` and the test columns of K0 that it is added to),
-    w (3 N / 2 + 2 n), which is less than w (3 N + n) as n < N.  Nothing
+    K0, it holds K0 and S, w (N + n), then K0 and the Cholesky band,
+    3 w N / 2, and adds B^T into K0 one slot row of B at a time, with no
+    band of its own; both are less than 3 w N as n < N.  Nothing
     N-wide outlives its solve.  So w (t + (k' + 3) n + 3 N) values bound a
     k'-norm step: at least 2 w n above the solves' peak, below
     w (t + (k' + 1) n + 3 N), and w (n + 3 N) above the Gram builds',
@@ -311,6 +318,30 @@ def _signed_weights(kernel, xs, y, wy):
     return [form.factor * form.signed(kernel, s) * wy for form in FORMS]
 
 
+def _contained_convection(kernel, xs, y, wy):
+    """The convection form's weights at inner nodes y of the outer nodes xs,
+    all of them inside the horizon and none at y = x: the kernel's inside
+    value, with the form's factor, a power of two, scaling wy exactly."""
+    return kernel.convection_inside((y - xs[..., None]) / kernel.delta) * (FORMS[1].factor * wy)
+
+
+def _diffusion_tables(kernel, elem_w, n_out, bases):
+    """The diffusion form's weights w = (factor K) elem_w on the Gauss
+    weights of some elements, one row each, with K the kernel's one value
+    inside the horizon.  Returns the sums of w and, for each basis table
+    (elements x inner points x basis values), w repeated over n_out outer
+    points times the basis: the row sums and the product wK @ By of a
+    CONTAINED row with that element.  Built in element runs under the chunk
+    budget."""
+    w = (FORMS[0].factor * kernel.diffusion_inside) * elem_w
+    Z = [np.empty((len(w), n_out, basis.shape[-1])) for basis in bases]
+    for e in chunks(np.arange(len(w)), n_out * elem_w.shape[-1]):
+        W = np.repeat(w[e, None], n_out, axis=1)
+        for out, basis in zip(Z, bases):
+            out[e] = W @ basis[e]
+    return w.sum(axis=-1), Z
+
+
 def assemble_nonlocal_forms(test, trial, layout=None):
     """Assemble the operator matrices of the mixed system in one sweep.
 
@@ -320,6 +351,25 @@ def assemble_nonlocal_forms(test, trial, layout=None):
     given).  Rows are free test DOFs.  A_vu and C_vu are trial blocks: their
     bands hold the free trial columns and their ``edge`` the constrained
     ones.  A_vv is on the free test DOFs.
+
+    A CONTAINED row evaluates neither kernel through ``_signed_weights``,
+    and keeps the bits that it would give.  Its piece (lo, hi) has
+    lo >= b_j - delta - tol and hi <= a_j + delta + tol, tol =
+    1e-12 max(1, delta) (``mesh_pieces``), and the first of the n_in Gauss
+    nodes of K_j lies c h_j inside K_j, c = (1 + x_1) / 2: 0.0053 at 16
+    nodes, at least 0.0015 up to 30.  So each of its (x, y) has
+    0 < |y - x| <= delta - c h_j + tol, inside the horizon for every K_j
+    wider than about 1e-9 max(1, delta).  There the kernels' ``np.where``
+    takes its first branch, so
+    - the diffusion weights are (factor K) w_y with K the kernel's one value
+      inside (``KernelPair.diffusion_inside``), the same at every outer
+      point: the tables of ``_diffusion_tables`` hold their products with
+      each column space's basis, the row's product wK @ By with the same
+      slice shape and layout, and their sums, the row's sums;
+    - the convection weights are ``KernelPair.convection_inside`` at
+      (y - x) / delta times w_y: the sign of y - x is carried by the
+      scaled separation, and the factors sign(s) = +-1.0 and the form's 1.0
+      that ``_signed_weights`` multiplies by are exact.
     """
     mesh = test.mesh
     delta = mesh.delta
@@ -340,28 +390,30 @@ def assemble_nonlocal_forms(test, trial, layout=None):
     t = delta * q_in
     wK_in = [form.factor * form.signed(kernel, t) * (delta * w_in) for form in FORMS]
 
-    # each column space with its basis at the Gauss points elem_y of every
-    # element (the inner nodes of a CONTAINED piece) and its targets: the
-    # column of each of its DOFs (-1 for one the target does not hold), the
-    # target's matrices, in the order of FORMS, and the map from (row,
-    # column) to their index.  The trial space gets both forms, its free DOFs
-    # in the slots of the trial bands and its constrained DOFs in their dense
-    # edges; the test space the diffusion form on its free DOFs, in the slots
-    # of A_vv's band
+    # each column space with its targets: the column of each of its DOFs (-1
+    # for one the target does not hold), the target's matrices, in the order
+    # of FORMS, and the map from (row, column) to their index.  The trial
+    # space gets both forms, its free DOFs in the slots of the trial bands and
+    # its constrained DOFs in their dense edges; the test space the diffusion
+    # form on its free DOFs, in the slots of A_vv's band
     n_edge = len(trial.constrained_dofs)
     A_vu, C_vu = (Band.zeros(layout, test.n_free, edge=np.zeros((test.n_free, n_edge)))
                   for _ in FORMS)
     A_vv = Band.zeros(layout, test.n_free, square=True)
     edge_col = np.full(trial.n_dofs, -1)
     edge_col[trial.constrained_dofs] = np.arange(n_edge)
-    columns = [(space, space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y), targets)
-               for space, targets in (
-                   (trial, ((trial.free_row, (A_vu.data, C_vu.data), A_vu.slot),
-                            (edge_col, (A_vu.edge, C_vu.edge), lambda r, c: (r, c)))),
-                   (test, ((test.free_row, (A_vv.data,), A_vv.slot),)))]
+    columns = ((trial, ((trial.free_row, (A_vu.data, C_vu.data), A_vu.slot),
+                        (edge_col, (A_vu.edge, C_vu.edge), lambda r, c: (r, c)))),
+               (test, ((test.free_row, (A_vv.data,), A_vv.slot),)))
 
     i, j, lo, hi, case = mesh_pieces(mesh)
     interior = np.flatnonzero((i > 0) & (i < mesh.n_elements - 1))
+    # the tables of the elements K_j that a CONTAINED row pairs with, one row
+    # each: each column space's basis at K_j's Gauss points elem_y, and the
+    # row sums and the products of the diffusion weights there
+    held = np.unique(j[interior][case[interior] == CONTAINED])
+    bases = [space.local_basis(held[:, None], elem_y[held]) for space, _ in columns]
+    s_diff, Z_diff = _diffusion_tables(kernel, elem_w[held], n_out, bases)
     # outer points x inner points for a CONTAINED piece, and outer points x
     # split inner points x basis values for any other
     cost = np.where(case[interior] == CONTAINED, n_out * n_in, n_out * 2 * n_in * (order + 1))
@@ -382,8 +434,9 @@ def assemble_nonlocal_forms(test, trial, layout=None):
         y_sc, wy_sc = inner_points(xs[sc], (bj[0][sc], bj[1][sc]), delta, q_in, w_in, split=True)
         y_cl, wy_cl = inner_points(xs[cl], (bj[0][cl], bj[1][cl]), delta, q_in, w_in, split=False)
         wK_sc = _signed_weights(kernel, xs[sc], y_sc, wy_sc)
-        wK_co = _signed_weights(kernel, xs[co], elem_y[jb[co], None], elem_w[jb[co], None])
         wK_cl = _signed_weights(kernel, xs[cl], y_cl, wy_cl)
+        held_co = np.searchsorted(held, jb[co])   # the table row of each CONTAINED row
+        wC_co = _contained_convection(kernel, xs[co], elem_y[jb[co], None], elem_w[jb[co], None])
         y_mirror = xs[mirror, :, None] + t, xs[mirror, :, None] - t
         # the j block of a self piece and the constrained rows are not added
         rows = test.free_row[test.element_dofs(ib)]
@@ -393,7 +446,7 @@ def assemble_nonlocal_forms(test, trial, layout=None):
         # pair is -(wBtx * sK)^T @ Bx with sK the row sums of the weights
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
-        for space, elem_basis, targets in columns:
+        for (space, targets), basis, Z_space in zip(columns, bases, Z_diff):
             # a copy: the clipped-pair shift below changes Bx in place
             Bx = Btx.copy() if space is test else space.local_basis(ib[:, None], xs)
             Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
@@ -401,7 +454,6 @@ def assemble_nonlocal_forms(test, trial, layout=None):
             # the O(delta^-3) kernel weights, so the huge x-part/y-part
             # cancellation never reaches the matrix
             D = space.local_basis(jb[sc, None, None], y_sc) - Bx[sc, :, None]
-            By_co = elem_basis[jb[co]]
             By_cl = space.local_basis(jb[cl, None, None], y_cl)
             # adjacent clipped window: shift both sides by the shared-vertex
             # cardinal (exactly 1 at the shared node, so the two shifts cancel
@@ -435,9 +487,14 @@ def assemble_nonlocal_forms(test, trial, layout=None):
                 Zi[taylor] = Bx[taylor] @ M
                 Zi[mirror] = (wK_in[f][:, None] * sym).sum(axis=2)
                 Zi[sc] = (wK_sc[f][..., None] * D).sum(axis=2)
-                Zj[co] = wK_co[f] @ By_co
+                # a CONTAINED row: its diffusion block from the tables, its
+                # convection block from its weights and the basis table
+                if f == 0:
+                    Zj[co], sK[co] = Z_space[held_co], s_diff[held_co, None]
+                else:
+                    Zj[co], sK[co] = wC_co @ basis[held_co], wC_co.sum(axis=-1)
                 Zj[cl] = (wK_cl[f][..., None] * By_cl).sum(axis=2)
-                sK[co], sK[cl] = wK_co[f].sum(axis=-1), wK_cl[f].sum(axis=-1)
+                sK[cl] = wK_cl[f].sum(axis=-1)
                 wBt, wBs = (np.swapaxes(w, 1, 2) for w in (wBtx, wBtx * sK[..., None]))
                 blocks = np.stack((wBt @ Zj, sign * (wBs @ Zi)), axis=1)
                 # unbuffered and in table order: every entry receives the

@@ -22,15 +22,27 @@ class KernelPair:
         if not 0.0 < self.delta < math.inf:   # NaN fails both comparisons
             raise ValueError(f"horizon delta must be positive and finite, got {self.delta}")
 
+    @property
+    def diffusion_inside(self):
+        """The diffusion kernel's one value inside the horizon."""
+        return 1.5 / self.delta**3
+
+    def convection_inside(self, r):
+        """The convection kernel at scaled separations r = s / delta inside
+        the horizon, |r| <= 1, signed as r.  Scalings by positive numbers
+        commute with the sign in IEEE arithmetic, so at r = s / delta with
+        0 < |s| <= delta it has the bits of ``eval_convection_signed(s)``."""
+        return 1.5 * r / self.delta**2
+
     def eval_diffusion(self, s):
         """Scaled diffusion kernel value at signed separation ``s``."""
         r = np.abs(np.asarray(s, dtype=float)) / self.delta
-        return np.where(r <= 1.0, 1.5 / self.delta**3, 0.0)
+        return np.where(r <= 1.0, self.diffusion_inside, 0.0)
 
     def eval_convection(self, s):
         """Scaled (unsigned) convection kernel value at signed separation ``s``."""
         r = np.abs(np.asarray(s, dtype=float)) / self.delta
-        return np.where(r <= 1.0, 1.5 * r / self.delta**2, 0.0)
+        return np.where(r <= 1.0, self.convection_inside(r), 0.0)
 
     def eval_convection_signed(self, s):
         """Convection kernel with the direction factor sign(s); sign(0) = 0."""

@@ -18,13 +18,13 @@ value as it is.  So both norms take one path.
 G and B hold their bands (``assembly.Band``) in the positions and
 half-bandwidth of the KKT matrix, so K0 is built once in band storage over
 all positions by copying them: B's columns as they are, and S's columns with
-B^T, the band of ``Band.T``, added to them.  The solve works in that
-numbering: F is placed at the test positions once, psi and u are gathered
-from theirs at the end, and every dot product and norm is taken over the
-test or the trial positions in DOF order, so it sums as over the DOFs.  A
-copy of K0, below k rows for the fill-in, is factored once with LAPACK's
-banded LU with partial pivoting (``dgbtrf``, Golub & Van Loan section 4.3);
-``dgbtrs`` solves for [F; 0] and e.  One step of iterative refinement
+B^T added to them, each entry of B moved as ``Band.T`` moves it, with no
+transposed band built.  The solve works in that numbering: F is placed at
+the test positions once, psi and u are gathered from theirs at the end,
+and every dot product and norm is taken over the test or the trial
+positions in DOF order, so it sums as over the DOFs.  A copy of K0, below
+k rows for the fill-in, is factored once with LAPACK's banded LU with
+partial pivoting (``dgbtrf``, Golub & Van Loan section 4.3); ``dgbtrs`` solves for [F; 0] and e.  One step of iterative refinement
 follows, its residual taken by two products with K0
 (``assembly.band_times``, LAPACK's ``dgbmv``), each of a vector that is zero
 outside one block: of [psi; 0], whose test and trial rows are S psi and
@@ -109,15 +109,22 @@ def _kkt_band(G, B):
 
     G and B hold their bands in this layout, so each trial column is B's
     column as it is, and each test column holds the slots of S, then those of
-    B^T (the data of ``B.T``) added in place; the two never share a slot.
-    The lower band is copied from the test columns before B^T is added.
+    B^T added in place, one slot row of B at a time: entry (r, c) of B, in
+    slot s of column c, goes to slot 2k - s of the column at row r's
+    position, as ``Band.T`` moves it, and the two never share a slot.  The
+    lower band is copied from the test columns before B^T is added.
     """
-    K0 = np.zeros((2 * B.half_band + 1, B.size), order="F")
+    k = B.half_band
+    K0 = np.zeros((2 * k + 1, B.size), order="F")
     K0[:, B.rows] = G.core()
-    lower = K0[B.half_band:].copy(order="F")
+    lower = K0[k:].copy(order="F")
     lower[0, B.cols] = 1.0
     K0[:, B.cols] = B.data
-    K0[:, B.rows] += B.T.data
+    row = B._row_at()
+    for s in range(2 * k + 1):
+        r = row[B.cols + s]
+        keep = r < len(B.rows)
+        K0[2 * k - s, B.rows[r[keep]]] += B.data[s, keep]
     return K0, lower
 
 

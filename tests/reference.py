@@ -169,6 +169,20 @@ def graded_mesh(delta):
     return mesh
 
 
+def contained_meshes():
+    """Meshes where K_j lies inside the ball for most pairs, by name: uniform
+    at delta/h = 1.5, 8 and 32 (an integer delta/h puts the ends of some
+    CONTAINED pieces within the case tolerance past a crossing), ``graded_mesh(0.1)``
+    and a uniform delta = 0.05 mesh whose first two interior elements are
+    bisected four times, widths down to 1/640."""
+    graded_left = uniform_mesh(0.05, 40)
+    for _ in range(4):
+        graded_left = refine_marked(graded_left, [1, 2])
+    return {"1.5": uniform_mesh(0.15, 10), "8": uniform_mesh(0.1, 80),
+            "32": uniform_mesh(0.1, 320), "graded": graded_mesh(0.1),
+            "graded-left": graded_left}
+
+
 def hat(x):
     """The hat function at x = 0.4 of the initial mesh, support (0.2, 0.6)."""
     return max(0.0, 1.0 - abs(x - 0.4) / 0.2)

@@ -12,10 +12,11 @@ from nlpg.analysis import energy_error_norms, error_l2, pair_energies, rate, rat
 from nlpg.assembly import assemble_nonlocal_forms
 from nlpg.kernels import constant_kernel_pair, exact_smooth
 from nlpg.mesh import initial_mesh, refine_marked, refine_uniform, uniform_mesh
-from nlpg.quadrature import CHUNK_VALUES, CLIPPED, N_OVER, mesh_pieces
+from nlpg.quadrature import (CHUNK_VALUES, CLIPPED, CONTAINED, N_OVER, chunks, gauss_legendre,
+                             mesh_pieces, row_dots)
 from nlpg.space import Space
-from reference import (compute_discrete_optimal_norm, energy_seminorm, gram, hat_energy_by_quad,
-                       interpolate, loglog_slope)
+from reference import (compute_discrete_optimal_norm, contained_meshes, energy_seminorm, gram,
+                       hat_energy_by_quad, interpolate, loglog_slope)
 
 
 def test_error_energy_zero_for_representable_solution():
@@ -90,6 +91,55 @@ def test_pair_energies_of_a_table_equal_those_of_its_rows_alone(delta, p):
              for k in range(len(pieces[0]))]
     for f, values in enumerate(whole):
         assert np.array_equal(values, [v[f][0] for v in alone])
+
+
+@pytest.mark.parametrize("name", contained_meshes())
+@pytest.mark.parametrize("p", [1, 3, 9])
+def test_contained_sweep_rows_have_the_bits_of_the_kernel_weights(name, p):
+    # the CONTAINED batch weighs by the diffusion kernel's one value inside
+    # the horizon; each of its values must be byte for byte the sweep's
+    # arithmetic with the kernel weights eval_diffusion(y - x) * w_y
+    mesh = contained_meshes()[name]
+    sp, kernel = Space(mesh, p), constant_kernel_pair(mesh.delta)
+    coeffs = np.random.default_rng(5).standard_normal(sp.n_dofs)
+    pieces = mesh_pieces(mesh)
+    i, j, lo, hi, case = pieces
+    co = np.flatnonzero(case == CONTAINED)
+    values, = pair_energies(sp, [(coeffs, np.sin)], kernel, pieces)
+    rule = gauss_legendre(p + N_OVER)
+    elem_y, elem_w = rule.map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    for r in chunks(co, len(rule.points) ** 2):
+        xb, wb = rule.map_to(lo[r, None], hi[r, None])
+        y, wy = elem_y[j[r]][:, None, :], elem_w[j[r]][:, None, :]
+        g = lambda e, x: sp.values(coeffs, e, x) - np.sin(x)
+        d = g(j[r], elem_y[j[r]])[:, None, :] - g(i[r], xb)[..., None]
+        wK = kernel.eval_diffusion(y - xb[..., None]) * wy
+        assert values[r].tobytes() == row_dots(wb, (wK * d * d).sum(axis=-1)).tobytes()
+
+
+def test_energy_sweep_evaluates_a_shared_exact_solution_once_per_point():
+    # energy_error_norms sweeps u_h - u and u with the same u: each point of
+    # the sweep must reach u once, as in a sweep of u_h - u alone, and the
+    # values must not change
+    for mesh in (uniform_mesh(0.1, 20), uniform_mesh(1e-4, 20)):
+        sp = Space(mesh, 1)
+        kernel = constant_kernel_pair(mesh.delta)
+        coeffs = interpolate(sp, exact_smooth) + 1e-3
+        pieces = mesh_pieces(mesh)
+        seen = []
+
+        def counted(x):
+            seen.append(np.size(x))
+            return exact_smooth(x)
+
+        alone, = pair_energies(sp, [(coeffs, counted)], kernel, pieces)
+        points = sum(seen)
+        seen.clear()
+        both = pair_energies(sp, [(coeffs, counted), (None, counted)], kernel, pieces)
+        assert sum(seen) == points
+        assert both[0].tobytes() == alone.tobytes()
+        assert both[1].tobytes() == pair_energies(sp, [(None, exact_smooth)], kernel,
+                                                  pieces)[0].tobytes()
 
 
 def test_energy_sweep_rejects_a_kernel_of_another_horizon():

@@ -12,13 +12,13 @@ from nlpg.assembly import (Band, _gram, assemble_mass_mean, assemble_nonlocal_fo
                            boundary_defect_load, kkt_layout, load_vector,
                            mixed_system_from_parts)
 from nlpg.driver import solve_problem
-from nlpg.kernels import constant_kernel_pair, forcing_smooth_nonlocal
+from nlpg.kernels import KernelPair, constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
 from nlpg.quadrature import CONTAINED, N_OVER, gauss_legendre, mesh_pieces
 from nlpg.space import Space, boundary_lift
-from reference import (dense_B, dense_block, graded_mesh, gram, hat, hat_energy_by_quad,
-                       interpolate, nested_integrate)
+from reference import (contained_meshes, dense_B, dense_block, graded_mesh, gram, hat,
+                       hat_energy_by_quad, interpolate, nested_integrate)
 
 
 @pytest.fixture(scope="module", params=[0.1, 0.02, 1e-4])
@@ -65,9 +65,10 @@ def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
     monkeypatch.setattr(nlpg.assembly, "chunks", counted)
     whole = assemble()
     if (mesh_pieces(mesh)[4] == CONTAINED).any():
-        # the default walk of the operator assembly must not be one chunk, or
-        # the comparison below would show nothing
-        assert runs[0] > 1
+        # the default walk of the operator assembly, the second walk after
+        # that of the CONTAINED tables, must not be one chunk, or the
+        # comparison below would show nothing
+        assert runs[1] > 1
     # 2**12 values mix CONTAINED rows and others in one run
     for budget in (2**12, 1):
         monkeypatch.setattr(quadrature, "CHUNK_VALUES", budget)
@@ -89,6 +90,40 @@ def test_element_basis_table_gives_the_bits_of_the_per_row_basis(mesh, p):
         table = space.local_basis(np.arange(mesh.n_elements)[:, None], elem_y)
         for jb in (j[:1], j[::7], j):
             assert np.array_equal(table[jb], space.local_basis(jb[:, None], elem_y[jb]))
+
+
+@pytest.mark.parametrize("name", contained_meshes())
+@pytest.mark.parametrize("p", [1, 3, 9])
+def test_contained_rows_have_the_bits_of_the_kernel_weights(name, p):
+    # a CONTAINED row evaluates no kernel: its diffusion products and row
+    # sums come from the per-element tables and its convection weights from
+    # the kernel's formula inside the horizon.  Each must be byte for byte
+    # what the kernel weights of _signed_weights give, with the per-piece
+    # product wK @ By and sum, at n_out = p + N_OVER outer and one more inner
+    # points, as for a trial space of order p + 1
+    mesh = contained_meshes()[name]
+    space, kernel = Space(mesh, p), KernelPair(mesh.delta)
+    n_out, n_in = p + N_OVER, p + 1 + N_OVER
+    i, j, lo, hi, case = mesh_pieces(mesh)
+    co = np.flatnonzero((case == CONTAINED) & (i > 0) & (i < mesh.n_elements - 1))
+    if name in ("8", "32", "graded-left"):
+        # some pieces end within the case tolerance past a crossing
+        assert ((hi[co] > mesh.nodes[j[co]] + mesh.delta)
+                | (lo[co] < mesh.nodes[j[co] + 1] - mesh.delta)).any()
+    elem_y, elem_w = gauss_legendre(n_in).map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    held = np.unique(j[co])
+    basis = space.local_basis(held[:, None], elem_y[held])
+    s_diff, (Z_diff,) = nlpg.assembly._diffusion_tables(kernel, elem_w[held], n_out, [basis])
+    for r in quadrature.chunks(co, n_out * n_in):
+        xs, _ = gauss_legendre(n_out).map_to(lo[r, None], hi[r, None])
+        y, wy = elem_y[j[r], None], elem_w[j[r], None]
+        w_diff, w_conv = nlpg.assembly._signed_weights(kernel, xs, y, wy)
+        row = np.searchsorted(held, j[r])
+        assert Z_diff[row].tobytes() == (w_diff @ basis[row]).tobytes()
+        assert (np.broadcast_to(s_diff[row, None], xs.shape).tobytes()
+                == w_diff.sum(axis=-1).tobytes())
+        assert (nlpg.assembly._contained_convection(kernel, xs, y, wy).tobytes()
+                == w_conv.tobytes())
 
 
 @SWEEP_MESHES
