@@ -108,10 +108,10 @@ def test_contained_sweep_rows_have_the_bits_of_the_kernel_weights(name, p):
     values, = pair_energies(sp, [(coeffs, np.sin)], kernel, pieces)
     rule = gauss_legendre(p + N_OVER)
     elem_y, elem_w = rule.map_to(mesh.nodes[:-1, None], mesh.nodes[1:, None])
+    g = lambda e, x: sp.values(coeffs, e, x) - np.sin(x)
     for r in chunks(co, len(rule.points) ** 2):
         xb, wb = rule.map_to(lo[r, None], hi[r, None])
         y, wy = elem_y[j[r]][:, None, :], elem_w[j[r]][:, None, :]
-        g = lambda e, x: sp.values(coeffs, e, x) - np.sin(x)
         d = g(j[r], elem_y[j[r]])[:, None, :] - g(i[r], xb)[..., None]
         wK = kernel.eval_diffusion(y - xb[..., None]) * wy
         assert values[r].tobytes() == row_dots(wb, (wK * d * d).sum(axis=-1)).tobytes()
