@@ -89,8 +89,7 @@ def pair_energies(space, fields, kernel, pieces):
     with the nested quadrature of the assembly, so the sums agree with the
     assembled quadratic forms to roundoff.  The rows run in three batches (K_j
     contained in the ball, the self window split at x, the clipped windows),
-    in chunks of at most ``CHUNK_VALUES`` values (1 MB) per temporary; the
-    largest temporaries reuse one set of buffers for the whole sweep.  No
+    in chunks of at most ``CHUNK_VALUES`` values (1 MB) per temporary.  No
     operation mixes rows, so each value equals that of its row alone.
     """
     i, j, lo, hi, case = pieces
@@ -111,10 +110,6 @@ def pair_energies(space, fields, kernel, pieces):
     # pieces x outer points x split inner points x basis values of Space.values
     runs = [(batch, r) for batch in (contained, self_window, case == CLIPPED)
             for r in chunks(np.flatnonzero(batch), n * 2 * n * (space.order + 1))]
-    # two buffers for the sweep's pieces x outer x inner points temporaries,
-    # as large as the largest run's; every chunk writes its own into them
-    # with out=, by the operations of fresh arrays in the same order
-    buffers = np.empty((2, max((len(r) for _, r in runs), default=0) * n * 2 * n))
     for batch, r in runs:
         ib, jb = i[r], j[r]
         xb, wb = rule.map_to(lo[r, None], hi[r, None])
@@ -130,16 +125,10 @@ def pair_energies(space, fields, kernel, pieces):
             y, wy = inner_points(xb, (nodes[jb, None], nodes[jb + 1, None]), mesh.delta,
                                  q_in, w_in, split=batch is self_window)
             fy = _field_values(space, fields, jb, y)
-        shape = xb.shape + y.shape[-1:]
-        d, prod = (b[:math.prod(shape)].reshape(shape) for b in buffers)
-        if batch is not contained:
-            wK = kernel.eval_diffusion(np.subtract(y, xb[..., None], out=d))
-            wK *= wy
+            wK = kernel.eval_diffusion(y - xb[..., None]) * wy
         for v, vx, out in zip(fy, _field_values(space, fields, ib, xb), values):
-            np.subtract(v, vx[..., None], out=d)
-            np.multiply(wK, d, out=prod)
-            prod *= d
-            out[r] = row_dots(wb, prod.sum(axis=-1))
+            d = v - vx[..., None]
+            out[r] = row_dots(wb, (wK * d * d).sum(axis=-1))
     return values
 
 

@@ -48,7 +48,8 @@ products of all interior elements at once, then one unbuffered ``np.add.at``
 in element order.
 
 Every matrix is a ``Band`` in the one layout of ``kkt_layout``: in 1-D two
-DOFs couple only when their supports lie within the horizon, so with all
+DOFs couple only when their elements are a candidate pair of the pair layer
+(``quadrature.horizon_runs``), so with all
 the unknowns (free test DOFs, then free trial DOFs) at the positions that
 sort them by ``Space.dof_positions``, and with the half-bandwidth k that
 ``kkt_layout`` computes, each matrix is its band (the mean term of 'app'
@@ -103,7 +104,7 @@ from scipy.linalg.blas import dgbmv
 
 from .kernels import KernelPair
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, chunks,
-                         gauss_legendre, inner_points, mesh_pieces, row_dots)
+                         gauss_legendre, horizon_runs, inner_points, mesh_pieces, row_dots)
 from .space import boundary_lift
 
 
@@ -171,7 +172,8 @@ class Band:
 
     def slot(self, r, c):
         """The band slots (row, column of data) of the entries (r, c), which
-        must lie on the band (``kkt_layout`` takes its pairs by the rule of
+        must lie on the band (``kkt_layout`` takes its half-band from the
+        runs of ``quadrature.horizon_runs``, the candidate pairs of
         ``mesh_pieces``)."""
         return self.half_band + self.rows[r] - self.cols[c], c
 
@@ -638,37 +640,28 @@ def _gram(test, A_vv, eps, norm):
     return G
 
 
-def _free_supports(space):
-    """Ends (lo, hi) of the support of every free basis function: the union
-    of the elements that hold the DOF."""
-    nodes, k = space.mesh.nodes, space.order + 1
-    elems = np.arange(space.mesh.n_elements)
-    dofs = space.element_dofs(elems).ravel()
-    lo, hi = np.full(space.n_dofs, np.inf), np.full(space.n_dofs, -np.inf)
-    np.minimum.at(lo, dofs, np.repeat(nodes[:-1], k))
-    np.maximum.at(hi, dofs, np.repeat(nodes[1:], k))
-    return lo[space.free_dofs], hi[space.free_dofs]
-
-
 def kkt_layout(test, trial):
     """The position of each unknown of [[G, B], [B^T, 0]] and the matrix's
     half-bandwidth in position order, the mean term of 'app' taken out of G.
 
     Unknown k < test.n_free is free test DOF k, unknown test.n_free + j free
     trial DOF j; their positions sort them stably by ``Space.dof_positions``.
-    Two unknowns couple only if their supports are within the horizon, by
-    the rule that ``quadrature.mesh_pieces`` selects its candidate pairs
-    with, a_j - delta < b_i.  In position order both ends of the supports are
-    nondecreasing, so each unknown couples to a run of the unknowns after it,
-    up to the last whose support starts less than delta past its own end.
+    Two unknowns couple only if their elements do, and the elements that can
+    couple are the runs of the pair layer, ``quadrature.horizon_runs``,
+    which pair i with j as they pair j with i.  In position order the
+    unknowns of element i run from the first at or after a_i to the last at
+    or before b_i; both ends are nondecreasing in i, so of the unknowns that
+    element i couples to, those of its last candidate, stop[i] - 1, reach
+    furthest on.  The half-bandwidth is the longest such reach.
     """
     pos = np.concatenate((test.dof_positions[test.free_dofs],
                           trial.dof_positions[trial.free_dofs]))
     order = np.argsort(pos, kind="stable")
-    lo, hi = (np.concatenate(ends)[order]
-              for ends in zip(_free_supports(test), _free_supports(trial)))
-    last = np.searchsorted(lo - test.mesh.delta, hi) - 1
-    return np.argsort(order), int((last - np.arange(len(order))).max(initial=0))
+    ordered, nodes = pos[order], test.mesh.nodes
+    first = np.searchsorted(ordered, nodes[:-1])
+    last = np.searchsorted(ordered, nodes[1:], side="right") - 1
+    stop = horizon_runs(test.mesh)[1]
+    return np.argsort(order), int((last[stop - 1] - first).max(initial=0))
 
 
 def mixed_system_from_parts(trial, test, eps, problem, norms):

@@ -20,9 +20,11 @@ refinements make this accurate for every delta/h ratio:
 With the built-in kernels every piece integrand is polynomial, so the nested
 values are exact up to roundoff.
 
-The pair layer, ``mesh_pieces`` and ``inner_points``, is the only place that
-decides the geometry of element pairs: which pairs interact (those with a
-piece), which smooth pieces of K_i each has,
+The pair layer, ``horizon_runs``, ``mesh_pieces`` and ``inner_points``, is
+the only place that decides the geometry of element pairs: which pairs can
+couple (for each element the run of ``horizon_runs``, which also gives
+``assembly.kkt_layout`` its half-band), which interact (those with a piece),
+which smooth pieces of K_i each has,
 which case each piece is (self window inside K_i, self window clipped by an
 end of K_i, K_j contained in the ball, or clipped), and where the inner nodes
 sit.  ``mesh_pieces(mesh)`` returns the pieces of all pairs of the mesh as one
@@ -105,20 +107,33 @@ CONTAINED = 2       # K_j inside B_delta(x) at both ends of the piece
 CLIPPED = 3         # every other piece: K_j ∩ B_delta(x) moves with x
 
 
+def horizon_runs(mesh):
+    """The candidate pairs of every element: (start, stop), the run
+    start[i] <= j < stop[i] of the elements whose window K_j ∩ B_delta(x),
+    x in K_i, can be nonempty, b_j + delta > a_i and a_j - delta < b_i.
+
+    This is the one rule of which elements couple: ``mesh_pieces`` cuts the
+    pieces of these pairs, and ``assembly.kkt_layout`` takes its half-band
+    from them.
+    """
+    a, b = mesh.nodes[:-1], mesh.nodes[1:]
+    return (np.searchsorted(b + mesh.delta, a, side="right"),
+            np.searchsorted(a - mesh.delta, b))
+
+
 def mesh_pieces(mesh):
     """Smooth pieces of every element against its horizon neighbours, as arrays.
 
     Returns (i, j, lo, hi, case): piece k is (lo[k], hi[k]) of K_i[k] paired
-    with K_j[k], ordered by i, then j, then along K_i.  The pieces of each
-    pair are those of ``smooth_pieces``, evaluated for all pairs at once; the
-    case is decided with the one tolerance 1e-12 * max(1, delta).
+    with K_j[k] of the run of ``horizon_runs``, ordered by i, then j, then
+    along K_i.  The pieces of each pair are those of ``smooth_pieces``,
+    evaluated for all pairs at once; the case is decided with the one
+    tolerance 1e-12 * max(1, delta).
     """
     delta = mesh.delta
-    # the candidate pairs: for each i the run of j whose window below can be
-    # nonempty, a_j - delta < b_i and b_j + delta > a_i
     a, b = mesh.nodes[:-1], mesh.nodes[1:]
-    start = np.searchsorted(b + delta, a, side="right")
-    count = np.searchsorted(a - delta, b) - start
+    start, stop = horizon_runs(mesh)
+    count = stop - start
     i, k = np.nonzero(np.arange(count.max()) < count[:, None])
     j = start[i] + k
     ai, bi, aj, bj = a[i], b[i], a[j], b[j]

@@ -1,5 +1,6 @@
 """Discrete operator matrices: annihilation, symmetry, SPD, load consistency."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -378,10 +379,10 @@ def test_kkt_band_holds_every_coupling(mesh, p, dp):
     # in the position order of kkt_layout, every nonzero of
     # K0 = [[G + m m^T / |Omega|, B], [B^T, 0]] lies within the half-band: off
     # the band, G is exactly the mean term -m m^T / |Omega| of 'app'.  The
-    # band takes the candidate pairs of mesh_pieces, so it may hold one
-    # element more than the nonzeros where a support ends delta (up to
-    # rounding) before another starts, as on a uniform mesh with delta / h
-    # an integer
+    # band reaches as far as the runs of quadrature.horizon_runs, the
+    # candidate pairs of mesh_pieces, so it may hold one element more than
+    # the nonzeros where an element ends delta (up to rounding) before
+    # another starts, as on a uniform mesh with delta / h an integer
     trial, test = Space(mesh, p), Space(mesh, p + dp)
     problem = make_problem("smooth-nonlocal", 0.01, mesh.delta)
     _, systems = mixed_system_from_parts(trial, test, 0.01, problem, ("app", "eng"))
@@ -409,6 +410,35 @@ def test_kkt_band_holds_every_coupling(mesh, p, dp):
     positions = np.concatenate((test.dof_positions[test.free_dofs],
                                 trial.dof_positions[trial.free_dofs]))
     assert np.all(np.diff(positions[order]) >= 0.0)
+
+
+def _uniform_h_step(step):
+    mesh = initial_mesh(0.1)
+    for _ in range(step):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("mesh, half_bands", [
+    *((_uniform_h_step(s), k) for s, k in enumerate(
+        [(9, 17), (9, 17), (17, 33), (25, 49), (41, 81), (73, 145), (137, 273)])),
+    (uniform_mesh(0.1, 20), (17, 33)), (uniform_mesh(1e-4, 1280), (9, 17)),
+    (uniform_mesh(math.sqrt(0.2 / 2**9), 2560), (209, 417)), (graded_mesh(0.1), (19, 39))],
+    ids=[*(f"uniform-h-{s}" for s in range(7)), "wide-20", "small-horizon-1280",
+         "sqrt-h-2560", "graded"])
+def test_kkt_layout_pins_positions_and_half_band(mesh, half_bands):
+    # the half-bands of the candidate reach (the runs of the pair layer) at
+    # (p, dp) = (1, 2) and (1, 6): the seven meshes of the smooth uniform-h
+    # study, a wide and a small horizon, the tenth delta = sqrt(h) mesh and
+    # a graded one.  A band cut to the pieces' own pairs would be narrower,
+    # and the banded factorizations order their operations by k
+    for (p, dp), k in zip([(1, 2), (1, 6)], half_bands):
+        trial, test = Space(mesh, p), Space(mesh, p + dp)
+        position, half_band = kkt_layout(test, trial)
+        positions = np.concatenate((test.dof_positions[test.free_dofs],
+                                    trial.dof_positions[trial.free_dofs]))
+        assert half_band == k
+        assert np.array_equal(position, np.argsort(np.argsort(positions, kind="stable")))
 
 
 def test_two_calls_give_bit_equal_systems():
