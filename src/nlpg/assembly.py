@@ -26,9 +26,16 @@ each integrand case (the Taylor and the mirrored self window, the clipped
 self window, K_j contained in the ball, and the clipped pair with its
 shared-vertex shift) evaluates all of its rows at once with stacked ``@``,
 and fills the two local blocks of every piece and wanted form: the j block,
-then the i block.  A CONTAINED row integrates over all of K_j at K_j's own
-Gauss points, all inside the horizon, where the diffusion kernel has one
-value.  So its diffusion weights are those of K_j alone, and the row
+then the i block.  The mirrored self window, the clipped self window and
+the clipped pair (at a small horizon every row but the Taylor self windows)
+hold their inner points first: basis values (basis values, inner points,
+rows, outer points) by ``Space.node_basis``, kernel weights (inner points,
+rows, outer points).  Their sums over the inner points then add whole slabs
+of rows and outer points, in the order of the points-first sums they
+replace (see ``assemble_nonlocal_forms``).  A CONTAINED row integrates over
+all of K_j at K_j's own Gauss points, all inside the horizon, where the
+diffusion kernel has one value.  So its diffusion weights are those of K_j
+alone, and the row
 gathers the products and sums of its diffusion block from per-element
 tables, built once per call for the elements that such a row pairs with
 (none at a small horizon); only its convection weights are evaluated per
@@ -105,7 +112,7 @@ from scipy.linalg.blas import dgbmv
 from .kernels import KernelPair
 from .quadrature import (CLIPPED, CONTAINED, N_OVER, SELF_CLIPPED, SELF_INSIDE, chunks,
                          gauss_legendre, horizon_runs, inner_points, mesh_pieces, row_dots)
-from .space import boundary_lift
+from .space import _pairwise_rows, boundary_lift
 
 
 class _Form(NamedTuple):
@@ -315,9 +322,31 @@ def band_times(S, x):
 
 
 def _signed_weights(kernel, xs, y, wy):
-    """Kernel weights of every form at inner nodes y of the outer nodes xs."""
-    s = y - xs[..., None]
+    """Kernel weights of every form at inner nodes y (inner points first) of
+    the outer nodes xs."""
+    s = y - xs
     return [form.factor * form.signed(kernel, s) * wy for form in FORMS]
+
+
+def _inner_first(y, wy):
+    """Inner nodes and weights of ``inner_points``, the inner-point axis
+    moved first, C-contiguous."""
+    return [np.moveaxis(a, -1, 0).copy() for a in (y, wy)]
+
+
+def _inner_sums(w, X):
+    """sum_m w[m] X[:, m] over the inner points m, returned as (rows, outer
+    points, basis values), for w (inner points, rows, outer points) and X
+    (basis values, inner points, rows, outer points).
+
+    The product is written into a C-contiguous array, so numpy's sum over
+    its axis 1 starts from 0.0 and adds one whole slab X[:, m] after
+    another, as ``(w'[..., None] * X').sum(axis=2)`` adds the middle axis of
+    the points-first layout w', X' one slice after another: every sum keeps
+    its bits.  Only numpy's inner loop differs: it runs over all rows and
+    outer points here, over the p + 1 basis values there.
+    """
+    return np.moveaxis(np.multiply(w, X, out=np.empty(X.shape)).sum(axis=1), 0, -1)
 
 
 def _contained_convection(kernel, xs, y, wy):
@@ -372,6 +401,21 @@ def assemble_nonlocal_forms(test, trial, layout=None):
       (y - x) / delta times w_y: the sign of y - x is carried by the
       scaled separation, and the factors sign(s) = +-1.0 and the form's 1.0
       that ``_signed_weights`` multiplies by are exact.
+
+    The mirrored, self-clipped and clipped rows evaluate with the inner-point
+    axis first, and keep the bits of the points-first layout (rows, outer
+    points, inner points, basis values).  Their inner nodes, kernel weights
+    and basis values are elementwise per point, so their bits do not depend
+    on the layout.  The basis sums go through ``_inner_sums``: numpy adds
+    the inner points one after another in both layouts, and only its inner
+    loop differs, over the p + 1 basis values in the points-first layout
+    and over a whole slab of rows and outer points here.  A clipped row's
+    weight sums, numpy's pairwise ``w.sum(axis=-1)`` in the points-first
+    layout, are ``space._pairwise_rows`` over the leading axis, which adds
+    the slabs in that order.  The sums come back as (rows, outer points,
+    basis values), so the block products and the scatter are those of the
+    other rows.  The chunk cost of such a row, n_out x 2 n_in x (p + 1),
+    bounds each of these temporaries.
     """
     mesh = test.mesh
     delta = mesh.delta
@@ -433,13 +477,15 @@ def assemble_nonlocal_forms(test, trial, layout=None):
         taylor = (cb == SELF_INSIDE) & (tau[:, -1] <= 0.1)
         mirror = (cb == SELF_INSIDE) & ~taylor
         sc, co, cl = cb == SELF_CLIPPED, cb == CONTAINED, cb == CLIPPED
-        y_sc, wy_sc = inner_points(xs[sc], (bj[0][sc], bj[1][sc]), delta, q_in, w_in, split=True)
-        y_cl, wy_cl = inner_points(xs[cl], (bj[0][cl], bj[1][cl]), delta, q_in, w_in, split=False)
+        y_sc, wy_sc = _inner_first(*inner_points(xs[sc], (bj[0][sc], bj[1][sc]), delta,
+                                                  q_in, w_in, split=True))
+        y_cl, wy_cl = _inner_first(*inner_points(xs[cl], (bj[0][cl], bj[1][cl]), delta,
+                                                  q_in, w_in, split=False))
         wK_sc = _signed_weights(kernel, xs[sc], y_sc, wy_sc)
         wK_cl = _signed_weights(kernel, xs[cl], y_cl, wy_cl)
         held_co = np.searchsorted(held, jb[co])   # the table row of each CONTAINED row
         wC_co = _contained_convection(kernel, xs[co], elem_y[jb[co], None], elem_w[jb[co], None])
-        y_mirror = xs[mirror, :, None] + t, xs[mirror, :, None] - t
+        y_mirror = xs[mirror] + t[:, None, None], xs[mirror] - t[:, None, None]
         # the j block of a self piece and the constrained rows are not added
         rows = test.free_row[test.element_dofs(ib)]
         keep = (((jb != ib)[:, None] | [False, True])[:, :, None, None]
@@ -449,21 +495,26 @@ def assemble_nonlocal_forms(test, trial, layout=None):
         sign = np.where(jb == ib, 1.0, -1.0)[:, None, None]
 
         for (space, targets), basis, Z_space in zip(columns, bases, Z_diff):
-            # a copy: the clipped-pair shift below changes Bx in place
+            # a copy: the clipped-pair shift below changes Bx in place (Bxn, its
+            # view with the basis axis first, is read at self rows only)
             Bx = Btx.copy() if space is test else space.local_basis(ib[:, None], xs)
-            Byp, Bym = (space.local_basis(ib[mirror, None, None], y) for y in y_mirror)
+            Bxn = np.moveaxis(Bx, -1, 0)[:, None]
+            # the mirrored, self-clipped and clipped rows: basis values with the
+            # basis axis first, the inner points next (``node_basis``)
+            Byp, Bym = (space.node_basis(ib[mirror, None], y) for y in y_mirror)
             # same column block: difference the basis values before applying
             # the O(delta^-3) kernel weights, so the huge x-part/y-part
             # cancellation never reaches the matrix
-            D = space.local_basis(jb[sc, None, None], y_sc) - Bx[sc, :, None]
-            By_cl = space.local_basis(jb[cl, None, None], y_cl)
+            D = space.node_basis(jb[sc, None], y_sc)
+            D -= Bxn[..., sc, :]
+            By_cl = space.node_basis(jb[cl, None], y_cl)
             # adjacent clipped window: shift both sides by the shared-vertex
             # cardinal (exactly 1 at the shared node, so the two shifts cancel
             # analytically); keeps the summands at the size of the continuous
             # difference for delta << h
             right, left = cl & (jb == ib + 1), cl & (jb == ib - 1)
-            By_cl[right[cl], ..., 0] -= 1.0
-            By_cl[left[cl], ..., -1] -= 1.0
+            By_cl[0, :, right[cl]] -= 1.0
+            By_cl[-1, :, left[cl]] -= 1.0
             Bx[right, :, -1] -= 1.0
             Bx[left, :, 0] -= 1.0
             dofs = np.stack((space.element_dofs(jb), space.element_dofs(ib)), axis=1)
@@ -484,19 +535,19 @@ def assemble_nonlocal_forms(test, trial, layout=None):
                           * space.diff_powers[m])
                 # even part of the mirrored basis shift for an even kernel,
                 # odd part for an odd one
-                sym = Byp + Bym - 2.0 * Bx[mirror, :, None] if parity == 0 else Byp - Bym
+                sym = Byp + Bym - 2.0 * Bxn[..., mirror, :] if parity == 0 else Byp - Bym
                 Zi, Zj, sK = Bx.copy(), np.zeros_like(Bx), np.ones(xs.shape)
                 Zi[taylor] = Bx[taylor] @ M
-                Zi[mirror] = (wK_in[f][:, None] * sym).sum(axis=2)
-                Zi[sc] = (wK_sc[f][..., None] * D).sum(axis=2)
+                Zi[mirror] = _inner_sums(wK_in[f][:, None, None], sym)
+                Zi[sc] = _inner_sums(wK_sc[f], D)
                 # a CONTAINED row: its diffusion block from the tables, its
                 # convection block from its weights and the basis table
                 if f == 0:
                     Zj[co], sK[co] = Z_space[held_co], s_diff[held_co, None]
                 else:
                     Zj[co], sK[co] = wC_co @ basis[held_co], wC_co.sum(axis=-1)
-                Zj[cl] = (wK_cl[f][..., None] * By_cl).sum(axis=2)
-                sK[cl] = wK_cl[f].sum(axis=-1)
+                Zj[cl] = _inner_sums(wK_cl[f], By_cl)
+                sK[cl] = _pairwise_rows(wK_cl[f])
                 wBt, wBs = (np.swapaxes(w, 1, 2) for w in (wBtx, wBtx * sK[..., None]))
                 blocks = np.stack((wBt @ Zj, sign * (wBs @ Zi)), axis=1)
                 # unbuffered and in table order: every entry receives the

@@ -9,7 +9,10 @@ boundary data.
 
 Every evaluation of a discrete function at points of known elements goes
 through one method, ``Space.values``, and every basis value through one
-function, ``lagrange_basis``.  It is the hottest function of a study, so its
+function, ``cardinals``: one row per basis function, the layout that the
+assembly's inner-point sums read (``Space.node_basis``), and transposed
+once by ``lagrange_basis`` into one row per point for the matrix products
+(``Space.local_basis``).  It is the hottest function of a study, so its
 barycentric sum over the nodes is written out as whole-row adds in the order
 of numpy's own pairwise ``ndarray.sum``: the values keep the bits of the
 plain ``t.sum(axis=1)`` without one short reduction per point.
@@ -67,17 +70,18 @@ def _pairwise_rows(a):
     return s
 
 
-def lagrange_basis(nodes, weights, x):
-    """All Lagrange cardinal polynomials at points x, shape (len(x), len(nodes)).
+def cardinals(nodes, weights, x):
+    """All Lagrange cardinal polynomials at points x, one row per node: shape
+    (len(nodes), len(x)).
 
     The barycentric formula t_j / sum_k t_k, t_j = w_j / (x - x_j) (Berrut &
     Trefethen, SIAM Review 46, 2004), with the exact cardinal values at a
-    point within 1e-14 of a node.  The terms are laid out one row per node,
-    so the sum over the nodes is a few whole-row adds, not one short
-    reduction per point; ``_pairwise_rows`` adds them in the order of
-    ``t.sum(axis=1)`` on the (len(x), len(nodes)) array, and the result is
-    returned C-contiguous in that shape, so every value and every product
-    downstream keeps its bits.
+    point within 1e-14 of a node.  With one row per node the sum over the
+    nodes is a few whole-row adds, not one short reduction per point;
+    ``_pairwise_rows`` adds them in the order of ``t.sum(axis=1)`` on the
+    (len(x), len(nodes)) array, so every value keeps the bits of the plain
+    formula.  Each value depends on its own point only, so the values do
+    not depend on the layout of the points.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x[None, :] - nodes[:, None]
@@ -90,7 +94,14 @@ def lagrange_basis(nodes, weights, x):
     if any_hit:
         cols = hit.any(axis=0)
         t[:, cols] = hit[:, cols]
-    return np.ascontiguousarray(t.T)
+    return t
+
+
+def lagrange_basis(nodes, weights, x):
+    """The ``cardinals`` one row per point, shape (len(x), len(nodes)), and
+    C-contiguous: the layout that matrix products of the basis values sum
+    in, so every product downstream keeps its bits."""
+    return np.ascontiguousarray(cardinals(nodes, weights, x).T)
 
 
 def _diff_powers(nodes, w):
@@ -157,17 +168,31 @@ class Space:
     def element_dofs(self, e):
         return self._element_dofs[e]
 
+    def _reference(self, e, x):
+        """Points x mapped onto the reference element [-1, 1] of element e."""
+        a, b = self.mesh.bounds(e)
+        return (2.0 * np.asarray(x, dtype=float) - a - b) / (b - a)
+
     def local_basis(self, e, x):
         """Values of the element-e basis functions at global points x.
 
         ``e`` is one element or an index array that broadcasts against x;
         the result has shape x.shape + (order + 1,), or (1, order + 1) for a
-        scalar x.
+        scalar x, C-contiguous: the layout of the matrix products of
+        ``values``, the assembly's block products and its CONTAINED tables.
         """
-        a, b = self.mesh.bounds(e)
-        xi = (2.0 * np.asarray(x, dtype=float) - a - b) / (b - a)
+        xi = self._reference(e, x)
         return lagrange_basis(self.ref_nodes, self._bary, xi.ravel()).reshape(
             (xi.shape if xi.ndim else (1,)) + (self.order + 1,))
+
+    def node_basis(self, e, x):
+        """The values of ``local_basis`` with the basis axis first: shape
+        (order + 1,) + x.shape (x and e broadcast), C-contiguous, with the
+        same bits.  The assembly's sums over the inner points add whole
+        slabs of this layout."""
+        xi = self._reference(e, x)
+        return cardinals(self.ref_nodes, self._bary, xi.ravel()).reshape(
+            (self.order + 1,) + xi.shape)
 
     def values(self, coeffs, elems, x):
         """Values at x of the function with these coefficients.

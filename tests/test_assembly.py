@@ -9,15 +9,15 @@ from scipy.integrate import quad
 
 import nlpg.assembly
 from nlpg import quadrature
-from nlpg.assembly import (Band, _gram, assemble_mass_mean, assemble_nonlocal_forms,
-                           boundary_defect_load, kkt_layout, load_vector,
-                           mixed_system_from_parts)
+from nlpg.assembly import (Band, _gram, _inner_sums, assemble_mass_mean,
+                           assemble_nonlocal_forms, boundary_defect_load, kkt_layout,
+                           load_vector, mixed_system_from_parts)
 from nlpg.driver import solve_problem
 from nlpg.kernels import KernelPair, constant_kernel_pair, forcing_smooth_nonlocal
 from nlpg.mesh import initial_mesh, refine_uniform, uniform_mesh
 from nlpg.problems import Problem, make_problem
 from nlpg.quadrature import CONTAINED, N_OVER, gauss_legendre, mesh_pieces
-from nlpg.space import Space, boundary_lift
+from nlpg.space import Space, _pairwise_rows, boundary_lift
 from reference import (contained_meshes, dense_B, dense_block, graded_mesh, gram, hat,
                        hat_energy_by_quad, interpolate, nested_integrate)
 
@@ -36,17 +36,27 @@ def setup(request):
 # the first three hold the mirrored and the Taylor self windows and adjacent
 # clipped windows, the last (h < delta) K_j contained in the ball and several
 # chunks
-SWEEP_MESHES = pytest.mark.parametrize(
-    "mesh", [*(refine_uniform(initial_mesh(d)) for d in (0.1, 0.02, 1e-4)),
-             uniform_mesh(0.1, 40)], ids=["0.1", "0.02", "0.0001", "0.1-contained"])
+SWEEP = {"0.1": refine_uniform(initial_mesh(0.1)), "0.02": refine_uniform(initial_mesh(0.02)),
+         "0.0001": refine_uniform(initial_mesh(1e-4)), "0.1-contained": uniform_mesh(0.1, 40)}
+SWEEP_MESHES = pytest.mark.parametrize("mesh", SWEEP.values(), ids=SWEEP)
 
 
-@SWEEP_MESHES
-def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
+def _chunking_cases():
+    """The sweep meshes and a graded small-horizon mesh at test orders 3, 7
+    and 9; order 3 keeps the mesh's name as its id."""
+    return [pytest.param(mesh, p, id=name if p == 3 else f"{name}-p{p}")
+            for name, mesh in {**SWEEP, "graded-0.0001": graded_mesh(1e-4)}.items()
+            for p in (3, 7, 9)]
+
+
+@pytest.mark.parametrize("mesh, p", _chunking_cases())
+def test_matrices_do_not_depend_on_the_chunking(mesh, p, monkeypatch):
     # one piece per chunk adds the pieces in the order of a loop over the
     # table; every chunking must give each entry the same additions in the
-    # same order, so the bits must not change
-    trial, test = Space(mesh, 1), Space(mesh, 3)
+    # same order, so the bits must not change.  Test orders 7 and 9 put
+    # 20 and 22 inner points in a clipped row, summed by ``_pairwise_rows``
+    # with eight accumulators and a tail
+    trial, test = Space(mesh, 1), Space(mesh, p)
     g = lambda x: np.asarray(x) ** 5 + 1.0
     lift = boundary_lift(trial, g)
 
@@ -75,6 +85,26 @@ def test_matrices_do_not_depend_on_the_chunking(mesh, monkeypatch):
         monkeypatch.setattr(quadrature, "CHUNK_VALUES", budget)
         for new, old in zip(assemble(), whole):
             assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("order", [1, 3, 7, 9])
+@pytest.mark.parametrize("n_basis", [2, 4, 8, 10])
+def test_inner_point_sums_keep_the_bits_of_the_points_first_sums(order, n_basis):
+    # the small-horizon rows sum their inner points with that axis first; the
+    # matrices keep their bits only while numpy adds the slabs of that layout
+    # in the order of the points-first sums, at the assembly's shapes: n_in
+    # and 2 n_in inner points at test order p (trial order 1), p + 1 values
+    rng = np.random.default_rng(100 * order + n_basis)
+    n = order + N_OVER
+    for inner in (n, 2 * n):
+        w = rng.standard_normal((7, n, inner)) * 10.0 ** rng.integers(-8, 9, (7, n, inner))
+        X = rng.standard_normal((7, n, inner, n_basis))
+        w_first = np.moveaxis(w, -1, 0).copy()
+        X_first = np.ascontiguousarray(X.transpose(3, 2, 0, 1))
+        for new, old in ((_inner_sums(w_first, X_first), (w[..., None] * X).sum(axis=2)),
+                         (_pairwise_rows(w_first), w.sum(axis=-1))):
+            assert new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("mesh", [uniform_mesh(0.1, 40), graded_mesh(0.1)],
@@ -118,7 +148,9 @@ def test_contained_rows_have_the_bits_of_the_kernel_weights(name, p):
     for r in quadrature.chunks(co, n_out * n_in):
         xs, _ = gauss_legendre(n_out).map_to(lo[r, None], hi[r, None])
         y, wy = elem_y[j[r], None], elem_w[j[r], None]
-        w_diff, w_conv = nlpg.assembly._signed_weights(kernel, xs, y, wy)
+        # _signed_weights takes and gives the inner points first
+        w_diff, w_conv = (np.moveaxis(w, 0, -1).copy() for w in nlpg.assembly._signed_weights(
+            kernel, xs, np.moveaxis(y, -1, 0), np.moveaxis(wy, -1, 0)))
         row = np.searchsorted(held, j[r])
         assert Z_diff[row].tobytes() == (w_diff @ basis[row]).tobytes()
         assert (np.broadcast_to(s_diff[row, None], xs.shape).tobytes()

@@ -15,7 +15,7 @@ checkout's ``src/``, each in its own process:
 The 80-element mesh has delta/h = 8, so most of its pieces are of the
 CONTAINED case, and its Gram band is wide: a half-bandwidth of 81 of its
 559 test DOFs at (p, dp) = (1, 6).  At (p, dp) = (1, 8) the test space has order 9, ten basis
-functions per element, so the barycentric sum of ``space.lagrange_basis``
+functions per element, so the barycentric sum of ``space.cardinals``
 runs its eight-accumulator branch with a tail.
 
 For each case it keeps G, B (both densified: a tree that holds a matrix by
